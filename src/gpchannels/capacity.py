@@ -6,7 +6,9 @@ weight vector majorizes every output spectrum, so its entropy lower-bounds
 the minimal output entropy).  Both are in nats.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -16,8 +18,11 @@ from .channels import (
     GeneralizedPauliChannel,
     WeylChannel,
     classical_map_t,
+    clip_eigenvalue_rows,
     require_cp,
+    require_cp_rows,
 )
+from .errors import UnsupportedDimensionError
 from .numerics import _entropy, as_distribution
 
 COINCIDENCE_TOL = 1e-9
@@ -29,26 +34,8 @@ def _h(vec: np.ndarray) -> float:
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, None)
-    out = np.zeros_like(x)
-    mask = x > 0.0
-    out[mask] = x[mask] * np.log(x[mask])
-    return out
-
-
-def holevo_lower_bound(e: EigenvalueVector) -> Tuple[float, int]:
-    """Best single-basis capacity and the 1-based basis index attaining it.
-
-    Per basis the value is
-    [1+(d-1)L]/d * ln[1+(d-1)L] + (d-1)(1-L)/d * ln(1-L),
-    the capacity of the symmetric classical channel induced on that basis.
-    """
-    require_cp(e)
-    d = e.dimension
-    lam = e.values
-    terms = _xlogx(1.0 + (d - 1.0) * lam) / d + (d - 1.0) / d * _xlogx(1.0 - lam)
-    alpha = int(np.argmax(terms)) + 1
-    return float(terms[alpha - 1]), alpha
+    # x ln x with 0 ln 0 = 0; negative rounding noise counts as 0
+    return x * np.log(x, out=np.zeros(x.shape), where=x > 0.0)
 
 
 def holevo_lower_via_classical(e: EigenvalueVector) -> float:
@@ -111,6 +98,8 @@ class ZetaComponents:
         Used to check continuity: at a boundary the assemblies for the two
         adjacent regions coincide.
         """
+        if not 1 <= region <= self.dimension:
+            raise ValueError(f"region {region} out of range 1..{self.dimension}")
         return _assemble_zeta(
             self.dimension, region, self.plain_blocks, self.shifted_blocks,
             self.straddle_blocks,
@@ -118,13 +107,11 @@ class ZetaComponents:
 
 
 def _assemble_zeta(d, region, plain, shifted, straddle):
-    if not 1 <= region <= d:
-        raise ValueError(f"region {region} out of range 1..{d}")
-    z = np.empty(d)
-    z[: region - 1] = plain[: region - 1]
-    z[region - 1] = straddle[region - 1]
-    z[region:] = shifted[region:]
-    return z
+    # blocks before the region are plain, the region's block straddles, the
+    # rest are shifted; works row-wise on (N, d) blocks with (N,) regions
+    col = np.arange(1, d + 1)
+    region = np.asarray(region)[..., None]
+    return np.where(col < region, plain, np.where(col == region, straddle, shifted))
 
 
 def _components_from_blocks(d, region, plain, shifted, straddle, merged, perm):
@@ -140,32 +127,139 @@ def _components_from_blocks(d, region, plain, shifted, straddle, merged, perm):
     )
 
 
-def holevo_upper_bound(e: EigenvalueVector) -> Tuple[float, ZetaComponents]:
-    """Closed-form upper bound from the eigenvalue view.
+@dataclass(frozen=True)
+class BatchBounds:
+    """Closed-form bounds of N channels of one dimension, one row per channel.
 
-    With eigenvalues sorted non-increasingly and S their sum, the identity
-    weight sits in block r = 1 + #{m in 2..d : L_m > S} (ties resolve to the
-    lower region; the assemblies agree there).  Block values, 1-based k:
+    Capacities are in nats.  `maximizing_alpha` and `region` are 1-based;
+    `exact_capacity` is NaN where the capacity is not known.  The block
+    arrays are those of ZetaComponents, stacked: (N, d) and, for the merged
+    blocks and the sort permutation, (N, d+1).
+    """
+
+    dimension: int
+    chi_low: np.ndarray
+    maximizing_alpha: np.ndarray
+    chi_up: np.ndarray
+    region: np.ndarray
+    zeta: np.ndarray
+    plain_blocks: np.ndarray
+    shifted_blocks: np.ndarray
+    straddle_blocks: np.ndarray
+    merged_blocks: np.ndarray
+    permutation: np.ndarray
+    coincide: np.ndarray
+    exact_capacity: np.ndarray
+
+    def components(self, i: int) -> ZetaComponents:
+        """The block sums of row i."""
+        return ZetaComponents(
+            dimension=self.dimension,
+            region=int(self.region[i]),
+            zeta=self.zeta[i],
+            plain_blocks=self.plain_blocks[i],
+            shifted_blocks=self.shifted_blocks[i],
+            straddle_blocks=self.straddle_blocks[i],
+            merged_blocks=self.merged_blocks[i],
+            permutation=self.permutation[i],
+        )
+
+
+@lru_cache(maxsize=None)
+def _block_coefficients(d: int):
+    # rows plain, shifted, straddle of [1 + a_k L_k + b_k L_{k+1} - c S] / d
+    k = np.arange(1, d + 1, dtype=float)
+    a = np.stack([d - k, d + 1 - k, d - k])[:, None, :]
+    b = np.stack([k, k - 1, k - 1])[:, None, :]
+    c = np.array([1.0, 1.0, 0.0])[:, None, None]
+    return a, b, c
+
+
+def bounds_batch(lams) -> BatchBounds:
+    """Both closed-form bounds for an (N, d+1) array of eigenvalue rows.
+
+    Rows are checked first: finite, inside [-1/(d-1), 1] (then clipped) and
+    completely positive; the package error names the first bad row.
+
+    Lower bound: per basis the capacity of the symmetric classical channel it
+    induces, [1+(d-1)L]/d ln[1+(d-1)L] + (d-1)(1-L)/d ln(1-L), maximized
+    over the basis.
+
+    Upper bound: ln d minus the entropy of the grouped weights.  With the
+    eigenvalues sorted non-increasingly and S their sum, the identity weight
+    sits in block r = 1 + #{m in 2..d : L_m > S} (ties resolve to the lower
+    region; the assemblies agree there).  Block values, 1-based k:
 
     plain_k    = [1 + (d-k) L_k + k L_{k+1} - S] / d
     shifted_k  = [1 + (d+1-k) L_k + (k-1) L_{k+1} - S] / d
     straddle_k = [1 + (d-k) L_k + (k-1) L_{k+1}] / d
     merged_k   = [1 + (d-1) L_k] / d
+
+    The exact capacity is known for every qubit, where it is driven by the
+    largest-magnitude eigenvalue, and wherever the bounds coincide.
     """
-    require_cp(e)
-    d = e.dimension
-    perm = np.argsort(-e.values, kind="stable")
-    lam = e.values[perm]
-    total = lam.sum()
-    k = np.arange(1, d + 1, dtype=float)
-    head, tail = lam[:d], lam[1:]
-    plain = (1.0 + (d - k) * head + k * tail - total) / d
-    shifted = (1.0 + (d + 1 - k) * head + (k - 1) * tail - total) / d
-    straddle = (1.0 + (d - k) * head + (k - 1) * tail) / d
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 2:
+        raise ValueError(f"need an (N, d+1) eigenvalue array, got shape {lams.shape}")
+    d = lams.shape[1] - 1
+    if d < 2:
+        raise UnsupportedDimensionError(f"dimension must be >= 2, got {d}")
+    lams = clip_eigenvalue_rows(lams)
+    require_cp_rows(lams)
+    rows = np.arange(lams.shape[0])
+
+    terms = _xlogx(1.0 + (d - 1.0) * lams) / d + (d - 1.0) / d * _xlogx(1.0 - lams)
+    best = np.argmax(terms, axis=1)
+    chi_low = terms[rows, best]
+
+    perm = np.argsort(-lams, axis=1, kind="stable")
+    lam = lams[rows[:, None], perm]
+    total = lam.sum(axis=1)[:, None]
+    a, b, c = _block_coefficients(d)
+    plain, shifted, straddle = (1.0 + a * lam[:, :d] + b * lam[:, 1:] - c * total) / d
     merged = (1.0 + (d - 1.0) * lam) / d
-    region = 1 + int(np.count_nonzero(lam[1:d] > total))
-    comps = _components_from_blocks(d, region, plain, shifted, straddle, merged, perm)
-    return float(np.log(d) - _h(comps.zeta)), comps
+    region = 1 + (lam[:, 1:d] > total).sum(axis=1)
+    zeta = _assemble_zeta(d, region, plain, shifted, straddle)
+    chi_up = np.log(d) + _xlogx(zeta).sum(axis=1)
+
+    coincide = np.abs(chi_up - chi_low) <= COINCIDENCE_TOL
+    if d == 2:
+        # the basis of the largest-magnitude eigenvalue: its term is the
+        # qubit closed form [(1+L*) ln(1+L*) + (1-L*) ln(1-L*)] / 2
+        exact = terms[rows, np.abs(lams).argmax(axis=1)]
+    else:
+        exact = np.where(coincide, chi_low, np.nan)
+    return BatchBounds(
+        dimension=d,
+        chi_low=chi_low,
+        maximizing_alpha=best + 1,
+        chi_up=chi_up,
+        region=region,
+        zeta=zeta,
+        plain_blocks=plain,
+        shifted_blocks=shifted,
+        straddle_blocks=straddle,
+        merged_blocks=merged,
+        permutation=perm,
+        coincide=coincide,
+        exact_capacity=exact,
+    )
+
+
+def _one(e: EigenvalueVector) -> BatchBounds:
+    return bounds_batch(e.values[None, :])
+
+
+def holevo_lower_bound(e: EigenvalueVector) -> Tuple[float, int]:
+    """Best single-basis capacity and the 1-based basis index attaining it."""
+    b = _one(e)
+    return float(b.chi_low[0]), int(b.maximizing_alpha[0])
+
+
+def holevo_upper_bound(e: EigenvalueVector) -> Tuple[float, ZetaComponents]:
+    """Closed-form upper bound from the eigenvalue view, with its block sums."""
+    b = _one(e)
+    return float(b.chi_up[0]), b.components(0)
 
 
 def zeta_components_p_form(c: GeneralizedPauliChannel) -> ZetaComponents:
@@ -213,10 +307,12 @@ def pauli_classical_capacity(e: EigenvalueVector) -> float:
     """Qubit closed form: driven by the largest-magnitude eigenvalue."""
     if e.dimension != 2:
         raise ValueError(f"qubit closed form needs d=2, got d={e.dimension}")
-    require_cp(e)
-    star = float(np.max(np.abs(e.values)))
-    return float(_xlogx(np.array([1.0 + star]))[0] / 2
-                 + _xlogx(np.array([1.0 - star]))[0] / 2)
+    return float(_one(e).exact_capacity[0])
+
+
+def _exact_or_none(b: BatchBounds) -> Optional[float]:
+    exact = float(b.exact_capacity[0])
+    return None if math.isnan(exact) else exact
 
 
 def classical_capacity_exact(e: EigenvalueVector) -> Optional[float]:
@@ -226,28 +322,18 @@ def classical_capacity_exact(e: EigenvalueVector) -> Optional[float]:
     families with all eigenvalues equal except one; weak additivity of the
     lower bound then pins the regularized value.
     """
-    require_cp(e)
-    if e.dimension == 2:
-        return pauli_classical_capacity(e)
-    low, _ = holevo_lower_bound(e)
-    up, _ = holevo_upper_bound(e)
-    if abs(up - low) <= COINCIDENCE_TOL:
-        return low
-    return None
+    return _exact_or_none(_one(e))
 
 
 def capacity_bounds(e: EigenvalueVector) -> CapacityBounds:
-    low, alpha = holevo_lower_bound(e)
-    up, _ = holevo_upper_bound(e)
-    coincide = abs(up - low) <= COINCIDENCE_TOL
-    exact = classical_capacity_exact(e)
+    b = _one(e)
     return CapacityBounds(
         dimension=e.dimension,
-        chi_low=low,
-        chi_up=up,
-        coincide=coincide,
-        exact_capacity=exact,
-        maximizing_alpha=alpha,
+        chi_low=float(b.chi_low[0]),
+        chi_up=float(b.chi_up[0]),
+        coincide=bool(b.coincide[0]),
+        exact_capacity=_exact_or_none(b),
+        maximizing_alpha=int(b.maximizing_alpha[0]),
     )
 
 

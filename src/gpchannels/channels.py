@@ -70,15 +70,7 @@ class EigenvalueVector:
                 f"need {self.dimension + 1} eigenvalues for d={self.dimension}, "
                 f"got {vals.size}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("eigenvalues must be finite")
-        lo = -1.0 / (self.dimension - 1)
-        if vals.min() < lo - EIGENVALUE_BOX_TOL or vals.max() > 1.0 + EIGENVALUE_BOX_TOL:
-            raise ValueError(
-                f"eigenvalues outside [{lo}, 1]: min={vals.min()}, max={vals.max()}"
-            )
-        np.clip(vals, lo, 1.0, out=vals)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", clip_eigenvalue_rows(vals[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -137,14 +129,58 @@ def probabilities_from_eigenvalues(e: EigenvalueVector) -> GeneralizedPauliChann
     return GeneralizedPauliChannel(d, p)
 
 
-def fujiwara_algoet_margin(e: EigenvalueVector) -> float:
-    """Distance to the CP boundary: negative means the conditions fail.
+def _row_label(i: int, n: int) -> str:
+    return f"row {i}: " if n > 1 else ""
 
-    CP requires -1/(d-1) <= sum(lambda) <= 1 + d * min(lambda).
+
+def clip_eigenvalue_rows(lams: np.ndarray) -> np.ndarray:
+    """Check an (N, d+1) eigenvalue array row by row; return it clipped to the box.
+
+    Entries must be finite and lie in [-1/(d-1), 1] within
+    EIGENVALUE_BOX_TOL.  The ValueError names the first failing row.
     """
-    d = e.dimension
-    total = e.values.sum()
-    return float(min(total + 1.0 / (d - 1.0), 1.0 + d * e.values.min() - total))
+    d = lams.shape[1] - 1
+    lo = -1.0 / (d - 1)
+    # NaN and infinities fail a comparison, so this also tests finiteness
+    inside = (lams >= lo - EIGENVALUE_BOX_TOL) & (lams <= 1.0 + EIGENVALUE_BOX_TOL)
+    inside = inside.all(axis=1)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        row, label = lams[i], _row_label(i, lams.shape[0])
+        if not np.isfinite(row).all():
+            raise ValueError(f"{label}eigenvalues must be finite")
+        raise ValueError(
+            f"{label}eigenvalues outside [{lo}, 1]: min={row.min()}, max={row.max()}"
+        )
+    return np.minimum(np.maximum(lams, lo), 1.0)
+
+
+def cp_margin_rows(lams: np.ndarray) -> np.ndarray:
+    """Fujiwara-Algoet margin of each row of an (N, d+1) eigenvalue array.
+
+    CP requires -1/(d-1) <= sum(lambda) <= 1 + d * min(lambda); the margin is
+    the distance to the nearer side, negative when the conditions fail.
+    """
+    d = lams.shape[1] - 1
+    total = lams.sum(axis=1)
+    return np.minimum(total + 1.0 / (d - 1.0), 1.0 + d * lams.min(axis=1) - total)
+
+
+def require_cp_rows(lams: np.ndarray) -> None:
+    """Raise NotCompletelyPositiveError naming the first row below -CLAMP_TOL."""
+    margins = cp_margin_rows(lams)
+    bad = margins < -CLAMP_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NotCompletelyPositiveError(
+            f"{_row_label(i, lams.shape[0])}eigenvalues {lams[i].tolist()} "
+            f"violate complete positivity (margin {margins[i]:.3e})"
+        )
+
+
+def fujiwara_algoet_margin(e: EigenvalueVector) -> float:
+    """Distance to the CP boundary: negative means the conditions fail."""
+    return float(cp_margin_rows(e.values[None, :])[0])
 
 
 def is_completely_positive(e: EigenvalueVector, tol: float = CLAMP_TOL) -> bool:
@@ -152,11 +188,7 @@ def is_completely_positive(e: EigenvalueVector, tol: float = CLAMP_TOL) -> bool:
 
 
 def require_cp(e: EigenvalueVector) -> None:
-    if not is_completely_positive(e):
-        raise NotCompletelyPositiveError(
-            f"eigenvalues {e.values.tolist()} violate complete positivity "
-            f"(margin {fujiwara_algoet_margin(e):.3e})"
-        )
+    require_cp_rows(e.values[None, :])
 
 
 def apply(c: GeneralizedPauliChannel, m: MubSet, rho: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .capacity import capacity_bounds, holevo_upper_bound
+from .capacity import bounds_batch, capacity_bounds, holevo_upper_bound
 from .channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
@@ -20,12 +20,11 @@ from .channels import (
     fujiwara_algoet_margin,
     is_completely_positive,
     probabilities_from_eigenvalues,
-    require_cp,
 )
 from .dynamics import (
-    P_DIVISIBILITY_TOL,
     RateSpec,
     capacity_trajectory,
+    eigenvalue_rises,
     eigenvalue_trajectory,
 )
 from .selfcheck import run_formula_suite, sample_cp_eigenvalues
@@ -69,7 +68,6 @@ def _emit(payload: dict) -> None:
 
 def _cmd_bounds(args) -> int:
     eigs = _channel_from_args(args)
-    require_cp(eigs)
     bounds = capacity_bounds(eigs)
     scale = LN2 if args.bits else 1.0
     _emit({
@@ -104,7 +102,6 @@ def _cmd_cp_check(args) -> int:
 
 def _cmd_zeta(args) -> int:
     eigs = _channel_from_args(args)
-    require_cp(eigs)
     value, comps = holevo_upper_bound(eigs)
     scale = LN2 if args.bits else 1.0
     _emit({
@@ -138,14 +135,13 @@ def _cmd_dynamics(args) -> int:
         _parse_rate(args.gamma3),
     ))
     traj = capacity_trajectory(eigenvalue_trajectory(rates, args.t_max, args.steps))
+    divisible = np.logical_and.accumulate(
+        np.concatenate([[True], ~eigenvalue_rises(traj.lambdas)])
+    )
     lines = ["t,lambda1,lambda2,lambda3,capacity_nats,p_divisible_so_far"]
-    divisible = True
-    increments = np.diff(traj.lambdas, axis=0)
-    for i, t in enumerate(traj.times):
-        if i > 0 and np.any(increments[i - 1] > P_DIVISIBILITY_TOL):
-            divisible = False
-        row = [t, *traj.lambdas[i], traj.capacity[i]]
-        lines.append(",".join(_fmt(v) for v in row) + f",{int(divisible)}")
+    for t, lam, capacity, flag in zip(traj.times, traj.lambdas, traj.capacity, divisible):
+        row = [t, *lam, capacity]
+        lines.append(",".join(_fmt(v) for v in row) + f",{int(flag)}")
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", newline="\n") as handle:
@@ -169,15 +165,19 @@ def _cmd_verify(args) -> int:
 
 def _cmd_random_sweep(args) -> int:
     d = args.d
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     rng = np.random.default_rng(args.seed)
-    samples = sample_cp_eigenvalues(d, args.count, rng)
+    # reshape: a zero count gives an empty 1-d array
+    samples = sample_cp_eigenvalues(d, args.count, rng).reshape(-1, d + 1)
+    bounds = bounds_batch(samples)
     header = ["index"] + [f"lambda{a}" for a in range(1, d + 2)]
     header += ["chi_low", "chi_up", "coincide"]
     lines = [",".join(header)]
     for i, lam in enumerate(samples):
-        bounds = capacity_bounds(EigenvalueVector(d, lam))
         row = [str(i)] + [_fmt(v) for v in lam]
-        row += [_fmt(bounds.chi_low), _fmt(bounds.chi_up), str(int(bounds.coincide))]
+        row += [_fmt(bounds.chi_low[i]), _fmt(bounds.chi_up[i]),
+                str(int(bounds.coincide[i]))]
         lines.append(",".join(row))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

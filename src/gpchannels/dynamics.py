@@ -13,8 +13,9 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .channels import EigenvalueVector
-from .capacity import pauli_classical_capacity
+# pauli_classical_capacity stays importable here: perfbench traces the
+# per-step qubit closed form through this name
+from .capacity import bounds_batch, pauli_classical_capacity  # noqa: F401
 from .errors import NotCompletelyPositiveError
 from .mub import _SIGMA
 
@@ -92,17 +93,29 @@ def _cp_slices(lambdas: np.ndarray) -> np.ndarray:
     return (total >= -1.0 - _CP_TOL) & (total <= 1.0 + 2.0 * lambdas.min(axis=1) + _CP_TOL)
 
 
+def eigenvalue_rises(lambdas: np.ndarray) -> np.ndarray:
+    """Per grid interval: does some eigenvalue grow by more than P_DIVISIBILITY_TOL.
+
+    A qubit Pauli map is P-divisible iff no eigenvalue ever grows.
+    """
+    return np.any(np.diff(lambdas, axis=0) > P_DIVISIBILITY_TOL, axis=1)
+
+
+def _time_grid(t_max: float, steps: int) -> np.ndarray:
+    if t_max <= 0.0:
+        raise ValueError(f"t_max must be positive, got {t_max}")
+    if steps < 2:
+        raise ValueError(f"need at least 2 steps, got {steps}")
+    return np.linspace(0.0, float(t_max), int(steps))
+
+
 def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTrajectory:
     """Map eigenvalues on a uniform grid via cumulative Simpson quadrature.
 
     Each grid interval contributes h/6 (g_i + 4 g_mid + g_{i+1}); exact for
     constant and linear rates between samples.
     """
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    if steps < 2:
-        raise ValueError(f"need at least 2 steps, got {steps}")
-    times = np.linspace(0.0, float(t_max), int(steps))
+    times = _time_grid(t_max, steps)
     h = times[1] - times[0]
     g_nodes = r.evaluate(times)
     g_mids = r.evaluate((times[:-1] + times[1:]) / 2.0)
@@ -115,7 +128,7 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
         times=times,
         lambdas=lambdas,
         cp_everywhere=bool(np.all(_cp_slices(lambdas))),
-        p_divisible=bool(np.all(np.diff(lambdas, axis=0) <= P_DIVISIBILITY_TOL)),
+        p_divisible=not eigenvalue_rises(lambdas).any(),
     )
     return traj
 
@@ -127,9 +140,7 @@ def ode_eigenvalue_oracle(r: RateSpec, t_max: float, steps: int) -> np.ndarray:
     dM/dt = L(t) M with L = 1/2 sum_a g_a(t) (S_a (x) S_a^T - 1) and reads
     each eigenvalue off the evolved Pauli operator.
     """
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    times = np.linspace(0.0, float(t_max), int(steps))
+    times = _time_grid(t_max, steps)
     conj_parts = [np.kron(_SIGMA[a], _SIGMA[a].T) for a in (1, 2, 3)]
     eye4 = np.eye(4)
 
@@ -162,7 +173,7 @@ def ode_eigenvalue_oracle(r: RateSpec, t_max: float, steps: int) -> np.ndarray:
 
 def p_divisibility_check(traj: PauliTrajectory) -> bool:
     """True iff every eigenvalue trace is non-increasing on the grid."""
-    return bool(np.all(np.diff(traj.lambdas, axis=0) <= P_DIVISIBILITY_TOL))
+    return not eigenvalue_rises(traj.lambdas).any()
 
 
 def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
@@ -181,9 +192,7 @@ def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
         raise NotCompletelyPositiveError(
             f"trajectory leaves the CP region at t={traj.times[bad]:.6g}"
         )
-    capacity = np.array([
-        pauli_classical_capacity(EigenvalueVector(2, lam)) for lam in traj.lambdas
-    ])
+    capacity = bounds_batch(traj.lambdas).exact_capacity
     cdot_fd = np.gradient(capacity, traj.times)
 
     lam_sorted = np.sort(traj.lambdas, axis=1)[:, ::-1]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpchannels.capacity import (
+    bounds_batch,
     capacity_bounds,
     capacity_from_fidelity,
     channel_fidelity_extremes,
@@ -23,7 +24,12 @@ from gpchannels.channels import (
     probabilities_from_eigenvalues,
     tensor,
 )
-from gpchannels.errors import NotCompletelyPositiveError
+from gpchannels.dynamics import (
+    capacity_trajectory,
+    eigenvalue_trajectory,
+    non_p_divisible_capacity_witness,
+)
+from gpchannels.errors import NotCompletelyPositiveError, UnsupportedDimensionError
 from gpchannels.selfcheck import sample_cp_eigenvalues
 
 LN2, LN3, LN5 = np.log(2.0), np.log(3.0), np.log(5.0)
@@ -207,3 +213,108 @@ def test_upper_bound_between_zero_and_max(seed):
     lam = sample_cp_eigenvalues(3, 1, rng)[0]
     up, _ = holevo_upper_bound(EigenvalueVector(3, lam))
     assert -1e-12 <= up <= LN3 + 1e-12
+
+
+def _lambdas_from_probs(p):
+    d = p.size - 2
+    return (d * (p[0] + p[1:]) - 1.0) / (d - 1.0)
+
+
+@st.composite
+def cp_batches(draw):
+    """(d, rows): CP eigenvalue rows at d in 2..7 mixing interior channels with
+    the boundary inputs: lambda = 1, lambda = -1/(d-1), zero weights (CP
+    boundary) and integer weights, whose ties tie the region sort."""
+    d = draw(st.integers(min_value=2, max_value=7))
+    kinds = draw(st.lists(st.sampled_from(["interior", "zeros", "edge", "ties"]),
+                          min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        if kind == "ties":
+            k = np.array(draw(st.lists(st.integers(min_value=0, max_value=3),
+                                       min_size=d + 2, max_size=d + 2)), dtype=float)
+            k[0] += k.sum() == 0
+            p = k / k.sum()
+        elif kind == "edge":
+            # identity, a pure basis channel, p_0 + p_a = 1, p_0 = p_a = 0
+            p = np.zeros(d + 2)
+            a = 1 + int(rng.integers(d + 1))
+            variant = draw(st.integers(min_value=0, max_value=3))
+            if variant == 0:
+                p[0] = 1.0
+            elif variant == 1:
+                p[a] = 1.0
+            elif variant == 2:
+                p[0] = rng.uniform()
+                p[a] = 1.0 - p[0]
+            else:
+                rest = [i for i in range(1, d + 2) if i != a]
+                p[rest] = rng.dirichlet(np.ones(d))
+        else:
+            p = rng.dirichlet(np.ones(d + 2))
+            if kind == "zeros":
+                p[rng.choice(d + 2, size=int(rng.integers(1, 3)), replace=False)] = 0.0
+                p /= p.sum()
+        rows.append(_lambdas_from_probs(p))
+    return d, np.array(rows)
+
+
+@given(cp_batches())
+@settings(max_examples=150, deadline=None)
+def test_bounds_batch_matches_scalar_wrappers(batch):
+    d, lams = batch
+    b = bounds_batch(lams)
+    assert b.chi_low.shape == b.chi_up.shape == (lams.shape[0],)
+    for i, lam in enumerate(lams):
+        e = EigenvalueVector(d, lam)
+        low, alpha = holevo_lower_bound(e)
+        up, comps = holevo_upper_bound(e)
+        single = capacity_bounds(e)
+        assert abs(b.chi_low[i] - low) <= 1e-15
+        assert abs(b.chi_up[i] - up) <= 1e-15
+        assert b.maximizing_alpha[i] == alpha == single.maximizing_alpha
+        assert b.region[i] == comps.region
+        assert bool(b.coincide[i]) == single.coincide
+        assert np.max(np.abs(b.zeta[i] - comps.zeta)) <= 1e-15
+        exact = classical_capacity_exact(e)
+        if exact is None:
+            assert d > 2 and np.isnan(b.exact_capacity[i])
+        else:
+            assert abs(b.exact_capacity[i] - exact) <= 1e-15
+        if d == 2:
+            assert abs(b.exact_capacity[i] - pauli_classical_capacity(e)) <= 1e-15
+        assert b.chi_low[i] <= b.chi_up[i] + 1e-9
+
+
+def test_bounds_batch_names_first_noncp_row(rng):
+    lams = sample_cp_eigenvalues(3, 5, rng)
+    lams[3] = [0.9, 0.9, 0.9, -0.5]  # inside the box, sum above 1 + 3 min
+    with pytest.raises(NotCompletelyPositiveError, match=r"^row 3: "):
+        bounds_batch(lams)
+
+
+def test_bounds_batch_names_first_row_outside_box(rng):
+    lams = sample_cp_eigenvalues(2, 4, rng)
+    lams[2, 0] = 1.5
+    lams[3, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^row 2: eigenvalues outside"):
+        bounds_batch(lams)
+    lams[2, 0] = 0.0
+    with pytest.raises(ValueError, match=r"^row 3: eigenvalues must be finite"):
+        bounds_batch(lams)
+
+
+def test_bounds_batch_checks_shape():
+    with pytest.raises(ValueError):
+        bounds_batch([0.5, 0.0, -0.5])
+    with pytest.raises(UnsupportedDimensionError):
+        bounds_batch([[0.5, 0.5]])
+    assert bounds_batch(np.empty((0, 4))).chi_low.shape == (0,)
+
+
+def test_capacity_trajectory_matches_per_step_closed_form():
+    traj = capacity_trajectory(
+        eigenvalue_trajectory(non_p_divisible_capacity_witness(), 3.0, 301))
+    per_step = [pauli_classical_capacity(EigenvalueVector(2, lam)) for lam in traj.lambdas]
+    assert np.array_equal(traj.capacity, per_step)

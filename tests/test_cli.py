@@ -175,6 +175,19 @@ def test_random_sweep_seed_from_environment(monkeypatch, capsys):
     assert via_env == via_flag
 
 
+def test_random_sweep_rejects_negative_count(capsys):
+    code, out, err = run(capsys, "random-sweep", "--d", "3", "--count", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--count" in err
+
+
+def test_random_sweep_zero_count_prints_header_only(capsys):
+    code, out, _ = run(capsys, "random-sweep", "--d", "3", "--count", "0")
+    assert code == 0
+    assert out == "index,lambda1,lambda2,lambda3,lambda4,chi_low,chi_up,coincide\n"
+
+
 def test_random_sweep_rejects_unsupported_dimension():
     with pytest.raises(SystemExit) as exc:
         main(["random-sweep", "--d", "7", "--count", "1"])

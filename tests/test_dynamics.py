@@ -67,6 +67,12 @@ def test_trajectory_validates_arguments():
         eigenvalue_trajectory(RateSpec.constant(1, 1, 1), 1.0, 1)
 
 
+@pytest.mark.parametrize("steps", [0, 1])
+def test_ode_oracle_validates_steps(steps):
+    with pytest.raises(ValueError, match=f"need at least 2 steps, got {steps}"):
+        ode_eigenvalue_oracle(RateSpec.constant(1, 1, 1), 1.0, steps)
+
+
 def test_ode_oracle_matches_quadrature_constant_rates():
     r = RateSpec.constant(0.4, 0.2, 0.1)
     traj = eigenvalue_trajectory(r, 3.0, 61)
