@@ -90,7 +90,6 @@ class ZetaComponents:
     shifted_blocks: np.ndarray
     straddle_blocks: np.ndarray
     merged_blocks: np.ndarray
-    permutation: np.ndarray
 
     def zeta_for_region(self, region: int) -> np.ndarray:
         """Assemble the block vector as if the identity weight sat in `region`.
@@ -114,19 +113,6 @@ def _assemble_zeta(d, region, plain, shifted, straddle):
     return np.where(col < region, plain, np.where(col == region, straddle, shifted))
 
 
-def _components_from_blocks(d, region, plain, shifted, straddle, merged, perm):
-    return ZetaComponents(
-        dimension=d,
-        region=region,
-        zeta=_assemble_zeta(d, region, plain, shifted, straddle),
-        plain_blocks=plain,
-        shifted_blocks=shifted,
-        straddle_blocks=straddle,
-        merged_blocks=merged,
-        permutation=perm,
-    )
-
-
 @dataclass(frozen=True)
 class BatchBounds:
     """Closed-form bounds of N channels of one dimension, one row per channel.
@@ -134,7 +120,7 @@ class BatchBounds:
     Capacities are in nats.  `maximizing_alpha` and `region` are 1-based;
     `exact_capacity` is NaN where the capacity is not known.  The block
     arrays are those of ZetaComponents, stacked: (N, d) and, for the merged
-    blocks and the sort permutation, (N, d+1).
+    blocks, (N, d+1).
     """
 
     dimension: int
@@ -147,7 +133,6 @@ class BatchBounds:
     shifted_blocks: np.ndarray
     straddle_blocks: np.ndarray
     merged_blocks: np.ndarray
-    permutation: np.ndarray
     coincide: np.ndarray
     exact_capacity: np.ndarray
 
@@ -161,7 +146,6 @@ class BatchBounds:
             shifted_blocks=self.shifted_blocks[i],
             straddle_blocks=self.straddle_blocks[i],
             merged_blocks=self.merged_blocks[i],
-            permutation=self.permutation[i],
         )
 
 
@@ -212,8 +196,7 @@ def bounds_batch(lams) -> BatchBounds:
     best = np.argmax(terms, axis=1)
     chi_low = terms[rows, best]
 
-    perm = np.argsort(-lams, axis=1, kind="stable")
-    lam = lams[rows[:, None], perm]
+    lam = -np.sort(-lams, axis=1)
     total = lam.sum(axis=1)[:, None]
     a, b, c = _block_coefficients(d)
     plain, shifted, straddle = (1.0 + a * lam[:, :d] + b * lam[:, 1:] - c * total) / d
@@ -240,7 +223,6 @@ def bounds_batch(lams) -> BatchBounds:
         shifted_blocks=shifted,
         straddle_blocks=straddle,
         merged_blocks=merged,
-        permutation=perm,
         coincide=coincide,
         exact_capacity=exact,
     )
@@ -279,8 +261,7 @@ def zeta_components_p_form(c: GeneralizedPauliChannel) -> ZetaComponents:
     d = c.dimension
     p0 = c.probabilities[0]
     rest = c.probabilities[1:]
-    perm = np.argsort(-rest, kind="stable")
-    ps = rest[perm]
+    ps = -np.sort(-rest)
     k = np.arange(1, d + 1, dtype=float)
     head, tail = ps[:d], ps[1:]
     plain = ((d - k) * head + k * tail) / (d - 1.0)
@@ -288,7 +269,15 @@ def zeta_components_p_form(c: GeneralizedPauliChannel) -> ZetaComponents:
     straddle = ((d - k) * head + (k - 1) * tail) / (d - 1.0) + p0
     merged = p0 + ps
     region = 1 + int(np.count_nonzero(ps[1:d] / (d - 1.0) > p0))
-    return _components_from_blocks(d, region, plain, shifted, straddle, merged, perm)
+    return ZetaComponents(
+        dimension=d,
+        region=region,
+        zeta=_assemble_zeta(d, region, plain, shifted, straddle),
+        plain_blocks=plain,
+        shifted_blocks=shifted,
+        straddle_blocks=straddle,
+        merged_blocks=merged,
+    )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ identity, form an orthogonal operator basis.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -227,9 +226,7 @@ def check_weyl_correspondence(m: MubSet, tol: float = VALIDATION_TOL) -> bool:
     U_alpha^k = omega^{k(k-1)(alpha-1)/2} W_{k, k(alpha-1)} for alpha <= d and
     U_{d+1}^k = W_{0k}.  For d = 2 the phase convention breaks down on the
     shift-and-phase family, so a fixed case table is used:
-    U_1^1 = W_10, U_2^1 = -i W_11, U_3^1 = W_01.  If the exact form fails
-    (e.g. for a relabeled but valid basis set), each U is still accepted when
-    it is a unimodular multiple of the matched displacement operator.
+    U_1^1 = W_10, U_2^1 = -i W_11, U_3^1 = W_01.
     """
     d = m.dimension
     if not is_prime(d) or m.n_bases != d + 1:
@@ -247,7 +244,6 @@ def check_weyl_correspondence(m: MubSet, tol: float = VALIDATION_TOL) -> bool:
             for a in range(3)
         )
 
-    exact = True
     for alpha in range(1, d + 2):
         for k in range(1, d):
             u = unitary_u(m, alpha, k)
@@ -258,36 +254,6 @@ def check_weyl_correspondence(m: MubSet, tol: float = VALIDATION_TOL) -> bool:
             else:
                 target = _weyl_matrix(d, 0, k)
             if np.max(np.abs(u - target)) > tol:
-                exact = False
-                break
-        if not exact:
-            break
-    if exact:
-        return True
-
-    # Fallback: match each basis to a displacement family up to phase.
-    families = [ _weyl_matrix(d, 1, a) for a in range(d) ] + [_weyl_matrix(d, 0, 1)]
-    used = set()
-    for alpha in range(1, d + 2):
-        u1 = unitary_u(m, alpha, 1)
-        hit = None
-        for idx, w in enumerate(families):
-            if idx in used:
-                continue
-            ip = np.trace(u1.conj().T @ w) / d
-            if abs(abs(ip) - 1.0) <= tol and np.max(np.abs(u1 * ip - w)) <= tol:
-                hit = idx
-                break
-        if hit is None:
-            return False
-        used.add(hit)
-        base = families[hit]
-        power = np.eye(d, dtype=complex)
-        for k in range(1, d):
-            power = power @ base
-            uk = unitary_u(m, alpha, k)
-            ip = np.trace(uk.conj().T @ power) / d
-            if abs(abs(ip) - 1.0) > tol or np.max(np.abs(uk * ip - power)) > tol:
                 return False
     return True
 
@@ -301,8 +267,3 @@ def dim4_triples() -> tuple:
     """The five commuting index triples used by build_mubs_dim4."""
     return _DIM4_TRIPLES
 
-
-def tensor_weyl_matrix(s: int, labels) -> np.ndarray:
-    """Tensor product of displacement operators W_{k1 l1} (x) ... on r parts."""
-    mats = [_weyl_matrix(s, k, l) for k, l in labels]
-    return reduce(np.kron, mats)

@@ -18,12 +18,7 @@ from .channels import (
     tensor,
     weyl_kraus_terms,
 )
-from .capacity import (
-    holevo_lower_bound,
-    holevo_upper_bound,
-    holevo_upper_bound_weyl,
-    _h,
-)
+from .capacity import bounds_batch, holevo_upper_bound_weyl, _h
 from .mub import MubSet, unitary_u
 
 CHOI_PSD_TOL = 1e-9
@@ -198,9 +193,8 @@ def holevo_estimate(channel, m: Optional[MubSet] = None,
     Always at most the true Holevo quantity of these covariant channels, so
     together with the closed-form bounds it forms a sandwich.
     """
-    weights, ops = _kraus_for(channel, m)
-    dim = ops.shape[1]
-    return float(np.log(dim) - min_output_entropy(channel, m, cfg))
+    entropy = min_output_entropy(channel, m, cfg)
+    return float(np.log(channel.dimension) - entropy)
 
 
 @dataclass(frozen=True)
@@ -242,16 +236,16 @@ def additivity_report(c: GeneralizedPauliChannel,
     Holevo quantity is attached.
     """
     e = eigenvalues_from_probabilities(c)
-    require_cp(e)
+    bounds = bounds_batch(e.values[None, :])
     d = c.dimension
-    chi_low, _ = holevo_lower_bound(e)
+    chi_low = float(bounds.chi_low[0])
     row_entropies = []
     for alpha in range(1, d + 2):
         t_single = classical_map_t(e, alpha)
         t_pair = np.kron(t_single, t_single)
         row_entropies.append(_h(t_pair[0]))
     chi_low_tensor = float(2.0 * np.log(d) - min(row_entropies))
-    chi_up, _ = holevo_upper_bound(e)
+    chi_up = float(bounds.chi_up[0])
     chi_up_tensor = holevo_upper_bound_weyl(tensor(c, c))
     estimate = None
     if cfg is not None:

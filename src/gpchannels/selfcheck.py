@@ -1,22 +1,22 @@
 """Regression battery of the closed-form identities the library implements.
 
 Each check recomputes an identity through at least two code paths (or
-against an independent numerical route) and reports pass/fail.  The CLI
-exposes this as `verify --suite paper`.
+against an independent numerical route) and reports pass/fail.  `CHECKS`
+is the one registry: the CLI runs it as `verify --suite paper` and the
+acceptance tests parametrize over it.
 """
 
-from typing import List, NamedTuple
+import functools
+from typing import Callable, List, NamedTuple
 
 import numpy as np
 
 from .capacity import (
+    bounds_batch,
     capacity_from_fidelity,
     channel_fidelity_extremes,
-    holevo_lower_bound,
     holevo_lower_via_classical,
-    holevo_upper_bound,
     holevo_upper_bound_weyl,
-    pauli_classical_capacity,
     zeta_vector,
 )
 from .channels import (
@@ -25,6 +25,7 @@ from .channels import (
     apply,
     choi_matrix,
     classical_map_t,
+    cp_margin_rows,
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
     gpc_to_weyl,
@@ -50,6 +51,7 @@ from .mub import (
     unitary_u,
     verify_mub,
 )
+from .numerics import CLAMP_TOL
 
 LN2 = float(np.log(2.0))
 LN3 = float(np.log(3.0))
@@ -59,6 +61,8 @@ REFERENCE_QUBIT_PROBS = np.array([0.25, 0.5, 0.25, 0.0])
 REFERENCE_QUBIT_LAMBDAS = np.array([0.5, 0.0, -0.5])
 REFERENCE_CHI_UP = 0.75 * LN3 - LN2
 REFERENCE_TWO_COPY_CHI_UP = 15.0 / 16.0 * LN5 - 11.0 / 8.0 * LN2
+REFERENCE = GeneralizedPauliChannel(2, REFERENCE_QUBIT_PROBS)
+REFERENCE_EIGS = eigenvalues_from_probabilities(REFERENCE)
 
 
 class CheckResult(NamedTuple):
@@ -90,63 +94,110 @@ def _single_basis_value(d: int, lam: float) -> float:
     return val
 
 
-def _check(name, passed, detail=""):
-    return CheckResult(name, bool(passed), detail)
+_REGISTERED: List[Callable[[], CheckResult]] = []
 
 
-def run_formula_suite() -> List[CheckResult]:
-    rng = np.random.default_rng(20240817)
-    results: List[CheckResult] = []
-    ref = GeneralizedPauliChannel(2, REFERENCE_QUBIT_PROBS)
-    ref_eigs = eigenvalues_from_probabilities(ref)
+def _check(name: str):
+    """Register a check that returns (passed, detail) under its verify name."""
+    def register(fn):
+        @functools.wraps(fn)
+        def run() -> CheckResult:
+            passed, detail = fn()
+            return CheckResult(name, bool(passed), detail)
+        _REGISTERED.append(run)
+        return run
+    return register
 
-    # probability <-> eigenvalue map on the reference qubit channel
-    back = probabilities_from_eigenvalues(ref_eigs)
+
+def _rng(position: int):
+    # one stream per check, keyed by its 1-based position in CHECKS, so a
+    # check draws the same inputs alone or in the suite
+    return np.random.default_rng([20240817, position])
+
+
+def _random_qutrit(rng):
+    lam = sample_cp_eigenvalues(3, 1, rng)[0]
+    return lam, probabilities_from_eigenvalues(EigenvalueVector(3, lam))
+
+
+def _row_entropy(row: np.ndarray) -> float:
+    return float(-np.sum(row[row > 0] * np.log(row[row > 0])))
+
+
+def _constant_rate_trajectory(rates, t_max: float, steps: int):
+    """Trajectory under constant rates and its deviation from the closed form
+    lambda_a(t) = exp(-(G - g_a) t), G the sum of the rates."""
+    traj = capacity_trajectory(
+        eigenvalue_trajectory(RateSpec.constant(*rates), t_max, steps))
+    g = np.asarray(rates)
+    expect = np.exp(-np.outer(traj.times, g.sum() - g))
+    return traj, float(np.max(np.abs(traj.lambdas - expect)))
+
+
+@_check("probability/eigenvalue map round trip")
+def check_round_trip():
+    back = probabilities_from_eigenvalues(REFERENCE_EIGS)
     err = max(
-        np.max(np.abs(ref_eigs.values - REFERENCE_QUBIT_LAMBDAS)),
+        np.max(np.abs(REFERENCE_EIGS.values - REFERENCE_QUBIT_LAMBDAS)),
         np.max(np.abs(back.probabilities - REFERENCE_QUBIT_PROBS)),
     )
-    results.append(_check("probability/eigenvalue map round trip", err <= 1e-12,
-                          f"max error {err:.2e}"))
+    return err <= 1e-12, f"max error {err:.2e}"
 
-    # the reference channel sits exactly on the CP boundary
-    margin = fujiwara_algoet_margin(ref_eigs)
-    results.append(_check("reference channel on the CP boundary",
-                          is_completely_positive(ref_eigs) and abs(margin) <= 1e-12,
-                          f"margin {margin:.2e}"))
 
-    # two-qubit commuting triples
+@_check("reference channel on the CP boundary")
+def check_reference_on_cp_boundary():
+    margin = fujiwara_algoet_margin(REFERENCE_EIGS)
+    ok = is_completely_positive(REFERENCE_EIGS) and abs(margin) <= 1e-12
+    return ok, f"margin {margin:.2e}"
+
+
+@_check("dim-4 basis triples commute")
+def check_dim4_triples_commute():
     worst = 0.0
     for triple in dim4_triples():
         ops = [pauli_product(i, j) for i, j in triple]
         for a in range(3):
             for b in range(a + 1, 3):
                 worst = max(worst, np.max(np.abs(ops[a] @ ops[b] - ops[b] @ ops[a])))
-    results.append(_check("dim-4 basis triples commute", worst <= 1e-12,
-                          f"max commutator {worst:.2e}"))
+    return worst <= 1e-12, f"max commutator {worst:.2e}"
 
-    # displacement-operator correspondence
-    ok = all(check_weyl_correspondence(build_mubs_prime(d)) for d in (2, 3, 5))
-    results.append(_check("basis unitaries are displacement operators", ok))
 
-    # unbiasedness of all shipped constructions
-    ok = all(verify_mub(build_mubs_prime(d)) for d in (2, 3, 5, 7))
-    ok = ok and verify_mub(build_mubs_dim4())
-    results.append(_check("constructed bases are unbiased", ok))
+@_check("basis unitaries are displacement operators")
+def check_displacement_correspondence():
+    dims = (2, 3, 5, 7)
+    bad = [d for d in dims if not check_weyl_correspondence(build_mubs_prime(d))]
+    return not bad, f"d in {dims}, failing {bad}"
 
-    # eigenvalue equation on the basis unitaries (d=3)
+
+@_check("constructed bases are unbiased")
+def check_bases_unbiased():
+    sets = [build_mubs_prime(d) for d in (2, 3, 5, 7)] + [build_mubs_dim4()]
+    worst = 0.0
+    for m in sets:
+        n, d = m.n_bases, m.dimension
+        overlaps = np.abs(np.einsum("aik,bjk->abij", m.bases, m.bases.conj())) ** 2
+        target = np.where(np.eye(n, dtype=bool)[:, :, None, None], np.eye(d), 1.0 / d)
+        worst = max(worst, float(np.max(np.abs(overlaps - target))))
+    ok = worst <= 1e-9 and all(verify_mub(m) for m in sets)
+    return ok, f"max overlap deviation {worst:.2e}"
+
+
+@_check("basis unitaries are channel eigenvectors")
+def check_unitaries_are_eigenvectors():
+    lam3, c3 = _random_qutrit(_rng(6))
     m3 = build_mubs_prime(3)
-    lam3 = sample_cp_eigenvalues(3, 1, rng)[0]
-    c3 = probabilities_from_eigenvalues(EigenvalueVector(3, lam3))
     worst = 0.0
     for alpha in range(1, 5):
         for k in range(1, 3):
             u = unitary_u(m3, alpha, k)
             worst = max(worst, np.max(np.abs(apply(c3, m3, u) - lam3[alpha - 1] * u)))
-    results.append(_check("basis unitaries are channel eigenvectors", worst <= 1e-10,
-                          f"max error {worst:.2e}"))
+    return worst <= 1e-10, f"max error {worst:.2e}"
 
-    # action on basis projectors
+
+@_check("basis projectors mix with the stated weights")
+def check_projector_weights():
+    lam3, c3 = _random_qutrit(_rng(7))
+    m3 = build_mubs_prime(3)
     worst = 0.0
     for alpha in range(1, 5):
         lam = lam3[alpha - 1]
@@ -154,102 +205,101 @@ def run_formula_suite() -> List[CheckResult]:
             p_k = m3.projector(alpha, k)
             expect = (1.0 + 2.0 * lam) / 3.0 * p_k + (1.0 - lam) / 3.0 * (np.eye(3) - p_k)
             worst = max(worst, np.max(np.abs(apply(c3, m3, p_k) - expect)))
-    results.append(_check("basis projectors mix with the stated weights",
-                          worst <= 1e-10, f"max error {worst:.2e}"))
+    return worst <= 1e-10, f"max error {worst:.2e}"
 
-    # induced transition matrix at lambda = 1/2
+
+@_check("induced transition matrix value")
+def check_transition_matrix():
     t = classical_map_t(EigenvalueVector(2, [0.5, 0.5, 0.5]), 1)
     err = np.max(np.abs(t - np.array([[0.75, 0.25], [0.25, 0.75]])))
-    results.append(_check("induced transition matrix value", err <= 1e-12,
-                          f"max error {err:.2e}"))
+    return err <= 1e-12, f"max error {err:.2e}"
 
-    # upper bound of the reference channel through both paths
-    up_lambda, _ = holevo_upper_bound(ref_eigs)
-    up_weyl = holevo_upper_bound_weyl(gpc_to_weyl(ref))
+
+@_check("reference upper bound equals (3/4)ln3 - ln2")
+def check_reference_upper_bound():
+    up_lambda = bounds_batch(REFERENCE_EIGS.values[None, :]).chi_up[0]
+    up_weyl = holevo_upper_bound_weyl(gpc_to_weyl(REFERENCE))
     err = max(abs(up_lambda - REFERENCE_CHI_UP), abs(up_weyl - REFERENCE_CHI_UP))
-    results.append(_check("reference upper bound equals (3/4)ln3 - ln2",
-                          err <= 1e-12, f"max error {err:.2e}"))
+    return err <= 1e-12, f"max error {err:.2e}"
 
-    # two-copy upper bound and the non-additivity witness
-    pair = tensor(ref, ref)
+
+@_check("two-copy grouped weights and upper bound")
+def check_two_copy_upper_bound():
+    pair = tensor(REFERENCE, REFERENCE)
     zeta = zeta_vector(pair.probabilities, 4)
     up_pair = holevo_upper_bound_weyl(pair)
     err = max(
         np.max(np.abs(zeta - np.array([10.0, 5.0, 1.0, 0.0]) / 16.0)),
         abs(up_pair - REFERENCE_TWO_COPY_CHI_UP),
     )
-    gap = abs(2.0 * up_lambda - up_pair)
-    results.append(_check("two-copy grouped weights and upper bound",
-                          err <= 1e-12 and gap > 1e-3,
-                          f"max error {err:.2e}, non-additivity gap {gap:.4f}"))
+    gap = up_pair - 2.0 * REFERENCE_CHI_UP
+    return (err <= 1e-12 and gap > 1e-3,
+            f"max error {err:.2e}, non-additivity gap {gap:.4f}")
 
-    # qubit bounds always coincide and give the closed-form capacity
-    worst = 0.0
-    for lam in sample_cp_eigenvalues(2, 200, rng):
-        e = EigenvalueVector(2, lam)
-        low, _ = holevo_lower_bound(e)
-        via = holevo_lower_via_classical(e)
-        up, _ = holevo_upper_bound(e)
-        closed = pauli_classical_capacity(e)
-        worst = max(worst, abs(up - low), abs(closed - low), abs(via - low))
-    results.append(_check("qubit bounds coincide with the closed form",
-                          worst <= 1e-9, f"max spread {worst:.2e}"))
 
-    # one-parameter families attain the single-eigenvalue closed form
+@_check("qubit bounds coincide with the closed form")
+def check_qubit_bounds_coincide():
+    lams = sample_cp_eigenvalues(2, 200, _rng(11))
+    b = bounds_batch(lams)
+    via = [holevo_lower_via_classical(EigenvalueVector(2, lam)) for lam in lams]
+    worst = max(np.max(np.abs(b.chi_up - b.chi_low)),
+                np.max(np.abs(b.exact_capacity - b.chi_low)),
+                np.max(np.abs(via - b.chi_low)))
+    return worst <= 1e-9, f"max spread {worst:.2e}"
+
+
+@_check("one-parameter families give exact capacity")
+def check_one_parameter_families():
+    rng = _rng(12)
     worst = 0.0
     for d in (3, 5):
-        for _ in range(20):
-            lam_max = rng.uniform(0.0, 1.0)
-            lam_min = rng.uniform(0.0, lam_max)
-            e = EigenvalueVector(d, [lam_max] + [lam_min] * d)
-            if not is_completely_positive(e):
-                continue
-            low, _ = holevo_lower_bound(e)
-            up, _ = holevo_upper_bound(e)
-            worst = max(worst, abs(low - _single_basis_value(d, lam_max)),
-                        abs(up - low))
-            lam_neg = rng.uniform(-1.0 / (d - 1.0), 0.0)
-            lam_mid = rng.uniform(lam_neg, 0.0)
-            e = EigenvalueVector(d, [lam_mid] * d + [lam_neg])
-            if not is_completely_positive(e):
-                continue
-            low, _ = holevo_lower_bound(e)
-            up, _ = holevo_upper_bound(e)
-            worst = max(worst, abs(low - _single_basis_value(d, lam_neg)),
-                        abs(up - low))
-    results.append(_check("one-parameter families give exact capacity",
-                          worst <= 1e-10, f"max error {worst:.2e}"))
+        lam_max = rng.uniform(0.0, 1.0, 20)
+        lam_min = rng.uniform(0.0, lam_max)
+        lam_neg = rng.uniform(-1.0 / (d - 1.0), 0.0, 20)
+        lam_mid = rng.uniform(lam_neg, 0.0)
+        rows = np.concatenate([np.column_stack([lam_max] + [lam_min] * d),
+                               np.column_stack([lam_mid] * d + [lam_neg])])
+        keep = cp_margin_rows(rows) >= -CLAMP_TOL
+        b = bounds_batch(rows[keep])
+        exact = [_single_basis_value(d, lam)
+                 for lam in np.concatenate([lam_max, lam_neg])[keep]]
+        worst = max(worst, np.max(np.abs(b.chi_low - exact)),
+                    np.max(np.abs(b.chi_up - b.chi_low)))
+    return worst <= 1e-10, f"max error {worst:.2e}"
 
-    # weak additivity of the lower bound
+
+@_check("lower bound weakly additive on two copies")
+def check_lower_bound_weak_additivity():
+    rng = _rng(13)
     worst = 0.0
     for d in (2, 3):
-        for lam in sample_cp_eigenvalues(d, 25, rng):
+        lams = sample_cp_eigenvalues(d, 100, rng)
+        for lam, low in zip(lams, bounds_batch(lams).chi_low):
             e = EigenvalueVector(d, lam)
-            low, _ = holevo_lower_bound(e)
-            rows = [
-                -np.sum(row[row > 0] * np.log(row[row > 0]))
-                for row in (np.kron(classical_map_t(e, a), classical_map_t(e, a))[0]
-                            for a in range(1, d + 2))
-            ]
+            rows = [_row_entropy(np.kron(t, t)[0])
+                    for t in (classical_map_t(e, a) for a in range(1, d + 2))]
             direct = 2.0 * np.log(d) - min(rows)
             worst = max(worst, abs(direct - 2.0 * low))
-    results.append(_check("lower bound weakly additive on two copies",
-                          worst <= 1e-10, f"max gap {worst:.2e}"))
+    return worst <= 1e-10, f"max gap {worst:.2e} on 2x100 channels"
 
-    # region condition equivalence between the two parametrizations
+
+@_check("region conditions agree across parametrizations")
+def check_region_conditions():
     ok = True
-    for lam in sample_cp_eigenvalues(3, 200, rng):
-        e = EigenvalueVector(3, lam)
-        c = probabilities_from_eigenvalues(e)
+    for lam in sample_cp_eigenvalues(3, 200, _rng(14)):
+        c = probabilities_from_eigenvalues(EigenvalueVector(3, lam))
         total = lam.sum()
         for alpha in range(1, 5):
             left = c.probabilities[0] - c.probabilities[alpha] / 2.0
             right = total - lam[alpha - 1]
             if abs(right) > 1e-9 and np.sign(left) != np.sign(right):
                 ok = False
-    results.append(_check("region conditions agree across parametrizations", ok))
+    return ok, ""
 
-    # Kraus weight multiset structure
+
+@_check("Kraus weight multiset structure")
+def check_kraus_multiset():
+    _, c3 = _random_qutrit(_rng(15))
     mult = kraus_probability_multiset(c3)
     ok = (
         mult.size == 9
@@ -257,67 +307,81 @@ def run_formula_suite() -> List[CheckResult]:
         and abs(mult[0] - c3.probabilities[0]) <= 1e-15
         and np.allclose(mult[1:], np.repeat(c3.probabilities[1:] / 2.0, 2))
     )
-    results.append(_check("Kraus weight multiset structure", ok))
+    return ok, ""
 
-    # fidelity route to the qubit capacity
+
+@_check("fidelity form of the qubit capacity")
+def check_fidelity_form():
+    lams = sample_cp_eigenvalues(2, 1000, _rng(16))
     worst = 0.0
-    for lam in sample_cp_eigenvalues(2, 200, rng):
+    for lam, capacity in zip(lams, bounds_batch(lams).exact_capacity):
         e = EigenvalueVector(2, lam)
         f_min, f_max = channel_fidelity_extremes(e)
         f_star = f_min if abs(e.values.min()) >= e.values.max() else f_max
-        worst = max(worst, abs(capacity_from_fidelity(f_star)
-                               - pauli_classical_capacity(e)))
-    results.append(_check("fidelity form of the qubit capacity",
-                          worst <= 1e-12, f"max error {worst:.2e}"))
+        worst = max(worst, abs(capacity_from_fidelity(f_star) - capacity))
+    return worst <= 1e-12, f"max error {worst:.2e} on 1000 channels"
 
-    # Choi spectrum equals the Kraus weight multiset
-    evs = np.sort(np.linalg.eigvalsh(choi_matrix(ref)))[::-1]
-    expect = np.sort(kraus_probability_multiset(ref))[::-1]
+
+@_check("Choi spectrum equals the weight multiset")
+def check_choi_spectrum():
+    evs = np.sort(np.linalg.eigvalsh(choi_matrix(REFERENCE)))[::-1]
+    expect = np.sort(kraus_probability_multiset(REFERENCE))[::-1]
     err = np.max(np.abs(evs - expect))
-    results.append(_check("Choi spectrum equals the weight multiset",
-                          err <= 1e-9, f"max error {err:.2e}"))
+    return err <= 1e-9, f"max error {err:.2e}"
 
-    # Markovian rates: P-divisible and capacity non-increasing
-    ok = True
-    detail = ""
-    for rates in (RateSpec.constant(0.5, 0.5, 0.5), RateSpec.constant(0.4, 0.1, 0.0)):
-        traj = capacity_trajectory(eigenvalue_trajectory(rates, 3.0, 601))
-        if not p_divisibility_check(traj):
-            ok, detail = False, "expected P divisibility"
-            break
-        if np.any(np.diff(traj.capacity) > 1e-10):
-            ok, detail = False, "capacity increased"
-            break
+
+@_check("Markovian rates keep capacity non-increasing")
+def check_markovian_monotone():
+    divisible = True
+    fixture = rise = mismatch = 0.0
+    for rates, t_max, steps in (((0.5, 0.5, 0.5), 3.0, 601),
+                                ((0.4, 0.1, 0.0), 3.0, 601),
+                                ((0.5, 0.3, 0.2), 4.0, 801)):
+        traj, err = _constant_rate_trajectory(rates, t_max, steps)
+        divisible = divisible and p_divisibility_check(traj)
+        fixture = max(fixture, err)
+        rise = max(rise, np.max(np.diff(traj.capacity)))
         # the finite-difference reference is only second order; skip the
         # early window where the capacity still has a steep log-type bend
         mask = traj.cdot_formula_valid & (traj.times >= 0.5)
         mask[-1] = False
-        err = np.max(np.abs(traj.cdot_formula[mask] - traj.cdot_fd[mask]))
-        if err > 1e-4:
-            ok, detail = False, f"derivative mismatch {err:.2e}"
-            break
-    results.append(_check("Markovian rates keep capacity non-increasing", ok, detail))
+        mismatch = max(mismatch, np.max(np.abs(traj.cdot_formula[mask]
+                                               - traj.cdot_fd[mask])))
+    ok = divisible and fixture <= 1e-12 and rise <= 1e-10 and mismatch <= 1e-4
+    return ok, (f"P divisible {divisible}, fixture error {fixture:.2e}, "
+                f"max rise {rise:.2e}, derivative mismatch {mismatch:.2e}")
 
-    # plateau: a single active rate keeps one eigenvalue at 1
-    traj = capacity_trajectory(eigenvalue_trajectory(RateSpec.constant(0.7, 0.0, 0.0),
-                                                     2.0, 201))
+
+@_check("single-rate dynamics pin capacity at ln 2")
+def check_single_rate_plateau():
+    traj, fixture = _constant_rate_trajectory((0.7, 0.0, 0.0), 3.0, 201)
     err = np.max(np.abs(traj.capacity - LN2))
-    results.append(_check("single-rate dynamics pin capacity at ln 2",
-                          err <= 1e-12, f"max error {err:.2e}"))
+    return (err <= 1e-12 and fixture <= 1e-12,
+            f"max error {err:.2e}, fixture error {fixture:.2e}")
 
-    # quadrature path vs direct generator integration
+
+@_check("quadrature agrees with generator integration")
+def check_quadrature_vs_ode():
     witness = non_p_divisible_capacity_witness()
     traj = eigenvalue_trajectory(witness, 3.0, 301)
-    lam_ode = ode_eigenvalue_oracle(witness, 3.0, 301)
-    err = np.max(np.abs(traj.lambdas - lam_ode))
-    results.append(_check("quadrature agrees with generator integration",
-                          err <= 1e-6, f"max error {err:.2e}"))
+    err = np.max(np.abs(traj.lambdas - ode_eigenvalue_oracle(witness, 3.0, 301)))
+    return err <= 1e-6, f"max error {err:.2e}"
 
-    # the witness itself: capacity monotone without P divisibility
-    traj = capacity_trajectory(traj)
-    ok = (not p_divisibility_check(traj)) and bool(
-        np.all(np.diff(traj.capacity) <= 1e-10)
-    )
-    results.append(_check("witness: monotone capacity without P divisibility", ok))
 
-    return results
+@_check("witness: monotone capacity without P divisibility")
+def check_witness():
+    traj = capacity_trajectory(
+        eigenvalue_trajectory(non_p_divisible_capacity_witness(), 3.0, 301))
+    divisible = p_divisibility_check(traj)
+    rise = np.max(np.diff(traj.capacity))
+    return (not divisible and rise <= 1e-10 and traj.cp_everywhere,
+            f"max rise {rise:.2e}, P divisible {divisible}, "
+            f"CP everywhere {traj.cp_everywhere}")
+
+
+# in registration order, which is the order verify prints
+CHECKS = tuple(_REGISTERED)
+
+
+def run_formula_suite() -> List[CheckResult]:
+    return [check() for check in CHECKS]

@@ -1,104 +1,68 @@
-"""Acceptance gate: one test per release criterion, each printing a
+"""Acceptance gate: every check of `verify --suite paper` (selfcheck.CHECKS)
+plus the criteria that verify does not run.  Each test prints a
 [PASS]/[FAIL] line with the measured numbers at the pinned tolerances."""
 
 import numpy as np
 import pytest
 
 from gpchannels.capacity import (
-    capacity_bounds,
-    capacity_from_fidelity,
-    channel_fidelity_extremes,
+    bounds_batch,
     holevo_lower_bound,
     holevo_upper_bound,
-    holevo_upper_bound_weyl,
-    pauli_classical_capacity,
     zeta_components_p_form,
-    zeta_vector,
 )
 from gpchannels.channels import (
     EigenvalueVector,
-    GeneralizedPauliChannel,
-    eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
-    gpc_to_weyl,
     probabilities_from_eigenvalues,
-    tensor,
 )
 from gpchannels.cli import main
-from gpchannels.dynamics import (
-    RateSpec,
-    capacity_trajectory,
-    eigenvalue_trajectory,
-    non_p_divisible_capacity_witness,
-    ode_eigenvalue_oracle,
+from gpchannels.mub import build_mubs_prime, unitary_u
+from gpchannels.oracle import SearchConfig, holevo_estimate
+from gpchannels.selfcheck import (
+    CHECKS,
+    REFERENCE,
+    REFERENCE_CHI_UP,
+    run_formula_suite,
+    sample_cp_eigenvalues,
 )
-from gpchannels.mub import (
-    build_mubs_dim4,
-    build_mubs_prime,
-    check_weyl_correspondence,
-    unitary_u,
-)
-from gpchannels.oracle import SearchConfig, additivity_report, holevo_estimate
-from gpchannels.selfcheck import sample_cp_eigenvalues
-
-LN2, LN3, LN5 = np.log(2.0), np.log(3.0), np.log(5.0)
-REF = GeneralizedPauliChannel(2, [0.25, 0.5, 0.25, 0.0])
-REF_EIGS = eigenvalues_from_probabilities(REF)
-REF_CHI = 0.75 * LN3 - LN2
-REF_CHI_PAIR = 15 / 16 * LN5 - 11 / 8 * LN2
-
-_rng = np.random.default_rng(20260814)
 
 
-def _report(num, name, ok, detail):
+def _rng(num):
+    # one stream per criterion, so its inputs do not depend on which tests ran
+    return np.random.default_rng([20260814, num])
+
+
+def _report(label, ok, detail):
     tag = "PASS" if ok else "FAIL"
-    print(f"[{tag}] criterion {num:02d}: {name} ({detail})")
-    assert ok, f"criterion {num:02d} failed: {name} ({detail})"
+    suffix = f" ({detail})" if detail else ""
+    print(f"[{tag}] {label}{suffix}")
+    assert ok, f"{label} failed{suffix}"
 
 
-def test_criterion_01_reference_upper_bound_both_routes():
-    up_lambda, _ = holevo_upper_bound(REF_EIGS)
-    up_weyl = holevo_upper_bound_weyl(gpc_to_weyl(REF))
-    err = max(abs(up_lambda - REF_CHI), abs(up_weyl - REF_CHI))
-    _report(1, "reference upper bound via both routes", err <= 1e-12,
-            f"max deviation {err:.3e} <= 1e-12")
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+def test_verify_check(check):
+    _report(*check())
 
 
-def test_criterion_02_two_copy_value_and_nonadditivity():
-    pair = tensor(REF, REF)
-    zeta = zeta_vector(pair.probabilities, 4)
-    err_zeta = np.max(np.abs(zeta - np.array([10, 5, 1, 0]) / 16))
-    up_pair = holevo_upper_bound_weyl(pair)
-    err_val = abs(up_pair - REF_CHI_PAIR)
-    gap = up_pair - 2 * REF_CHI
-    ok = err_zeta <= 1e-12 and err_val <= 1e-12 and gap > 1e-3
-    _report(2, "two-copy upper bound and non-additivity", ok,
-            f"value error {err_val:.3e} <= 1e-12, gap {gap:.6f} > 1e-3")
+def test_checks_independent_of_order():
+    suite = run_formula_suite()
+    assert [check() for check in CHECKS[::-1]][::-1] == suite
 
 
 def test_criterion_03_bound_ordering_random_channels():
+    rng = _rng(3)
     worst_order = -np.inf
     worst_qubit = 0.0
     for d in (2, 3, 4, 5):
-        for lam in sample_cp_eigenvalues(d, 1000, _rng):
-            b = capacity_bounds(EigenvalueVector(d, lam))
-            worst_order = max(worst_order, b.chi_low - b.chi_up)
-            if d == 2:
-                worst_qubit = max(worst_qubit, abs(b.chi_up - b.chi_low))
+        b = bounds_batch(sample_cp_eigenvalues(d, 1000, rng))
+        worst_order = max(worst_order, np.max(b.chi_low - b.chi_up))
+        if d == 2:
+            worst_qubit = np.max(np.abs(b.chi_up - b.chi_low))
     ok = worst_order <= 1e-9 and worst_qubit <= 1e-9
-    _report(3, "bound ordering on 4x1000 random channels", ok,
+    _report("criterion 03: bound ordering on 4x1000 random channels", ok,
             f"max chi_low-chi_up {worst_order:.3e} <= 1e-9, "
             f"max qubit gap {worst_qubit:.3e} <= 1e-9")
-
-
-def test_criterion_04_lower_bound_weak_additivity():
-    worst = 0.0
-    for d in (2, 3):
-        for lam in sample_cp_eigenvalues(d, 100, _rng):
-            c = probabilities_from_eigenvalues(EigenvalueVector(d, lam))
-            worst = max(worst, abs(additivity_report(c).lower_gap))
-    _report(4, "lower bound weakly additive (2x100 channels)", worst <= 1e-10,
-            f"max |two-copy gap| {worst:.3e} <= 1e-10")
 
 
 def _raw_choi(d, lam, m):
@@ -116,12 +80,13 @@ def _raw_choi(d, lam, m):
 
 
 def test_criterion_05_cp_criteria_equivalent():
+    rng = _rng(5)
     checked = 0
     agree = True
     for d in (2, 3):
         m = build_mubs_prime(d)
         lo = -1.0 / (d - 1)
-        box = _rng.uniform(lo, 1.0, size=(1000, d + 1))
+        box = rng.uniform(lo, 1.0, size=(1000, d + 1))
         for lam in box:
             e = EigenvalueVector(d, lam)
             margin = fujiwara_algoet_margin(e)
@@ -133,17 +98,18 @@ def test_criterion_05_cp_criteria_equivalent():
                         ((d - 1) * (1 + d * lam - total) / d**2).min())
             choi_min = float(np.linalg.eigvalsh(_raw_choi(d, lam, m)).min())
             agree &= (margin > 0) == (p_min >= 0) == (choi_min >= -1e-9)
-    _report(5, "CP conditions agree across all three criteria", agree,
+    _report("criterion 05: CP conditions agree across all three criteria", agree,
             f"{checked} off-boundary samples, all consistent")
 
 
 def test_criterion_06_search_estimate_sandwich():
+    rng = _rng(6)
     cfg = SearchConfig(grid_resolution=256)
-    est_ref = holevo_estimate(REF, cfg=cfg)
-    err_ref = abs(est_ref - REF_CHI)
+    est_ref = holevo_estimate(REFERENCE, cfg=cfg)
+    err_ref = abs(est_ref - REFERENCE_CHI_UP)
     worst_low = np.inf
     worst_up = -np.inf
-    for lam in sample_cp_eigenvalues(2, 100, _rng):
+    for lam in sample_cp_eigenvalues(2, 100, rng):
         e = EigenvalueVector(2, lam)
         c = probabilities_from_eigenvalues(e)
         low, _ = holevo_lower_bound(e)
@@ -152,16 +118,17 @@ def test_criterion_06_search_estimate_sandwich():
         worst_low = min(worst_low, est - low)
         worst_up = max(worst_up, est - up)
     ok = err_ref <= 1e-4 and worst_low >= -1e-4 and worst_up <= 1e-6
-    _report(6, "grid search sandwiched by the closed-form bounds", ok,
+    _report("criterion 06: grid search sandwiched by the closed-form bounds", ok,
             f"reference error {err_ref:.3e} <= 1e-4, "
             f"min est-low {worst_low:.3e} >= -1e-4, "
             f"max est-up {worst_up:.3e} <= 1e-6")
 
 
 def test_criterion_07_block_forms_agree_and_are_continuous():
+    rng = _rng(7)
     worst = 0.0
     for d in (2, 3, 4, 5, 6):
-        for lam in sample_cp_eigenvalues(d, 200, _rng):
+        for lam in sample_cp_eigenvalues(d, 200, rng):
             e = EigenvalueVector(d, lam)
             a = holevo_upper_bound(e)[1]
             b = zeta_components_p_form(probabilities_from_eigenvalues(e))
@@ -187,66 +154,9 @@ def test_criterion_07_block_forms_agree_and_are_continuous():
         boundary = max(boundary, np.max(np.abs(
             comps.zeta_for_region(r_lo) - comps.zeta_for_region(r_hi))))
     ok = worst <= 1e-12 and boundary <= 1e-10
-    _report(7, "eigenvalue and probability block forms agree", ok,
+    _report("criterion 07: eigenvalue and probability block forms agree", ok,
             f"max form difference {worst:.3e} <= 1e-12, "
             f"max boundary jump {boundary:.3e} <= 1e-10")
-
-
-def test_criterion_08_unbiased_bases_and_correspondence():
-    worst = 0.0
-    sets = {d: build_mubs_prime(d) for d in (2, 3, 5, 7)}
-    sets[4] = build_mubs_dim4()
-    for d, m in sets.items():
-        for a in range(1, m.n_bases + 1):
-            for b in range(a, m.n_bases + 1):
-                g = np.abs(m.basis(a) @ m.basis(b).conj().T) ** 2
-                target = np.eye(d) if a == b else np.full((d, d), 1.0 / d)
-                worst = max(worst, float(np.max(np.abs(g - target))))
-    corr = all(check_weyl_correspondence(sets[d]) for d in (2, 3, 5, 7))
-    ok = worst <= 1e-9 and corr
-    _report(8, "bases unbiased and built from displacements", ok,
-            f"max overlap deviation {worst:.3e} <= 1e-9, correspondence {corr}")
-
-
-def test_criterion_09_fidelity_identity():
-    worst = 0.0
-    for lam in sample_cp_eigenvalues(2, 1000, _rng):
-        e = EigenvalueVector(2, lam)
-        f_min, f_max = channel_fidelity_extremes(e)
-        f_star = f_min if abs(e.values.min()) >= e.values.max() else f_max
-        worst = max(worst, abs(capacity_from_fidelity(f_star)
-                               - pauli_classical_capacity(e)))
-    _report(9, "fidelity form of the qubit capacity (1000 channels)",
-            worst <= 1e-12, f"max deviation {worst:.3e} <= 1e-12")
-
-
-def test_criterion_10_dynamics_routes_and_monotonicity():
-    witness = non_p_divisible_capacity_witness()
-    traj_w = eigenvalue_trajectory(witness, 3.0, 301)
-    ode_err = float(np.max(np.abs(traj_w.lambdas
-                                  - ode_eigenvalue_oracle(witness, 3.0, 301))))
-    gamma = 0.5
-    equal = eigenvalue_trajectory(RateSpec.constant(gamma, gamma, gamma), 3.0, 61)
-    fix_err = float(np.max(np.abs(
-        equal.lambdas - np.exp(-2 * gamma * equal.times)[:, None])))
-    single = eigenvalue_trajectory(RateSpec.constant(0.7, 0.0, 0.0), 3.0, 61)
-    decay = np.exp(-0.7 * single.times)
-    fix_err = max(fix_err, float(np.max(np.abs(
-        single.lambdas - np.stack([np.ones_like(decay), decay, decay], axis=1)))))
-    markov = capacity_trajectory(
-        eigenvalue_trajectory(RateSpec.constant(0.5, 0.3, 0.2), 4.0, 201))
-    markov_rise = float(np.max(np.diff(markov.capacity)))
-    traj_w = capacity_trajectory(traj_w)
-    witness_rise = float(np.max(np.diff(traj_w.capacity)))
-    ok = (ode_err <= 1e-6 and fix_err <= 1e-12
-          and markov.p_divisible and markov_rise <= 1e-10
-          and not traj_w.p_divisible and witness_rise <= 1e-10
-          and traj_w.cp_everywhere)
-    _report(10, "dynamics: generator route, fixtures, monotonicity, witness", ok,
-            f"ode deviation {ode_err:.3e} <= 1e-6, "
-            f"constant-rate fixture error {fix_err:.3e} <= 1e-12, "
-            f"markov rise {markov_rise:.3e} <= 1e-10, "
-            f"witness rise {witness_rise:.3e} <= 1e-10 without P divisibility")
 
 
 def test_criterion_11_cli_verify_and_deterministic_sweep(capsys):
@@ -258,6 +168,6 @@ def test_criterion_11_cli_verify_and_deterministic_sweep(capsys):
     main(["random-sweep", "--d", "4", "--count", "8", "--seed", "3"])
     second = capsys.readouterr().out
     ok = code == 0 and n_checks >= 15 and first == second and len(first) > 0
-    _report(11, "CLI verify suite green and sweep deterministic", ok,
+    _report("criterion 11: CLI verify suite green and sweep deterministic", ok,
             f"verify exit {code}, {n_checks} checks, sweep byte-identical "
             f"{first == second}")

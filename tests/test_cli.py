@@ -7,6 +7,30 @@ from gpchannels.cli import build_parser, main
 
 LN2 = np.log(2.0)
 
+VERIFY_CHECK_NAMES = [
+    "probability/eigenvalue map round trip",
+    "reference channel on the CP boundary",
+    "dim-4 basis triples commute",
+    "basis unitaries are displacement operators",
+    "constructed bases are unbiased",
+    "basis unitaries are channel eigenvectors",
+    "basis projectors mix with the stated weights",
+    "induced transition matrix value",
+    "reference upper bound equals (3/4)ln3 - ln2",
+    "two-copy grouped weights and upper bound",
+    "qubit bounds coincide with the closed form",
+    "one-parameter families give exact capacity",
+    "lower bound weakly additive on two copies",
+    "region conditions agree across parametrizations",
+    "Kraus weight multiset structure",
+    "fidelity form of the qubit capacity",
+    "Choi spectrum equals the weight multiset",
+    "Markovian rates keep capacity non-increasing",
+    "single-rate dynamics pin capacity at ln 2",
+    "quadrature agrees with generator integration",
+    "witness: monotone capacity without P divisibility",
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -152,9 +176,10 @@ def test_dynamics_rejects_cp_violation(capsys):
 def test_verify_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "paper")
     assert code == 0
-    lines = out.strip().split("\n")
-    assert all(line.startswith("[PASS]") for line in lines[:-1])
-    assert "checks passed" in lines[-1]
+    # every check by name, in order: a dropped or renamed check shows here
+    assert out.splitlines() == ([f"[PASS] {name}" for name in VERIFY_CHECK_NAMES]
+                                + ["21/21 checks passed"])
+    assert len(set(VERIFY_CHECK_NAMES)) == len(VERIFY_CHECK_NAMES)
 
 
 def test_random_sweep_deterministic(capsys):

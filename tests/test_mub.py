@@ -76,6 +76,14 @@ def test_basis_unitaries_are_displacements(d):
     assert check_weyl_correspondence(build_mubs_prime(d))
 
 
+def test_correspondence_rejects_relabelled_bases():
+    # still unbiased, but the Weyl form of a channel assumes the canonical labels
+    m = build_mubs_prime(5)
+    swapped = MubSet(5, m.bases[[0, 2, 1, 3, 4, 5]])
+    assert verify_mub(swapped)
+    assert not check_weyl_correspondence(swapped)
+
+
 @pytest.mark.parametrize("d", (3, 5))
 def test_unitary_u_powers(d):
     m = build_mubs_prime(d)
