@@ -318,6 +318,17 @@ def tensor(a, b) -> WeylChannel:
     )
 
 
+def weighted_gram(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """G = sum_k w_k vec(U_k) vec(U_k)^dagger, one GEMM (row-major vec).
+
+    G / dim is the Choi matrix.  Reshuffled as G[a,b,c,d] -> S[(a,c),(b,d)]
+    it is the superoperator S = sum_k w_k U_k (x) conj(U_k), which maps
+    vec(rho) to vec(sum_k w_k U_k rho U_k^dagger).
+    """
+    vecs = ops.reshape(ops.shape[0], -1)
+    return (vecs.T * weights) @ vecs.conj()
+
+
 def choi_matrix(ch) -> np.ndarray:
     """Choi state (channel (x) id applied to the maximally entangled state).
 
@@ -325,10 +336,7 @@ def choi_matrix(ch) -> np.ndarray:
     eigenvalues are exactly the mixing weights.
     """
     w = _as_weyl(ch)
-    dim = w.dimension
-    weights, ops = weyl_kraus_terms(w)
-    vecs = ops.reshape(ops.shape[0], -1) / np.sqrt(dim)
-    return np.einsum("k,ka,kb->ab", weights, vecs, vecs.conj())
+    return weighted_gram(*weyl_kraus_terms(w)) / w.dimension
 
 
 def classical_map_t(e: EigenvalueVector, alpha: int) -> np.ndarray:

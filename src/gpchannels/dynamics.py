@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 # pauli_classical_capacity stays importable here: perfbench traces the
 # per-step qubit closed form through this name
@@ -140,6 +139,8 @@ def ode_eigenvalue_oracle(r: RateSpec, t_max: float, steps: int) -> np.ndarray:
     dM/dt = L(t) M with L = 1/2 sum_a g_a(t) (S_a (x) S_a^T - 1) and reads
     each eigenvalue off the evolved Pauli operator.
     """
+    from scipy.integrate import solve_ivp  # imported on first use: it is slow to load
+
     times = _time_grid(t_max, steps)
     conj_parts = [np.kron(_SIGMA[a], _SIGMA[a].T) for a in (1, 2, 3)]
     eye4 = np.eye(4)

@@ -2,10 +2,10 @@
 positivity, and additivity probes for the closed-form capacity bounds."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import (
     GeneralizedPauliChannel,
@@ -16,6 +16,7 @@ from .channels import (
     gpc_to_weyl,
     require_cp,
     tensor,
+    weighted_gram,
     weyl_kraus_terms,
 )
 from .capacity import bounds_batch, holevo_upper_bound_weyl, _h
@@ -57,6 +58,11 @@ def cp_oracle_choi(ch) -> bool:
 
 def _kraus_for(channel, m: Optional[MubSet]):
     if isinstance(channel, WeylChannel):
+        if m is not None:
+            raise ValueError(
+                f"basis set (d={m.dimension}) given for a WeylChannel, whose Kraus "
+                "operators are displacement products; pass m=None"
+            )
         return weyl_kraus_terms(channel)
     if isinstance(channel, GeneralizedPauliChannel):
         require_cp(eigenvalues_from_probabilities(channel))
@@ -76,11 +82,21 @@ def _kraus_for(channel, m: Optional[MubSet]):
     raise TypeError(f"expected a channel, got {type(channel).__name__}")
 
 
-def _output_entropies(states: np.ndarray, weights: np.ndarray, ops: np.ndarray):
-    """Entropy of the channel output for each pure input state (rows)."""
-    phi = np.einsum("kab,nb->kna", ops, states)
-    out = np.einsum("k,kna,knd->nad", weights, phi, phi.conj())
-    dim = states.shape[1]
+def _superoperator(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """S = sum_k w_k U_k (x) conj(U_k), acting on row-major vec(rho)."""
+    dim = ops.shape[1]
+    gram = weighted_gram(weights, ops).reshape(dim, dim, dim, dim)
+    return gram.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+
+
+def _output_entropies(states: np.ndarray, sup: np.ndarray):
+    """Entropy of the channel output for each pure input state (rows).
+
+    All states go through the superoperator in one GEMM.
+    """
+    n, dim = states.shape
+    rho = (states[:, :, None] * states.conj()[:, None, :]).reshape(n, dim * dim)
+    out = (rho @ sup.T).reshape(n, dim, dim)
     if dim == 2:
         a = out[:, 0, 0].real
         dd = out[:, 1, 1].real
@@ -97,13 +113,16 @@ def _output_entropies(states: np.ndarray, weights: np.ndarray, ops: np.ndarray):
     return -(evs * logs).sum(axis=1)
 
 
+@lru_cache(maxsize=None)
 def _qubit_grid(resolution: int) -> np.ndarray:
+    """Read-only grid states, cached per resolution."""
     theta = np.linspace(0.0, np.pi, resolution + 1)
     phi = np.linspace(0.0, 2.0 * np.pi, 2 * resolution, endpoint=False)
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
     states = np.empty((tt.size, 2), dtype=complex)
     states[:, 0] = np.cos(tt / 2.0).ravel()
     states[:, 1] = np.exp(1j * pp.ravel()) * np.sin(tt / 2.0).ravel()
+    states.setflags(write=False)
     return states
 
 
@@ -123,6 +142,20 @@ def _params_to_state(x: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+def _polish(objective, x0: np.ndarray, cfg: SearchConfig) -> float:
+    """Nelder-Mead minimum of objective from x0."""
+    from scipy.optimize import minimize  # imported on first use: it is slow to load
+
+    res = minimize(
+        objective,
+        x0=x0,
+        method="Nelder-Mead",
+        options={"maxiter": cfg.refinement_iterations,
+                 "xatol": 1e-12, "fatol": 1e-14},
+    )
+    return float(res.fun)
+
+
 def min_output_entropy(channel, m: Optional[MubSet] = None,
                        cfg: Optional[SearchConfig] = None) -> float:
     """Brute-force search for the minimal output entropy over pure inputs.
@@ -134,27 +167,23 @@ def min_output_entropy(channel, m: Optional[MubSet] = None,
     refinement_iterations > 0.
     """
     cfg = cfg or SearchConfig()
-    weights, ops = _kraus_for(channel, m)
-    dim = ops.shape[1]
+    sup = _superoperator(*_kraus_for(channel, m))
+    dim = channel.dimension
 
     if dim == 2:
         states = _qubit_grid(cfg.grid_resolution)
-        ents = _output_entropies(states, weights, ops)
+        ents = _output_entropies(states, sup)
         best = float(ents.min())
         if cfg.refinement_iterations > 0:
             idx = int(ents.argmin())
             theta0 = np.pi * (idx // (2 * cfg.grid_resolution)) / cfg.grid_resolution
             phi0 = np.pi * (idx % (2 * cfg.grid_resolution)) / cfg.grid_resolution
-            res = minimize(
-                lambda ang: _output_entropies(
-                    _angles_to_state(ang)[None, :], weights, ops
-                )[0],
-                x0=np.array([theta0, phi0]),
-                method="Nelder-Mead",
-                options={"maxiter": cfg.refinement_iterations,
-                         "xatol": 1e-12, "fatol": 1e-14},
+            polished = _polish(
+                lambda ang: _output_entropies(_angles_to_state(ang)[None, :], sup)[0],
+                np.array([theta0, phi0]),
+                cfg,
             )
-            best = min(best, float(res.fun))
+            best = min(best, polished)
         return best
 
     starts = [np.eye(dim, dtype=complex)]
@@ -167,22 +196,16 @@ def min_output_entropy(channel, m: Optional[MubSet] = None,
         )
         starts.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
     states = np.concatenate(starts, axis=0)
-    ents = _output_entropies(states, weights, ops)
+    ents = _output_entropies(states, sup)
     best = float(ents.min())
     if cfg.refinement_iterations > 0:
-        order = np.argsort(ents)[:3]
-        for idx in order:
-            x0 = np.concatenate([states[idx].real, states[idx].imag])
-            res = minimize(
-                lambda x: _output_entropies(
-                    _params_to_state(x)[None, :], weights, ops
-                )[0],
-                x0=x0,
-                method="Nelder-Mead",
-                options={"maxiter": cfg.refinement_iterations,
-                         "xatol": 1e-12, "fatol": 1e-14},
+        for idx in np.argsort(ents)[:3]:
+            polished = _polish(
+                lambda x: _output_entropies(_params_to_state(x)[None, :], sup)[0],
+                np.concatenate([states[idx].real, states[idx].imag]),
+                cfg,
             )
-            best = min(best, float(res.fun))
+            best = min(best, polished)
     return best
 
 

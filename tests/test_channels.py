@@ -21,6 +21,7 @@ from gpchannels.channels import (
     probabilities_from_eigenvalues,
     require_cp,
     tensor,
+    weighted_gram,
     weyl_kraus_terms,
 )
 from gpchannels.errors import (
@@ -28,6 +29,7 @@ from gpchannels.errors import (
     NotCompletelyPositiveError,
     UnsupportedDimensionError,
 )
+from gpchannels.mub import unitary_u
 
 REF_PROBS = [0.25, 0.5, 0.25, 0.0]
 
@@ -208,6 +210,52 @@ def test_choi_spectrum_is_weight_multiset(rng):
     evs = np.sort(np.linalg.eigvalsh(choi_matrix(c)))
     expect = np.sort(kraus_probability_multiset(c))
     assert np.allclose(evs, expect, atol=1e-9)
+
+
+def _mub_route_kraus(c):
+    d = c.dimension
+    m = canonical_mub(d)
+    p = c.probabilities
+    weights = [p[0]] + [p[a] / (d - 1.0) for a in range(1, d + 2) for _ in range(1, d)]
+    ops = [np.eye(d, dtype=complex)] + [
+        unitary_u(m, a, k) for a in range(1, d + 2) for k in range(1, d)]
+    return np.asarray(weights), np.asarray(ops)
+
+
+def _gram_case(case):
+    """(Weyl channel or None, weights, operators) for one kernel test case."""
+    rng = np.random.default_rng(20261018)
+    if case == "two_copies_d3":
+        c3 = GeneralizedPauliChannel(3, rng.dirichlet(np.ones(5)))
+        w = tensor(c3, c3)
+    elif case == "d4":
+        w = gpc_to_weyl(GeneralizedPauliChannel(4, rng.dirichlet(np.ones(6))))
+    elif case == "weyl_zero_weights":
+        sparse = np.zeros(9)
+        sparse[[0, 4, 7]] = rng.dirichlet(np.ones(3))
+        w = WeylChannel(3, 1, sparse)
+    else:
+        return None, *_mub_route_kraus(GeneralizedPauliChannel(5, rng.dirichlet(np.ones(7))))
+    return w, *weyl_kraus_terms(w)
+
+
+@pytest.mark.parametrize("case", ["two_copies_d3", "d4", "weyl_zero_weights",
+                                  "mub_route_d5"])
+def test_weighted_gram_matches_outer_product_sum(case):
+    w, weights, ops = _gram_case(case)
+    dim = ops.shape[1]
+    if case == "weyl_zero_weights":
+        assert weights.size == 3 < dim * dim
+    expect = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for weight, u in zip(weights, ops):
+        v = u.ravel()
+        expect += weight * np.outer(v, v.conj())
+    gram = weighted_gram(weights, ops)
+    assert np.abs(gram - expect).max() <= 1e-15
+    choi = gram / dim if w is None else choi_matrix(w)
+    assert np.abs(choi - expect / dim).max() <= 1e-15
+    assert np.abs(choi - choi.conj().T).max() <= 1e-15
+    assert abs(np.trace(choi) - 1.0) <= 1e-15
 
 
 def test_classical_map_rows_are_stochastic():

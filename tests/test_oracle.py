@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import gpchannels
 
 from gpchannels.capacity import holevo_lower_bound, holevo_upper_bound
 from gpchannels.channels import (
@@ -9,8 +15,14 @@ from gpchannels.channels import (
     gpc_to_weyl,
     probabilities_from_eigenvalues,
 )
+from gpchannels.mub import build_mubs_prime
+from gpchannels.numerics import von_neumann_entropy
 from gpchannels.oracle import (
     SearchConfig,
+    _kraus_for,
+    _output_entropies,
+    _qubit_grid,
+    _superoperator,
     additivity_report,
     cp_oracle_choi,
     holevo_estimate,
@@ -136,3 +148,64 @@ def test_estimate_never_beats_upper_bound_qutrit(cp_sampler, rng):
         c = probabilities_from_eigenvalues(e)
         up, _ = holevo_upper_bound(e)
         assert holevo_estimate(c, cfg=cfg) <= up + 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("route", ["weyl", "mub"])
+def test_superoperator_entropies_match_kraus_sum(d, route, cp_sampler):
+    rng = np.random.default_rng([20261018, d])
+    lam = cp_sampler(d, 1, rng)[0]
+    c = probabilities_from_eigenvalues(EigenvalueVector(d, lam))
+    weights, ops = _kraus_for(c, canonical_mub(d) if route == "mub" else None)
+    raw = rng.standard_normal((40, d)) + 1j * rng.standard_normal((40, d))
+    states = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    expect = []
+    for psi in states:
+        rho = np.outer(psi, psi.conj())
+        out = sum(w * u @ rho @ u.conj().T for w, u in zip(weights, ops))
+        expect.append(von_neumann_entropy(out))
+    got = _output_entropies(states, _superoperator(weights, ops))
+    assert np.abs(got - np.asarray(expect)).max() <= 1e-12
+
+
+def test_weyl_channel_rejects_basis_set():
+    c3 = probabilities_from_eigenvalues(EigenvalueVector(3, [0.5, 0.2, 0.1, 0.0]))
+    cfg = SearchConfig(samples=8, refinement_iterations=0)
+    for m in (build_mubs_prime(5), canonical_mub(3)):
+        with pytest.raises(ValueError, match="basis set"):
+            holevo_estimate(gpc_to_weyl(c3), m, cfg)
+
+
+def test_qubit_grid_is_cached_and_read_only():
+    grid = _qubit_grid(16)
+    assert _qubit_grid(16) is grid
+    assert grid.shape == (17 * 32, 2)
+    with pytest.raises(ValueError):
+        grid[0, 0] = 0.0
+
+
+_LAZY_SCIPY = """
+import math
+import sys
+import gpchannels, gpchannels.cli
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+from gpchannels import (GeneralizedPauliChannel, RateSpec, SearchConfig,
+                        holevo_estimate, ode_eigenvalue_oracle)
+lams = ode_eigenvalue_oracle(RateSpec.constant(0.5, 0.3, 0.2), 1.0, 11)
+assert lams.shape == (11, 3)
+est = holevo_estimate(GeneralizedPauliChannel(2, [0.25, 0.5, 0.25, 0.0]),
+                      cfg=SearchConfig(grid_resolution=16))
+assert abs(est - (0.75 * math.log(3.0) - math.log(2.0))) < 1e-6
+print("ok")
+"""
+
+
+def test_package_and_cli_import_without_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gpchannels.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
