@@ -167,7 +167,14 @@ def _cmd_random_sweep(args) -> int:
     d = args.d
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
-    rng = np.random.default_rng(args.seed)
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("GPC_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"GPC_SEED must be an integer, got {text!r}") from None
+    rng = np.random.default_rng(seed)
     # reshape: a zero count gives an empty 1-d array
     samples = sample_cp_eigenvalues(d, args.count, rng).reshape(-1, d + 1)
     bounds = bounds_batch(samples)
@@ -220,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, choices=[2, 3, 4, 5], required=True)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("GPC_SEED", "0")))
+                   help="random seed (default: the GPC_SEED variable, else 0)")
     p.set_defaults(func=_cmd_random_sweep)
 
     return parser

@@ -200,6 +200,36 @@ def test_random_sweep_seed_from_environment(monkeypatch, capsys):
     assert via_env == via_flag
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--d", "2", "--lambdas", "0.5,0.2,0.1"),
+    ("zeta", "--d", "3", "--lambdas", "0.5,0.2,0.1,0.1"),
+    ("cp-check", "--d", "2", "--lambdas", "0.9,0.9,-0.9"),
+    ("random-sweep", "--d", "3", "--count", "4", "--seed", "42"),
+])
+def test_bad_seed_variable_only_matters_to_random_sweep(monkeypatch, capsys, argv):
+    _, expect, _ = run(capsys, *argv)
+    monkeypatch.setenv("GPC_SEED", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == expect
+
+
+def test_random_sweep_rejects_non_integer_seed_variable(monkeypatch, capsys):
+    for text in ("abc", "1.5", ""):
+        monkeypatch.setenv("GPC_SEED", text)
+        code, out, err = run(capsys, "random-sweep", "--d", "3", "--count", "4")
+        assert code == 2
+        assert out == ""
+        assert "GPC_SEED" in err and "Traceback" not in err
+
+
+def test_random_sweep_default_seed_is_zero(monkeypatch, capsys):
+    monkeypatch.delenv("GPC_SEED", raising=False)
+    _, default, _ = run(capsys, "random-sweep", "--d", "2", "--count", "3")
+    _, zero, _ = run(capsys, "random-sweep", "--d", "2", "--count", "3", "--seed", "0")
+    assert default == zero
+
+
 def test_random_sweep_rejects_negative_count(capsys):
     code, out, err = run(capsys, "random-sweep", "--d", "3", "--count", "-1")
     assert code == 2
