@@ -17,7 +17,7 @@ from .channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
     WeylChannel,
-    classical_map_t,
+    classical_map_rows,
     clip_eigenvalue_rows,
     require_cp,
     require_cp_rows,
@@ -28,24 +28,30 @@ from .numerics import _entropy, as_distribution
 COINCIDENCE_TOL = 1e-9
 
 
-def _h(vec: np.ndarray) -> float:
-    # entropy of an unnormalized-but-nearly-valid block vector
-    return _entropy(np.clip(vec, 0.0, None))
-
-
 def _xlogx(x: np.ndarray) -> np.ndarray:
     # x ln x with 0 ln 0 = 0; negative rounding noise counts as 0
     return x * np.log(x, out=np.zeros(x.shape), where=x > 0.0)
 
 
+def transition_row_entropies(lams: np.ndarray, copies: int = 1) -> np.ndarray:
+    """Entropy of the first row of T_alpha^(x copies), copies 1 or 2, as an
+    (N, d+1) array over checked (N, d+1) eigenvalue rows and bases alpha.
+
+    Built from classical_map_rows, independently of bounds_batch's closed
+    forms; the first row of T (x) T is the outer product of first rows.
+    """
+    if copies not in (1, 2):
+        raise ValueError(f"copies must be 1 or 2, got {copies}")
+    rows = classical_map_rows(lams)[:, :, 0, :]
+    if copies == 2:
+        rows = (rows[..., :, None] * rows[..., None, :]).reshape(rows.shape[:2] + (-1,))
+    return -_xlogx(np.maximum(rows, 0.0)).sum(axis=-1)
+
+
 def holevo_lower_via_classical(e: EigenvalueVector) -> float:
     """Same bound through the induced transition matrices: ln d - min row entropy."""
     require_cp(e)
-    d = e.dimension
-    row_entropies = [
-        _h(classical_map_t(e, alpha)[0]) for alpha in range(1, d + 2)
-    ]
-    return float(np.log(d) - min(row_entropies))
+    return float(np.log(e.dimension) - transition_row_entropies(e.values[None, :]).min())
 
 
 def zeta_vector(multiset, block_size: int) -> np.ndarray:
@@ -60,8 +66,9 @@ def zeta_vector(multiset, block_size: int) -> np.ndarray:
 
 def holevo_upper_bound_weyl(w: WeylChannel) -> float:
     """Upper bound straight from the channel's weight multiset."""
-    dim = w.dimension
-    return float(np.log(dim) - _h(zeta_vector(w.probabilities, dim)))
+    # the block vector is a distribution up to rounding: clip before the entropy
+    zeta = np.clip(zeta_vector(w.probabilities, w.dimension), 0.0, None)
+    return float(np.log(w.dimension) - _entropy(zeta))
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,19 @@ class BatchBounds:
         )
 
 
+def _checked_rows(lams) -> np.ndarray:
+    # an (N, d+1) array of finite, CP rows inside the box, clipped to it;
+    # the package error names the first bad row
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 2:
+        raise ValueError(f"need an (N, d+1) eigenvalue array, got shape {lams.shape}")
+    if lams.shape[1] < 3:
+        raise UnsupportedDimensionError(f"dimension must be >= 2, got {lams.shape[1] - 1}")
+    lams = clip_eigenvalue_rows(lams)
+    require_cp_rows(lams)
+    return lams
+
+
 @lru_cache(maxsize=None)
 def _block_coefficients(d: int):
     # rows plain, shifted, straddle of [1 + a_k L_k + b_k L_{k+1} - c S] / d
@@ -182,14 +202,8 @@ def bounds_batch(lams) -> BatchBounds:
     The exact capacity is known for every qubit, where it is driven by the
     largest-magnitude eigenvalue, and wherever the bounds coincide.
     """
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 2:
-        raise ValueError(f"need an (N, d+1) eigenvalue array, got shape {lams.shape}")
+    lams = _checked_rows(lams)
     d = lams.shape[1] - 1
-    if d < 2:
-        raise UnsupportedDimensionError(f"dimension must be >= 2, got {d}")
-    lams = clip_eigenvalue_rows(lams)
-    require_cp_rows(lams)
     rows = np.arange(lams.shape[0])
 
     terms = _xlogx(1.0 + (d - 1.0) * lams) / d + (d - 1.0) / d * _xlogx(1.0 - lams)
@@ -307,9 +321,13 @@ def _exact_or_none(b: BatchBounds) -> Optional[float]:
 def classical_capacity_exact(e: EigenvalueVector) -> Optional[float]:
     """The capacity when it is known: coinciding bounds, else None.
 
-    The bounds meet for every qubit channel and for the one-parameter
-    families with all eigenvalues equal except one; weak additivity of the
-    lower bound then pins the regularized value.
+    The bounds meet for every qubit channel.  For d >= 3 they meet, among
+    others, on two sub-regions of the families with all eigenvalues equal
+    except one: the odd eigenvalue is the largest and the others are >= 0,
+    or it is the most negative and the others are <= 0.  Elsewhere in those
+    families they can differ, for example at d = 4 with
+    lambda = (-1/9, 1/6, 1/6, 1/6, 1/6).  Weak additivity of the lower bound
+    pins the regularized value where they meet.
     """
     return _exact_or_none(_one(e))
 
@@ -326,22 +344,33 @@ def capacity_bounds(e: EigenvalueVector) -> CapacityBounds:
     )
 
 
+def channel_fidelity_extremes_rows(lams) -> Tuple[np.ndarray, np.ndarray]:
+    """Extreme input-output fidelities (1 + L)/2 of (N, 3) qubit eigenvalue
+    rows, at the smallest and largest eigenvalue of each row; rows are
+    checked as in bounds_batch."""
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim == 2 and lams.shape[1] != 3:
+        raise ValueError(f"fidelity extremes need d=2, got d={lams.shape[1] - 1}")
+    lams = _checked_rows(lams)
+    return (1.0 + lams.min(axis=1)) / 2.0, (1.0 + lams.max(axis=1)) / 2.0
+
+
 def channel_fidelity_extremes(e: EigenvalueVector) -> Tuple[float, float]:
     """Extreme input-output fidelities of a qubit channel: (1 + L)/2 at the
     smallest and largest eigenvalue."""
-    if e.dimension != 2:
-        raise ValueError(f"fidelity extremes need d=2, got d={e.dimension}")
-    require_cp(e)
-    return (
-        float((1.0 + e.values.min()) / 2.0),
-        float((1.0 + e.values.max()) / 2.0),
-    )
+    f_min, f_max = channel_fidelity_extremes_rows(e.values[None, :])
+    return float(f_min[0]), float(f_max[0])
 
 
-def capacity_from_fidelity(f: float) -> float:
-    """Qubit capacity expressed through an extreme fidelity value."""
-    if not -1e-12 <= f <= 1.0 + 1e-12:
-        raise ValueError(f"fidelity {f} outside [0, 1]")
-    f = min(max(f, 0.0), 1.0)
-    vals = _xlogx(np.array([f, 1.0 - f]))
-    return float(np.log(2.0) + vals[0] + vals[1])
+def capacity_from_fidelity(f):
+    """Qubit capacity through an extreme fidelity value, or an array of them
+    (the error then names the first bad entry, flat index)."""
+    arr = np.asarray(f, dtype=float)
+    inside = ((arr >= -1e-12) & (arr <= 1.0 + 1e-12)).ravel()
+    if not inside.all():
+        i = int(np.argmin(inside))
+        where, bad = (f"entry {i}: ", arr.ravel()[i]) if arr.ndim else ("", f)
+        raise ValueError(f"{where}fidelity {bad} outside [0, 1]")
+    arr = np.minimum(np.maximum(arr, 0.0), 1.0)
+    capacity = np.log(2.0) + _xlogx(arr) + _xlogx(1.0 - arr)
+    return float(capacity) if arr.ndim == 0 else capacity

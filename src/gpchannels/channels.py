@@ -6,10 +6,15 @@ unitaries attached to basis alpha.  The equivalent spectral view is the
 vector of eigenvalues lambda_alpha on the traceless part of each basis
 algebra; the probability vector is the source of truth and the eigenvalue
 form is derived.
+
+Every channel action takes one route: kraus_terms -> weighted_gram, which is
+choi_matrix and, reshuffled, the superoperator behind apply, apply_weyl and
+the oracle's output-entropy search.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -191,33 +196,6 @@ def require_cp(e: EigenvalueVector) -> None:
     require_cp_rows(e.values[None, :])
 
 
-def apply(c: GeneralizedPauliChannel, m: MubSet, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel using the unitaries built from the given basis set.
-
-    Accepts any matrix of matching dimension (linear extension), so operator
-    inputs can be used to read off eigenvalues.
-    """
-    d = c.dimension
-    rho = np.asarray(rho, dtype=complex)
-    if m.dimension != d or m.n_bases != d + 1:
-        raise ValueError(
-            f"basis set (d={m.dimension}, n={m.n_bases}) does not match channel d={d}"
-        )
-    if rho.shape != (d, d):
-        raise ValueError(f"state shape {rho.shape} does not match dimension {d}")
-    p = c.probabilities
-    out = p[0] * rho
-    for alpha in range(1, d + 2):
-        if p[alpha] == 0.0:
-            continue
-        acc = np.zeros_like(rho)
-        for k in range(1, d):
-            u = unitary_u(m, alpha, k)
-            acc += u @ rho @ u.conj().T
-        out += p[alpha] / (d - 1.0) * acc
-    return out
-
-
 @lru_cache(maxsize=None)
 def _weyl_family(s: int) -> np.ndarray:
     mats = np.zeros((s * s, s, s), dtype=complex)
@@ -241,15 +219,6 @@ def weyl_kraus_terms(w: WeylChannel):
             op = np.kron(op, fam[digits[2 * a] * s + digits[2 * a + 1]])
         ops[row] = op
     return w.probabilities[idx].copy(), ops
-
-
-def apply_weyl(w: WeylChannel, rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    dim = w.dimension
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state shape {rho.shape} does not match dimension {dim}")
-    weights, ops = weyl_kraus_terms(w)
-    return np.einsum("k,kab,bc,kdc->ad", weights, ops, rho, ops.conj())
 
 
 def gpc_to_weyl(c: GeneralizedPauliChannel) -> WeylChannel:
@@ -296,12 +265,16 @@ def kraus_probability_multiset(c: GeneralizedPauliChannel) -> np.ndarray:
     return np.concatenate([[p[0]], np.repeat(p[1:] / (d - 1.0), d - 1)])
 
 
+def _require_channel(ch):
+    if not isinstance(ch, (WeylChannel, GeneralizedPauliChannel)):
+        raise TypeError(f"expected a channel, got {type(ch).__name__}")
+    return ch
+
+
 def _as_weyl(ch) -> WeylChannel:
-    if isinstance(ch, WeylChannel):
-        return ch
-    if isinstance(ch, GeneralizedPauliChannel):
+    if isinstance(_require_channel(ch), GeneralizedPauliChannel):
         return gpc_to_weyl(ch)
-    raise TypeError(f"expected a channel, got {type(ch).__name__}")
+    return ch
 
 
 def tensor(a, b) -> WeylChannel:
@@ -329,26 +302,82 @@ def weighted_gram(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return (vecs.T * weights) @ vecs.conj()
 
 
+def kraus_terms(channel, m: Optional[MubSet] = None):
+    """(weights, operators) of the channel's unitary Kraus operators.
+
+    m None: the displacement products (weyl_kraus_terms).  A basis set: the
+    identity and each basis's unitaries U_alpha^k, weighted by
+    kraus_probability_multiset.  The two sets are kept apart on purpose, as
+    a cross-check of the bases.
+    """
+    if m is None:
+        return weyl_kraus_terms(_as_weyl(channel))
+    if isinstance(channel, WeylChannel):
+        raise ValueError(
+            f"basis set (d={m.dimension}) given for a WeylChannel, whose Kraus "
+            "operators are displacement products; pass m=None"
+        )
+    d = _require_channel(channel).dimension
+    if m.dimension != d or m.n_bases != d + 1:
+        raise ValueError(
+            f"basis set (d={m.dimension}, n={m.n_bases}) does not match channel d={d}"
+        )
+    ops = [np.eye(d, dtype=complex)]
+    ops += [unitary_u(m, alpha, k) for alpha in range(1, d + 2) for k in range(1, d)]
+    return kraus_probability_multiset(channel), np.asarray(ops)
+
+
+def superoperator(channel, m: Optional[MubSet] = None) -> np.ndarray:
+    """S = sum_k w_k U_k (x) conj(U_k) over kraus_terms(channel, m), acting on
+    row-major vec(rho): the weighted_gram of the Kraus set, reshuffled."""
+    weights, ops = kraus_terms(channel, m)
+    dim = ops.shape[1]
+    gram = weighted_gram(weights, ops).reshape(dim, dim, dim, dim)
+    return gram.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+
+
+def apply(c, m: Optional[MubSet], rho: np.ndarray) -> np.ndarray:
+    """superoperator(c, m) @ vec(rho), m picking the Kraus set as in kraus_terms.
+
+    Accepts any matrix of matching dimension (linear extension), so operator
+    inputs can be used to read off eigenvalues.
+    """
+    sup = superoperator(c, m)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (c.dimension, c.dimension):
+        raise ValueError(f"state shape {rho.shape} does not match dimension {c.dimension}")
+    return (sup @ rho.ravel()).reshape(rho.shape)
+
+
+def apply_weyl(w: WeylChannel, rho: np.ndarray) -> np.ndarray:
+    """apply(w, None, rho): the channel through its displacement products."""
+    return apply(w, None, rho)
+
+
 def choi_matrix(ch) -> np.ndarray:
     """Choi state (channel (x) id applied to the maximally entangled state).
 
     Normalized to trace 1.  For orthogonal unitary Kraus operators the
     eigenvalues are exactly the mixing weights.
     """
-    w = _as_weyl(ch)
-    return weighted_gram(*weyl_kraus_terms(w)) / w.dimension
+    return weighted_gram(*kraus_terms(ch)) / ch.dimension
+
+
+def classical_map_rows(lams: np.ndarray) -> np.ndarray:
+    """(N, d+1, d, d) transition matrices of (N, d+1) eigenvalue rows, one per
+    basis alpha: T_kl = lambda_alpha delta_kl + (1 - lambda_alpha)/d; bistochastic.
+    """
+    d = lams.shape[1] - 1
+    lam = lams[:, :, None, None]
+    return lam * np.eye(d) + (1.0 - lam) / d * np.ones((d, d))
 
 
 def classical_map_t(e: EigenvalueVector, alpha: int) -> np.ndarray:
-    """Transition matrix induced on the vectors of basis alpha.
-
-    T_kl = lambda_alpha delta_kl + (1 - lambda_alpha)/d; bistochastic.
-    """
+    """Transition matrix induced on the vectors of basis alpha (classical_map_rows)."""
     d = e.dimension
     if not 1 <= alpha <= d + 1:
         raise ValueError(f"basis label {alpha} out of range 1..{d + 1}")
-    lam = e.values[alpha - 1]
-    return lam * np.eye(d) + (1.0 - lam) / d * np.ones((d, d))
+    return classical_map_rows(e.values[None, :])[0, alpha - 1]
 
 
 def channel_to_json(c: GeneralizedPauliChannel) -> dict:

@@ -15,11 +15,12 @@ import numpy as np
 # pauli_classical_capacity stays importable here: perfbench traces the
 # per-step qubit closed form through this name
 from .capacity import bounds_batch, pauli_classical_capacity  # noqa: F401
+from .channels import cp_margin_rows
 from .errors import NotCompletelyPositiveError
 from .mub import _SIGMA
+from .numerics import CLAMP_TOL
 
 P_DIVISIBILITY_TOL = 1e-10
-_CP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,6 @@ class PauliTrajectory:
     cdot_formula_valid: Optional[np.ndarray] = None
 
 
-def _cp_slices(lambdas: np.ndarray) -> np.ndarray:
-    total = lambdas.sum(axis=1)
-    return (total >= -1.0 - _CP_TOL) & (total <= 1.0 + 2.0 * lambdas.min(axis=1) + _CP_TOL)
-
-
 def eigenvalue_rises(lambdas: np.ndarray) -> np.ndarray:
     """Per grid interval: does some eigenvalue grow by more than P_DIVISIBILITY_TOL.
 
@@ -126,7 +122,7 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
     traj = PauliTrajectory(
         times=times,
         lambdas=lambdas,
-        cp_everywhere=bool(np.all(_cp_slices(lambdas))),
+        cp_everywhere=bool(np.all(cp_margin_rows(lambdas) >= -CLAMP_TOL)),
         p_divisible=not eigenvalue_rises(lambdas).any(),
     )
     return traj
@@ -187,7 +183,7 @@ def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
     governs and is either unique or fully degenerate) instead of being
     asserted against the finite-difference derivative elsewhere.
     """
-    ok = _cp_slices(traj.lambdas)
+    ok = cp_margin_rows(traj.lambdas) >= -CLAMP_TOL
     if not np.all(ok):
         bad = int(np.argmin(ok))
         raise NotCompletelyPositiveError(

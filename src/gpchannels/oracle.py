@@ -1,5 +1,9 @@
 """Independent numerical checks: brute-force output-entropy search, Choi
-positivity, and additivity probes for the closed-form capacity bounds."""
+positivity, and additivity probes for the closed-form capacity bounds.
+
+The search and the Choi oracle use only the Kraus operators, through the
+package's one route kraus_terms -> weighted_gram (superoperator, choi_matrix).
+"""
 
 from dataclasses import dataclass
 from functools import lru_cache
@@ -10,18 +14,16 @@ import numpy as np
 
 from .channels import (
     GeneralizedPauliChannel,
-    WeylChannel,
     choi_matrix,
-    classical_map_t,
     eigenvalues_from_probabilities,
-    gpc_to_weyl,
-    require_cp,
+    superoperator,
     tensor,
-    weighted_gram,
-    weyl_kraus_terms,
 )
-from .capacity import bounds_batch, holevo_upper_bound_weyl, _h
-from .mub import MubSet, unitary_u
+# gpc_to_weyl, require_cp and weyl_kraus_terms stay importable here:
+# perfbench traces these names in this module
+from .channels import gpc_to_weyl, require_cp, weyl_kraus_terms  # noqa: F401
+from .capacity import bounds_batch, holevo_upper_bound_weyl, transition_row_entropies
+from .mub import MubSet
 
 CHOI_PSD_TOL = 1e-9
 
@@ -59,39 +61,6 @@ def cp_oracle_choi(ch) -> bool:
     """Complete positivity straight from the Choi spectrum."""
     evs = np.linalg.eigvalsh(choi_matrix(ch))
     return bool(evs.min() >= -CHOI_PSD_TOL)
-
-
-def _kraus_for(channel, m: Optional[MubSet]):
-    if isinstance(channel, WeylChannel):
-        if m is not None:
-            raise ValueError(
-                f"basis set (d={m.dimension}) given for a WeylChannel, whose Kraus "
-                "operators are displacement products; pass m=None"
-            )
-        return weyl_kraus_terms(channel)
-    if isinstance(channel, GeneralizedPauliChannel):
-        require_cp(eigenvalues_from_probabilities(channel))
-        if m is None:
-            return weyl_kraus_terms(gpc_to_weyl(channel))
-        d = channel.dimension
-        if m.dimension != d or m.n_bases != d + 1:
-            raise ValueError("basis set does not match the channel dimension")
-        p = channel.probabilities
-        weights = [p[0]]
-        ops = [np.eye(d, dtype=complex)]
-        for alpha in range(1, d + 2):
-            for k in range(1, d):
-                weights.append(p[alpha] / (d - 1.0))
-                ops.append(unitary_u(m, alpha, k))
-        return np.asarray(weights), np.asarray(ops)
-    raise TypeError(f"expected a channel, got {type(channel).__name__}")
-
-
-def _superoperator(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """S = sum_k w_k U_k (x) conj(U_k), acting on row-major vec(rho)."""
-    dim = ops.shape[1]
-    gram = weighted_gram(weights, ops).reshape(dim, dim, dim, dim)
-    return gram.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
 
 
 def _projector_rows(states: np.ndarray) -> np.ndarray:
@@ -280,7 +249,7 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
     are polished together with Nelder-Mead when refinement_iterations > 0.
     """
     cfg = cfg or SearchConfig()
-    sup = _superoperator(*_kraus_for(channel, m))
+    sup = superoperator(channel, m)
     dim = channel.dimension
 
     if dim == 2:
@@ -386,17 +355,11 @@ def additivity_report(c: GeneralizedPauliChannel,
     bounds = bounds_batch(e.values[None, :])
     d = c.dimension
     chi_low = float(bounds.chi_low[0])
-    row_entropies = []
-    for alpha in range(1, d + 2):
-        t_single = classical_map_t(e, alpha)
-        t_pair = np.kron(t_single, t_single)
-        row_entropies.append(_h(t_pair[0]))
-    chi_low_tensor = float(2.0 * np.log(d) - min(row_entropies))
+    row_entropies = transition_row_entropies(e.values[None, :], copies=2)[0]
+    chi_low_tensor = float(2.0 * np.log(d) - row_entropies.min())
     chi_up = float(bounds.chi_up[0])
     chi_up_tensor = holevo_upper_bound_weyl(tensor(c, c))
-    estimate = None
-    if cfg is not None:
-        estimate = holevo_estimate(c, None, cfg)
+    estimate = None if cfg is None else holevo_estimate(c, None, cfg)
     return AdditivityReport(
         dimension=d,
         chi_low=chi_low,
@@ -405,6 +368,6 @@ def additivity_report(c: GeneralizedPauliChannel,
         chi_up=chi_up,
         chi_up_tensor=chi_up_tensor,
         upper_gap=2.0 * chi_up - chi_up_tensor,
-        tensor_row_entropies=tuple(row_entropies),
+        tensor_row_entropies=tuple(row_entropies.tolist()),
         chi_grid_estimate=estimate,
     )

@@ -7,18 +7,21 @@ from gpchannels.capacity import (
     capacity_bounds,
     capacity_from_fidelity,
     channel_fidelity_extremes,
+    channel_fidelity_extremes_rows,
     classical_capacity_exact,
     holevo_lower_bound,
     holevo_lower_via_classical,
     holevo_upper_bound,
     holevo_upper_bound_weyl,
     pauli_classical_capacity,
+    transition_row_entropies,
     zeta_components_p_form,
     zeta_vector,
 )
 from gpchannels.channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
+    classical_map_t,
     eigenvalues_from_probabilities,
     gpc_to_weyl,
     probabilities_from_eigenvalues,
@@ -318,3 +321,63 @@ def test_capacity_trajectory_matches_per_step_closed_form():
         eigenvalue_trajectory(non_p_divisible_capacity_witness(), 3.0, 301))
     per_step = [pauli_classical_capacity(EigenvalueVector(2, lam)) for lam in traj.lambdas]
     assert np.array_equal(traj.capacity, per_step)
+
+
+@given(cp_batches(), st.sampled_from([1, 2]))
+@settings(max_examples=100, deadline=None)
+def test_transition_row_entropies_match_kron_loops(batch, copies):
+    d, lams = batch
+    got = transition_row_entropies(lams, copies)
+    assert got.shape == lams.shape
+    for i, lam in enumerate(lams):
+        e = EigenvalueVector(d, lam)
+        for alpha in range(1, d + 2):
+            t = classical_map_t(e, alpha)
+            row = (t if copies == 1 else np.kron(t, t))[0]
+            row = row[row > 0]
+            assert abs(got[i, alpha - 1] + np.sum(row * np.log(row))) <= 1e-12
+
+
+def test_transition_row_entropies_checks_copies():
+    with pytest.raises(ValueError, match="copies must be 1 or 2, got 3"):
+        transition_row_entropies(np.zeros((1, 3)), 3)
+
+
+def test_fidelity_rows_form_matches_scalar_forms(cp_sampler, rng):
+    lams = cp_sampler(2, 50, rng)
+    f_min, f_max = channel_fidelity_extremes_rows(lams)
+    caps = capacity_from_fidelity(np.stack([f_min, f_max]))
+    assert caps.shape == (2, 50)
+    for i, lam in enumerate(lams):
+        lo, hi = channel_fidelity_extremes(EigenvalueVector(2, lam))
+        assert (lo, hi) == (f_min[i], f_max[i])
+        assert (capacity_from_fidelity(lo), capacity_from_fidelity(hi)) == tuple(caps[:, i])
+    assert type(capacity_from_fidelity(0.3)) is float
+
+
+def test_fidelity_forms_keep_their_errors():
+    with pytest.raises(ValueError, match=r"^fidelity extremes need d=2, got d=3$"):
+        channel_fidelity_extremes(EigenvalueVector(3, [0.1] * 4))
+    with pytest.raises(ValueError, match=r"^fidelity extremes need d=2, got d=3$"):
+        channel_fidelity_extremes_rows(np.zeros((2, 4)))
+    with pytest.raises(NotCompletelyPositiveError, match=r"^eigenvalues \["):
+        channel_fidelity_extremes(EigenvalueVector(2, [0.9, 0.9, -0.9]))
+    with pytest.raises(NotCompletelyPositiveError, match=r"^row 1: "):
+        channel_fidelity_extremes_rows([[0.5, 0.0, -0.5], [0.9, 0.9, -0.9]])
+    with pytest.raises(ValueError, match=r"^fidelity 1.2 outside \[0, 1\]$"):
+        capacity_from_fidelity(1.2)
+    with pytest.raises(ValueError, match=r"^entry 1: fidelity -0.5 outside \[0, 1\]$"):
+        capacity_from_fidelity(np.array([0.5, -0.5, 2.0]))
+
+
+@pytest.mark.parametrize("lam, low, up", [
+    ([-1 / 9] + [1 / 6] * 4, 0.03810, 0.12163),
+    ([-0.09375] + [0.125] * 5, 0.02817, 0.11396),
+])
+def test_one_value_families_outside_the_checked_subregions_keep_a_gap(lam, low, up):
+    # one odd eigenvalue, negative, with the others positive: neither of the
+    # sub-regions where the bounds of these families are known to meet
+    b = bounds_batch(np.array([lam]))
+    assert abs(b.chi_low[0] - low) <= 1e-5 and abs(b.chi_up[0] - up) <= 1e-5
+    assert not b.coincide[0] and np.isnan(b.exact_capacity[0])
+    assert classical_capacity_exact(EigenvalueVector(len(lam) - 1, lam)) is None

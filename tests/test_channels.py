@@ -12,14 +12,17 @@ from gpchannels.channels import (
     channel_from_json,
     channel_to_json,
     choi_matrix,
+    classical_map_rows,
     classical_map_t,
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
     gpc_to_weyl,
     is_completely_positive,
     kraus_probability_multiset,
+    kraus_terms,
     probabilities_from_eigenvalues,
     require_cp,
+    superoperator,
     tensor,
     weighted_gram,
     weyl_kraus_terms,
@@ -29,7 +32,7 @@ from gpchannels.errors import (
     NotCompletelyPositiveError,
     UnsupportedDimensionError,
 )
-from gpchannels.mub import unitary_u
+from gpchannels.mub import MubSet, unitary_u
 
 REF_PROBS = [0.25, 0.5, 0.25, 0.0]
 
@@ -142,6 +145,58 @@ def test_apply_matches_weyl_route(d, rng):
     m = canonical_mub(d)
     rho = random_density(rng, d)
     assert np.allclose(apply(c, m, rho), apply_weyl(gpc_to_weyl(c), rho), atol=1e-10)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 7))
+def test_apply_matches_explicit_kraus_sum_on_both_routes(d):
+    rng = np.random.default_rng([20261024, d])
+    c = GeneralizedPauliChannel(d, rng.dirichlet(np.ones(d + 2)))
+    m = canonical_mub(d)
+    rho = random_density(rng, d)
+    p = c.probabilities
+    mub_sum = p[0] * rho
+    for alpha in range(1, d + 2):
+        for k in range(1, d):
+            u = unitary_u(m, alpha, k)
+            mub_sum = mub_sum + p[alpha] / (d - 1.0) * (u @ rho @ u.conj().T)
+    w = gpc_to_weyl(c)
+    weyl_sum = sum(wk * (u @ rho @ u.conj().T) for wk, u in zip(*weyl_kraus_terms(w)))
+    assert np.abs(apply(c, m, rho) - mub_sum).max() <= 1e-14
+    assert np.abs(apply_weyl(w, rho) - weyl_sum).max() <= 1e-14
+    assert np.array_equal(apply(c, None, rho), apply_weyl(w, rho))
+
+
+def test_kraus_terms_errors_reach_every_caller():
+    c3 = GeneralizedPauliChannel(3, [0.2, 0.3, 0.25, 0.15, 0.1])
+    rho = np.eye(3) / 3.0
+    not_a_channel = eigenvalues_from_probabilities(c3)
+    for call in (lambda: kraus_terms(not_a_channel), lambda: superoperator(not_a_channel),
+                 lambda: apply(not_a_channel, None, rho),
+                 lambda: choi_matrix(not_a_channel)):
+        with pytest.raises(TypeError, match="expected a channel, got EigenvalueVector"):
+            call()
+    short = MubSet(3, canonical_mub(3).bases[:3])
+    for m, label in ((canonical_mub(5), "d=5, n=6"), (short, "d=3, n=3")):
+        for call in (lambda: kraus_terms(c3, m), lambda: apply(c3, m, rho)):
+            with pytest.raises(ValueError, match=rf"^basis set \({label}\) does not match "
+                                                 r"channel d=3$"):
+                call()
+    w = gpc_to_weyl(c3)
+    for call in (lambda: kraus_terms(w, canonical_mub(3)),
+                 lambda: apply(w, canonical_mub(3), rho)):
+        with pytest.raises(ValueError, match=r"^basis set \(d=3\) given for a WeylChannel"):
+            call()
+    with pytest.raises(ValueError, match="state shape"):
+        apply(c3, canonical_mub(3), np.eye(2))
+
+
+def test_kraus_terms_basis_route_weights_are_the_multiset():
+    c = GeneralizedPauliChannel(5, np.random.default_rng(3).dirichlet(np.ones(7)))
+    m = canonical_mub(5)
+    weights, ops = kraus_terms(c, m)
+    assert np.array_equal(weights, kraus_probability_multiset(c))
+    assert np.array_equal(ops[0], np.eye(5))
+    assert np.array_equal(ops[1 + 4 * 2 + 3], unitary_u(m, 3, 4))  # alpha 3, k 4
 
 
 def test_gpc_to_weyl_dim4_round_trip(rng):
@@ -265,6 +320,16 @@ def test_classical_map_rows_are_stochastic():
         assert t.shape == (3, 3)
         assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
         assert t.min() >= -1e-12
+
+
+def test_classical_map_rows_stack_every_basis(cp_sampler, rng):
+    lams = cp_sampler(4, 6, rng)
+    rows = classical_map_rows(lams)
+    assert rows.shape == (6, 5, 4, 4)
+    for i, lam in enumerate(lams):
+        e = EigenvalueVector(4, lam)
+        for alpha in range(1, 6):
+            assert np.array_equal(rows[i, alpha - 1], classical_map_t(e, alpha))
 
 
 def test_classical_map_structure():

@@ -132,6 +132,13 @@ def test_capacity_trajectory_rejects_cp_violation():
         capacity_trajectory(traj)
 
 
+def test_capacity_trajectory_names_where_it_leaves_cp():
+    traj = eigenvalue_trajectory(RateSpec.constant(-1.0, 0.0, 0.2), 0.5, 51)
+    with pytest.raises(NotCompletelyPositiveError,
+                       match=r"^trajectory leaves the CP region at t=0\.01$"):
+        capacity_trajectory(traj)
+
+
 def test_trajectory_is_frozen():
     traj = eigenvalue_trajectory(RateSpec.constant(1, 1, 1), 1.0, 11)
     assert isinstance(traj, PauliTrajectory)

@@ -12,9 +12,14 @@ from gpchannels.channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
     canonical_mub,
+    eigenvalues_from_probabilities,
     gpc_to_weyl,
+    kraus_terms,
     probabilities_from_eigenvalues,
+    require_cp,
+    superoperator,
 )
+from gpchannels.errors import NotCompletelyPositiveError
 from gpchannels.mub import build_mubs_prime
 from gpchannels.selfcheck import sample_cp_eigenvalues
 from gpchannels.numerics import von_neumann_entropy
@@ -22,13 +27,11 @@ from gpchannels.oracle import (
     SearchConfig,
     SearchResult,
     _angles_to_state,
-    _kraus_for,
     _output_entropies,
     _params_to_state,
     _polish,
     _qubit_grid,
     _qubit_grid_projectors,
-    _superoperator,
     additivity_report,
     cp_oracle_choi,
     holevo_estimate,
@@ -183,7 +186,8 @@ def test_superoperator_entropies_match_kraus_sum(d, route, cp_sampler):
     rng = np.random.default_rng([20261018, d])
     lam = cp_sampler(d, 1, rng)[0]
     c = probabilities_from_eigenvalues(EigenvalueVector(d, lam))
-    weights, ops = _kraus_for(c, canonical_mub(d) if route == "mub" else None)
+    m = canonical_mub(d) if route == "mub" else None
+    weights, ops = kraus_terms(c, m)
     raw = rng.standard_normal((40, d)) + 1j * rng.standard_normal((40, d))
     states = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     expect = []
@@ -191,7 +195,7 @@ def test_superoperator_entropies_match_kraus_sum(d, route, cp_sampler):
         rho = np.outer(psi, psi.conj())
         out = sum(w * u @ rho @ u.conj().T for w, u in zip(weights, ops))
         expect.append(von_neumann_entropy(out))
-    got = _output_entropies(states, _superoperator(weights, ops))
+    got = _output_entropies(states, superoperator(c, m))
     assert np.abs(got - np.asarray(expect)).max() <= 1e-12
 
 
@@ -201,6 +205,21 @@ def test_weyl_channel_rejects_basis_set():
     for m in (build_mubs_prime(5), canonical_mub(3)):
         with pytest.raises(ValueError, match="basis set"):
             holevo_estimate(gpc_to_weyl(c3), m, cfg)
+
+
+def test_holevo_estimate_accepts_channel_within_sum_tolerance():
+    # the weights sum to 1 - 5e-10, inside the constructor's tolerance; the
+    # eigenvalues miss the Fujiwara-Algoet conditions by 7.5e-10, but weights
+    # on unitaries make a channel that is CP by construction
+    c = GeneralizedPauliChannel(3, [0.0, 0.4, 0.3, 0.3 - 5e-10, 0.0])
+    with pytest.raises(NotCompletelyPositiveError, match="margin -7.500e-10"):
+        require_cp(eigenvalues_from_probabilities(c))
+    assert cp_oracle_choi(c)
+    normalized = GeneralizedPauliChannel(3, c.probabilities / c.probabilities.sum())
+    cfg = SearchConfig(samples=32, refinement_iterations=20)
+    for m in (None, canonical_mub(3)):
+        est = holevo_estimate(c, m, cfg)
+        assert abs(est - holevo_estimate(normalized, m, cfg)) <= 1e-8
 
 
 def test_qubit_grid_is_cached_and_read_only():
@@ -253,7 +272,7 @@ def _entropy_objective(d, route):
     rng = np.random.default_rng([20261019, d])
     lam = sample_cp_eigenvalues(d, 1, rng)[0]
     c = probabilities_from_eigenvalues(EigenvalueVector(d, lam))
-    sup = _superoperator(*_kraus_for(c, canonical_mub(d) if route == "mub" else None))
+    sup = superoperator(c, canonical_mub(d) if route == "mub" else None)
     to_state = _angles_to_state if d == 2 else _params_to_state
     return lambda pts: _output_entropies(to_state(pts), sup)
 
@@ -339,7 +358,7 @@ def test_output_entropies_do_not_depend_on_batch():
 
 
 def _kraus_entropy(channel, m, state):
-    weights, ops = _kraus_for(channel, m)
+    weights, ops = kraus_terms(channel, m)
     rho = np.outer(state, state.conj())
     return von_neumann_entropy(sum(w * u @ rho @ u.conj().T for w, u in zip(weights, ops)))
 
