@@ -7,6 +7,10 @@ vector of eigenvalues lambda_alpha on the traceless part of each basis
 algebra; the probability vector is the source of truth and the eigenvalue
 form is derived.
 
+For a prime power d = p^n the same channel has displacement-product Kraus
+operators (gpc_to_weyl): the d-1 products in weyl_labels(d)[alpha-1] share
+the weight of basis alpha.  Other dimensions have no basis set here.
+
 Every channel action takes one route: kraus_terms -> weighted_gram, which is
 choi_matrix and, reshuffled, the superoperator behind apply, apply_weyl and
 the oracle's output-entropy search.
@@ -21,12 +25,11 @@ import numpy as np
 from .errors import NotCompletelyPositiveError, UnsupportedDimensionError
 from .mub import (
     MubSet,
-    _weyl_matrix,
-    build_mubs_dim4,
-    build_mubs_prime,
-    dim4_triples,
-    is_prime,
+    build_mubs,
+    displacement_products,
+    prime_power,
     unitary_u,
+    weyl_labels,
 )
 from .numerics import CLAMP_TOL, as_distribution
 
@@ -120,22 +123,36 @@ def eigenvalues_from_probabilities(c: GeneralizedPauliChannel) -> EigenvalueVect
 
 
 def probabilities_from_eigenvalues(e: EigenvalueVector) -> GeneralizedPauliChannel:
-    """Invert the spectral map; raises if the result is not a distribution."""
-    d = e.dimension
-    lam = e.values
-    total = lam.sum()
-    p0 = (1.0 + (d - 1.0) * total) / d**2
-    rest = (d - 1.0) * (1.0 + d * lam - total) / d**2
-    p = np.concatenate([[p0], rest])
-    if p.min() < -CLAMP_TOL:
-        raise NotCompletelyPositiveError(
-            f"eigenvalues give negative probability {p.min():.3e}"
-        )
-    return GeneralizedPauliChannel(d, p)
+    """Invert the spectral map (probability_rows); raises if the result is not
+    a distribution."""
+    return GeneralizedPauliChannel(e.dimension, probability_rows(e.values[None, :])[0])
 
 
 def _row_label(i: int, n: int) -> str:
     return f"row {i}: " if n > 1 else ""
+
+
+def probability_rows(lams: np.ndarray) -> np.ndarray:
+    """(N, d+2) mixing probabilities of an (N, d+1) eigenvalue array.
+
+    p_0 = [1 + (d-1) sum(lambda)] / d^2 and
+    p_alpha = (d-1) [1 + d lambda_alpha - sum(lambda)] / d^2.  Raises
+    NotCompletelyPositiveError naming the first row with a probability below
+    -CLAMP_TOL.
+    """
+    d = lams.shape[1] - 1
+    total = lams.sum(axis=1, keepdims=True)
+    p = np.concatenate([(1.0 + (d - 1.0) * total) / d**2,
+                        (d - 1.0) * (1.0 + d * lams - total) / d**2], axis=1)
+    low = p.min(axis=1)
+    bad = low < -CLAMP_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NotCompletelyPositiveError(
+            f"{_row_label(i, p.shape[0])}eigenvalues give negative probability "
+            f"{low[i]:.3e}"
+        )
+    return p
 
 
 def clip_eigenvalue_rows(lams: np.ndarray) -> np.ndarray:
@@ -196,66 +213,25 @@ def require_cp(e: EigenvalueVector) -> None:
     require_cp_rows(e.values[None, :])
 
 
-@lru_cache(maxsize=None)
-def _weyl_family(s: int) -> np.ndarray:
-    mats = np.zeros((s * s, s, s), dtype=complex)
-    for k in range(s):
-        for l in range(s):
-            mats[k * s + l] = _weyl_matrix(s, k, l)
-    return mats
-
-
 def weyl_kraus_terms(w: WeylChannel):
     """(weights, operators) for the nonzero-weight displacement products."""
-    s, r = w.local_dimension, w.parts
-    fam = _weyl_family(s)
     idx = np.nonzero(w.probabilities)[0]
-    dim = w.dimension
-    ops = np.zeros((idx.size, dim, dim), dtype=complex)
-    for row, flat in enumerate(idx):
-        digits = np.unravel_index(flat, (s,) * (2 * r))
-        op = fam[digits[0] * s + digits[1]]
-        for a in range(1, r):
-            op = np.kron(op, fam[digits[2 * a] * s + digits[2 * a + 1]])
-        ops[row] = op
-    return w.probabilities[idx].copy(), ops
+    return (w.probabilities[idx].copy(),
+            displacement_products(w.local_dimension, w.parts, idx))
 
 
 def gpc_to_weyl(c: GeneralizedPauliChannel) -> WeylChannel:
     """Rewrite the channel with displacement-product Kraus operators.
 
-    Prime d: basis alpha in 1..d collects the labels (k, k*(alpha-1) mod d)
-    for k = 1..d-1 and basis d+1 the labels (0, k), each at weight
-    p_alpha/(d-1).  d = 4: the five Pauli-product triples, each member at
-    weight p_alpha/3, with sigma_x -> (0,1), sigma_y -> (1,1), sigma_z -> (1,0)
-    per qubit.
+    d = p^n gives a WeylChannel(p, n): the identity keeps p_0 and each of the
+    d-1 labels in weyl_labels(d)[alpha-1] gets p_alpha/(d-1).
     """
     d = c.dimension
-    p = c.probabilities
-    if is_prime(d):
-        weights = np.zeros((d, d))
-        weights[0, 0] = p[0]
-        share = p[1:] / (d - 1.0)
-        for alpha in range(1, d + 1):
-            for k in range(1, d):
-                weights[k, (k * (alpha - 1)) % d] += share[alpha - 1]
-        for k in range(1, d):
-            weights[0, k] += share[d]
-        return WeylChannel(d, 1, weights.ravel())
-    if d == 4:
-        pair = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
-        weights = np.zeros((2, 2, 2, 2))
-        weights[0, 0, 0, 0] = p[0]
-        share = p[1:] / 3.0
-        for alpha, triple in enumerate(dim4_triples(), start=1):
-            for i, j in triple:
-                k1, l1 = pair[i]
-                k2, l2 = pair[j]
-                weights[k1, l1, k2, l2] += share[alpha - 1]
-        return WeylChannel(2, 2, weights.ravel())
-    raise UnsupportedDimensionError(
-        f"no displacement-operator form for d={d} (prime or 4 required)"
-    )
+    labels = weyl_labels(d)
+    weights = np.zeros(d * d)
+    weights[0] = c.probabilities[0]
+    weights[labels] = (c.probabilities[1:] / (d - 1.0))[:, None]
+    return WeylChannel(*prime_power(d), weights)
 
 
 def kraus_probability_multiset(c: GeneralizedPauliChannel) -> np.ndarray:
@@ -397,9 +373,5 @@ def channel_from_json(obj: dict) -> GeneralizedPauliChannel:
 
 @lru_cache(maxsize=None)
 def canonical_mub(d: int) -> MubSet:
-    """The package's reference basis set for dimension d (prime or 4)."""
-    if is_prime(d):
-        return build_mubs_prime(d)
-    if d == 4:
-        return build_mubs_dim4()
-    raise UnsupportedDimensionError(f"no basis construction for d={d}")
+    """The package's reference basis set for a prime power d: build_mubs, cached."""
+    return build_mubs(d)

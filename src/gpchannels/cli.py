@@ -167,13 +167,15 @@ def _cmd_random_sweep(args) -> int:
     d = args.d
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
-    seed = args.seed
+    seed, source = args.seed, "--seed"
     if seed is None:
-        text = os.environ.get("GPC_SEED", "0")
+        text, source = os.environ.get("GPC_SEED", "0"), "GPC_SEED"
         try:
             seed = int(text)
         except ValueError:
             raise ValueError(f"GPC_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     # reshape: a zero count gives an empty 1-d array
     samples = sample_cp_eigenvalues(d, args.count, rng).reshape(-1, d + 1)

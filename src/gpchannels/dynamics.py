@@ -17,10 +17,16 @@ import numpy as np
 from .capacity import bounds_batch, pauli_classical_capacity  # noqa: F401
 from .channels import cp_margin_rows
 from .errors import NotCompletelyPositiveError
-from .mub import _SIGMA
 from .numerics import CLAMP_TOL
 
 P_DIVISIBILITY_TOL = 1e-10
+
+_SIGMA = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 
 @dataclass(frozen=True)

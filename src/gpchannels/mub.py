@@ -1,50 +1,35 @@
 """Mutually unbiased bases and the unitaries they generate.
 
-A full set of d+1 bases is built for prime d from the eigenbases of the
-discrete displacement operators, and for d = 4 from five commuting triples
-of two-qubit Pauli products.  Each basis alpha carries d-1 traceless
-unitaries U_alpha^k = sum_l omega^{kl} |v_l><v_l| that, together with the
-identity, form an orthogonal operator basis.
+For every prime power d = p^n the nonzero displacement labels split into
+d+1 commuting sets of d-1 (weyl_labels, Wootters & Fields 1989;
+Bandyopadhyay, Boykin, Roychowdhury & Vatan 2002).  Basis alpha is the
+common eigenbasis of set alpha, and the d+1 bases are pairwise unbiased.
+Each basis alpha carries d-1 traceless unitaries
+U_alpha^k = sum_l omega^{kl} |v_l><v_l| that, together with the identity,
+form an orthogonal operator basis.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import UnsupportedDimensionError
 from .numerics import VALIDATION_TOL
 
-_SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
-# Five commuting triples of two-qubit Pauli products (index pairs into
-# _SIGMA); their common eigenbases are pairwise unbiased.
-_DIM4_TRIPLES = (
-    ((0, 1), (1, 0), (1, 1)),
-    ((0, 2), (2, 0), (2, 2)),
-    ((0, 3), (3, 0), (3, 3)),
-    ((1, 2), (2, 3), (3, 1)),
-    ((2, 1), (1, 3), (3, 2)),
-)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def prime_power(d: int) -> Optional[Tuple[int, int]]:
+    """(p, n) with d = p^n and p prime, or None if d is not a prime power."""
+    if d < 2:
+        return None
+    p = next((f for f in range(2, math.isqrt(d) + 1) if d % f == 0), d)
+    n = 0
+    while d % p == 0:
+        d, n = d // p, n + 1
+    return (p, n) if d == 1 else None
 
 
 def _weyl_matrix(d: int, k: int, l: int) -> np.ndarray:
@@ -53,6 +38,82 @@ def _weyl_matrix(d: int, k: int, l: int) -> np.ndarray:
     w = np.zeros((d, d), dtype=complex)
     w[m, (m + l) % d] = np.exp(2j * np.pi * m * k / d)
     return w
+
+
+@lru_cache(maxsize=None)
+def _weyl_family(p: int) -> np.ndarray:
+    """Read-only W_{kl} for every label, at index k*p + l; cached per p."""
+    mats = np.zeros((p * p, p, p), dtype=complex)
+    for k in range(p):
+        for l in range(p):
+            mats[k * p + l] = _weyl_matrix(p, k, l)
+    mats.setflags(write=False)
+    return mats
+
+
+def displacement_products(p: int, n: int, labels) -> np.ndarray:
+    """Stacked W_{a_1 b_1} (x) ... (x) W_{a_n b_n} for flat labels, whose
+    base-p digits are (a_1, b_1, ..., a_n, b_n), most significant first."""
+    fam = _weyl_family(p)
+    ops = np.zeros((len(labels), p ** n, p ** n), dtype=complex)
+    for row, flat in enumerate(labels):
+        digits = np.unravel_index(flat, (p,) * (2 * n))
+        op = fam[digits[0] * p + digits[1]]
+        for j in range(2, 2 * n, 2):
+            op = np.kron(op, fam[digits[j] * p + digits[j + 1]])
+        ops[row] = op
+    return ops
+
+
+def _labels_for_polynomial(p: int, n: int, digits: np.ndarray,
+                           coeffs: np.ndarray) -> np.ndarray:
+    # companion matrix C of x^n + sum_i coeffs[i] x^i, and t[m] = trace(C^m)
+    c = np.zeros((n, n), dtype=np.int64)
+    c[1:, :-1] = np.eye(n - 1, dtype=np.int64)
+    c[:, -1] = -coeffs % p
+    t, power = [], np.eye(n, dtype=np.int64)
+    for _ in range(3 * n - 2):
+        t.append(np.trace(power) % p)
+        power = power @ c % p
+    i = np.arange(n)
+    # M_s[i, j] = trace(S C^{i+j}) with S = sum_k s_k C^k
+    traces = np.asarray(t)[i[:, None, None] + i[:, None] + i]
+    forms = np.einsum("sk,kij->sij", digits, traces)
+    a = digits[1:]
+    b = np.einsum("sij,xj->sxi", forms, a) % p
+    place = (p * p) ** np.arange(n - 1, -1, -1)
+    return np.concatenate([(a * p + b) @ place, (a @ place)[None, :]])
+
+
+@lru_cache(maxsize=None)
+def weyl_labels(d: int) -> np.ndarray:
+    """Read-only (d+1, d-1) flat labels of the displacement set behind each basis.
+
+    d = p^n.  Label (a, b), a and b in Z_p^n, is the displacement product
+    W_{a_1 b_1} (x) ... (x) W_{a_n b_n}, flattened mixed-radix over
+    (a_1, b_1, ..., a_n, b_n), most significant first, as in WeylChannel.
+    Basis alpha <= d, for the field element s whose base-p digits (least
+    significant first) are those of alpha-1, holds (a, M_s a) for a != 0 in
+    digit order, with M_s[i, j] = Tr(s x^i x^j) = trace(S C^{i+j}) mod p.  C
+    is the companion matrix of the first monic degree-n polynomial (lower
+    coefficients the base-p digits of 0, 1, ...) for which the sets
+    partition the d^2-1 nonzero labels, which is the condition that every
+    M_s, s != 0, is invertible.  Basis d+1 holds the shifts (0, b).
+    M_s is symmetric, so each set commutes.  For prime d this is
+    (k, k*(alpha-1)) and (0, k), k = 1..d-1.
+    """
+    pn = prime_power(d)
+    if pn is None:
+        raise UnsupportedDimensionError(
+            f"no basis construction for d={d} (prime power required)")
+    p, n = pn
+    digits = np.arange(d)[:, None] // p ** np.arange(n) % p
+    for coeffs in digits:
+        labels = _labels_for_polynomial(p, n, digits, coeffs)
+        if np.array_equal(np.sort(labels, axis=None), np.arange(1, d * d)):
+            labels.setflags(write=False)
+            return labels
+    raise AssertionError(f"no label partition found for d={d}")
 
 
 @dataclass(frozen=True)
@@ -130,68 +191,50 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v / phase
 
 
-def _cyclic_eigenbasis(g: np.ndarray) -> np.ndarray:
-    """Eigenbasis of a unitary g with g^d = c*I, c unimodular.
+def _cyclic_projectors(g: np.ndarray, p: int) -> list:
+    """Spectral projectors of a unitary g with g^p = c*I, c unimodular.
 
-    Vector l gets the eigenvalue e^{i theta0} omega^l where theta0 is the
-    principal d-th root phase of c; for the generators used here theta0 = 0
-    except for the d = 2 shift-and-phase operator.  Projectors come from the
-    cyclic-group Fourier sum, which is exact up to float arithmetic.
+    Projector l is onto the eigenvalue e^{i theta0} omega^l, omega = e^{2 pi i/p},
+    where theta0 is the principal p-th root phase of c (0 for the
+    generators used here except the p = 2 ones that square to -I).  They
+    come from the cyclic-group Fourier sum, exact up to float arithmetic.
     """
-    d = g.shape[0]
-    powers = [np.eye(d, dtype=complex)]
-    for _ in range(d - 1):
+    dim = g.shape[0]
+    powers = [np.eye(dim, dtype=complex)]
+    for _ in range(p - 1):
         powers.append(powers[-1] @ g)
     full = powers[-1] @ g
     c = full[0, 0]
-    if np.max(np.abs(full - c * np.eye(d))) > VALIDATION_TOL:
-        raise ValueError("operator is not cyclic of order d")
-    theta0 = np.angle(c) / d
-    omega = np.exp(2j * np.pi / d)
-    aligned = [powers[k] * np.exp(-1j * theta0 * k) for k in range(d)]
-    vecs = np.zeros((d, d), dtype=complex)
-    for l in range(d):
-        proj = sum(omega ** (-l * k) * aligned[k] for k in range(d)) / d
-        col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-        v = proj[:, col]
-        vecs[l] = _fix_phase(v / np.linalg.norm(v))
-    return vecs
+    if np.max(np.abs(full - c * np.eye(dim))) > VALIDATION_TOL:
+        raise ValueError(f"operator is not cyclic of order {p}")
+    theta0 = np.angle(c) / p
+    omega = np.exp(2j * np.pi / p)
+    aligned = [powers[k] * np.exp(-1j * theta0 * k) for k in range(p)]
+    return [sum(omega ** (-l * k) * aligned[k] for k in range(p)) / p for l in range(p)]
 
 
-def build_mubs_prime(d: int) -> MubSet:
-    """The d+1 unbiased bases of a prime-dimensional system.
+def build_mubs(d: int) -> MubSet:
+    """The d+1 unbiased bases of a prime-power dimension d = p^n.
 
-    Basis alpha in 1..d is the eigenbasis of the displacement operator with
-    phase index 1 and shift index alpha-1; basis d+1 is the eigenbasis of the
-    plain shift (the Fourier basis).  Vector l of each basis carries the
-    eigenvalue omega^l of its generator, up to the fixed d = 2 phase offset.
+    Basis alpha is the common eigenbasis of the displacement products in
+    weyl_labels(d)[alpha-1], found from its n generators, the labels whose
+    a (b for basis d+1) is a unit vector.  Vector l = (l_1, ..., l_n), mixed
+    radix with l_1 most significant, is the one on which generator j takes
+    its eigenvalue e^{i theta_j} omega_p^{l_j} (_cyclic_projectors).
     """
-    if not is_prime(d):
-        raise UnsupportedDimensionError(f"no prime construction for d={d}")
+    labels = weyl_labels(d)
+    p, n = prime_power(d)
+    units = [p ** j - 1 for j in range(n)]
     bases = np.zeros((d + 1, d, d), dtype=complex)
-    for a in range(d):
-        bases[a] = _cyclic_eigenbasis(_weyl_matrix(d, 1, a))
-    bases[d] = _cyclic_eigenbasis(_weyl_matrix(d, 0, 1))
+    for alpha, row in enumerate(labels):
+        gens = displacement_products(p, n, row[units])
+        for idx, factors in enumerate(itertools.product(
+                *(_cyclic_projectors(g, p) for g in gens))):
+            proj = reduce(np.matmul, factors)
+            col = int(np.argmax(np.linalg.norm(proj, axis=0)))
+            v = proj[:, col]
+            bases[alpha, idx] = _fix_phase(v / np.linalg.norm(v))
     return MubSet(d, bases)
-
-
-def build_mubs_dim4() -> MubSet:
-    """Five unbiased bases of two qubits from commuting Pauli-product triples.
-
-    Each triple is simultaneously diagonalized through the non-degenerate
-    combination B1 + 2*B2; vectors are ordered by descending eigenvalue of
-    that combination, which makes the (sigma_z, sigma_z)-type triple yield the
-    computational basis in natural order.
-    """
-    bases = np.zeros((5, 4, 4), dtype=complex)
-    for a, triple in enumerate(_DIM4_TRIPLES):
-        ops = [np.kron(_SIGMA[i], _SIGMA[j]) for i, j in triple]
-        h = ops[0] + 2.0 * ops[1]
-        w, v = np.linalg.eigh(h)
-        order = np.argsort(-w)
-        for pos, col in enumerate(order):
-            bases[a, pos] = _fix_phase(v[:, col])
-    return MubSet(4, bases)
 
 
 def verify_mub(m: MubSet, tol: float = VALIDATION_TOL) -> bool:
@@ -220,50 +263,18 @@ def unitary_u(m: MubSet, alpha: int, k: int) -> np.ndarray:
 
 
 def check_weyl_correspondence(m: MubSet, tol: float = VALIDATION_TOL) -> bool:
-    """Check that the basis unitaries are displacement operators.
-
-    For odd prime d the exact identity is
-    U_alpha^k = omega^{k(k-1)(alpha-1)/2} W_{k, k(alpha-1)} for alpha <= d and
-    U_{d+1}^k = W_{0k}.  For d = 2 the phase convention breaks down on the
-    shift-and-phase family, so a fixed case table is used:
-    U_1^1 = W_10, U_2^1 = -i W_11, U_3^1 = W_01.
+    """Check that basis alpha diagonalizes every displacement product in
+    weyl_labels(d)[alpha-1], the property gpc_to_weyl relies on: the d-1
+    unitaries of basis alpha and the d-1 products of its label set then give
+    the same channel term, d times the dephasing in basis alpha minus rho.
     """
     d = m.dimension
-    if not is_prime(d) or m.n_bases != d + 1:
+    pn = prime_power(d)
+    if pn is None or m.n_bases != d + 1:
         return False
-    omega = np.exp(2j * np.pi / d)
-
-    if d == 2:
-        table = (
-            _weyl_matrix(2, 1, 0),
-            -1j * _weyl_matrix(2, 1, 1),
-            _weyl_matrix(2, 0, 1),
-        )
-        return all(
-            np.max(np.abs(unitary_u(m, a + 1, 1) - table[a])) <= tol
-            for a in range(3)
-        )
-
-    for alpha in range(1, d + 2):
-        for k in range(1, d):
-            u = unitary_u(m, alpha, k)
-            if alpha <= d:
-                target = omega ** (k * (k - 1) * (alpha - 1) / 2) * _weyl_matrix(
-                    d, k, (k * (alpha - 1)) % d
-                )
-            else:
-                target = _weyl_matrix(d, 0, k)
-            if np.max(np.abs(u - target)) > tol:
-                return False
+    off = 1.0 - np.eye(d)
+    for basis, row in zip(m.bases, weyl_labels(d)):
+        t = basis.conj() @ displacement_products(*pn, row) @ basis.T
+        if np.max(np.abs(t * off)) > tol:
+            return False
     return True
-
-
-def pauli_product(i: int, j: int) -> np.ndarray:
-    """Two-qubit Pauli product sigma_i (x) sigma_j."""
-    return np.kron(_SIGMA[i], _SIGMA[j])
-
-
-def dim4_triples() -> tuple:
-    """The five commuting index triples used by build_mubs_dim4."""
-    return _DIM4_TRIPLES
-

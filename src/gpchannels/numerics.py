@@ -31,7 +31,7 @@ def as_distribution(p, tol: float = VALIDATION_TOL) -> np.ndarray:
     arr[arr < 0.0] = 0.0
     total = arr.sum()
     if abs(total - 1.0) > tol:
-        raise InvalidDistributionError(f"probabilities sum to {total!r}, expected 1")
+        raise InvalidDistributionError(f"probabilities sum to {float(total)!r}, expected 1")
     return arr
 
 

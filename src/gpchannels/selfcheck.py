@@ -23,6 +23,7 @@ from .channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
     apply,
+    canonical_mub,
     choi_matrix,
     classical_map_t,
     cp_margin_rows,
@@ -32,6 +33,7 @@ from .channels import (
     is_completely_positive,
     kraus_probability_multiset,
     probabilities_from_eigenvalues,
+    probability_rows,
     tensor,
 )
 from .dynamics import (
@@ -43,13 +45,11 @@ from .dynamics import (
     p_divisibility_check,
 )
 from .mub import (
-    build_mubs_dim4,
-    build_mubs_prime,
     check_weyl_correspondence,
-    dim4_triples,
-    pauli_product,
+    prime_power,
     unitary_u,
     verify_mub,
+    weyl_labels,
 )
 from .numerics import CLAMP_TOL
 
@@ -134,27 +134,34 @@ def check_reference_on_cp_boundary():
     return ok, f"margin {margin:.2e}"
 
 
-@_check("dim-4 basis triples commute")
-def check_dim4_triples_commute():
-    worst = 0.0
-    for triple in dim4_triples():
-        ops = [pauli_product(i, j) for i, j in triple]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                worst = max(worst, np.max(np.abs(ops[a] @ ops[b] - ops[b] @ ops[a])))
-    return worst <= 1e-12, f"max commutator {worst:.2e}"
+# the prime powers on which the basis construction is checked
+BASIS_DIMS = (2, 3, 4, 5, 7, 8, 9)
 
 
-@_check("basis unitaries are displacement operators")
+@_check("displacement label sets commute and partition")
+def check_label_sets_partition():
+    bad = []
+    for d in BASIS_DIMS:
+        p, n = prime_power(d)
+        labels = weyl_labels(d)
+        digits = np.stack(np.unravel_index(labels, (p,) * (2 * n)), axis=-1)
+        a, b = digits[..., 0::2], digits[..., 1::2]
+        form = (np.einsum("sxi,syi->sxy", b, a) - np.einsum("sxi,syi->sxy", a, b)) % p
+        if form.any() or not np.array_equal(np.sort(labels, axis=None),
+                                            np.arange(1, d * d)):
+            bad.append(d)
+    return not bad, f"d in {BASIS_DIMS}, failing {bad}"
+
+
+@_check("bases diagonalize their displacement labels")
 def check_displacement_correspondence():
-    dims = (2, 3, 5, 7)
-    bad = [d for d in dims if not check_weyl_correspondence(build_mubs_prime(d))]
-    return not bad, f"d in {dims}, failing {bad}"
+    bad = [d for d in BASIS_DIMS if not check_weyl_correspondence(canonical_mub(d))]
+    return not bad, f"d in {BASIS_DIMS}, failing {bad}"
 
 
 @_check("constructed bases are unbiased")
 def check_bases_unbiased():
-    sets = [build_mubs_prime(d) for d in (2, 3, 5, 7)] + [build_mubs_dim4()]
+    sets = [canonical_mub(d) for d in BASIS_DIMS]
     worst = 0.0
     for m in sets:
         n, d = m.n_bases, m.dimension
@@ -168,7 +175,7 @@ def check_bases_unbiased():
 @_check("basis unitaries are channel eigenvectors")
 def check_unitaries_are_eigenvectors():
     lam3, c3 = _random_qutrit(_rng(6))
-    m3 = build_mubs_prime(3)
+    m3 = canonical_mub(3)
     worst = 0.0
     for alpha in range(1, 5):
         for k in range(1, 3):
@@ -180,7 +187,7 @@ def check_unitaries_are_eigenvectors():
 @_check("basis projectors mix with the stated weights")
 def check_projector_weights():
     lam3, c3 = _random_qutrit(_rng(7))
-    m3 = build_mubs_prime(3)
+    m3 = canonical_mub(3)
     worst = 0.0
     for alpha in range(1, 5):
         lam = lam3[alpha - 1]
@@ -265,16 +272,12 @@ def check_lower_bound_weak_additivity():
 
 @_check("region conditions agree across parametrizations")
 def check_region_conditions():
-    ok = True
-    for lam in sample_cp_eigenvalues(3, 200, _rng(14)):
-        c = probabilities_from_eigenvalues(EigenvalueVector(3, lam))
-        total = lam.sum()
-        for alpha in range(1, 5):
-            left = c.probabilities[0] - c.probabilities[alpha] / 2.0
-            right = total - lam[alpha - 1]
-            if abs(right) > 1e-9 and np.sign(left) != np.sign(right):
-                ok = False
-    return ok, ""
+    lams = sample_cp_eigenvalues(3, 200, _rng(14))
+    p = probability_rows(lams)
+    left = p[:, :1] - p[:, 1:] / 2.0
+    right = lams.sum(axis=1, keepdims=True) - lams
+    bad = ((np.abs(right) > 1e-9) & (np.sign(left) != np.sign(right))).any(axis=1)
+    return not bad.any(), f"{int(bad.sum())} of {len(lams)} rows disagree"
 
 
 @_check("Kraus weight multiset structure")

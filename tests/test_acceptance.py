@@ -17,7 +17,7 @@ from gpchannels.channels import (
     probabilities_from_eigenvalues,
 )
 from gpchannels.cli import main
-from gpchannels.mub import build_mubs_prime, unitary_u
+from gpchannels.mub import build_mubs, unitary_u
 from gpchannels.oracle import SearchConfig, holevo_estimate
 from gpchannels.selfcheck import (
     CHECKS,
@@ -84,7 +84,7 @@ def test_criterion_05_cp_criteria_equivalent():
     checked = 0
     agree = True
     for d in (2, 3):
-        m = build_mubs_prime(d)
+        m = build_mubs(d)
         lo = -1.0 / (d - 1)
         box = rng.uniform(lo, 1.0, size=(1000, d + 1))
         for lam in box:

@@ -32,7 +32,7 @@ from gpchannels.errors import (
     NotCompletelyPositiveError,
     UnsupportedDimensionError,
 )
-from gpchannels.mub import MubSet, unitary_u
+from gpchannels.mub import MubSet, unitary_u, weyl_labels
 
 REF_PROBS = [0.25, 0.5, 0.25, 0.0]
 
@@ -147,7 +147,7 @@ def test_apply_matches_weyl_route(d, rng):
     assert np.allclose(apply(c, m, rho), apply_weyl(gpc_to_weyl(c), rho), atol=1e-10)
 
 
-@pytest.mark.parametrize("d", (2, 3, 4, 5, 7))
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 7, 8, 9))
 def test_apply_matches_explicit_kraus_sum_on_both_routes(d):
     rng = np.random.default_rng([20261024, d])
     c = GeneralizedPauliChannel(d, rng.dirichlet(np.ones(d + 2)))
@@ -217,9 +217,20 @@ def test_gpc_to_weyl_dim4_round_trip(rng):
 
 
 def test_gpc_to_weyl_rejects_unsupported_dimension():
-    c = GeneralizedPauliChannel(6, np.full(8, 1.0 / 8))
-    with pytest.raises(UnsupportedDimensionError):
-        gpc_to_weyl(c)
+    for d in (6, 10, 12):
+        c = GeneralizedPauliChannel(d, np.full(d + 2, 1.0 / (d + 2)))
+        with pytest.raises(UnsupportedDimensionError, match=rf"d={d} "):
+            gpc_to_weyl(c)
+
+
+@pytest.mark.parametrize("d, p, n", [(2, 2, 1), (4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2)])
+def test_gpc_to_weyl_spreads_each_weight_over_its_labels(d, p, n):
+    probs = np.random.default_rng([20261018, d]).dirichlet(np.ones(d + 2))
+    w = gpc_to_weyl(GeneralizedPauliChannel(d, probs))
+    assert (w.local_dimension, w.parts) == (p, n)
+    assert w.probabilities[0] == probs[0]
+    assert np.array_equal(w.probabilities[weyl_labels(d)],
+                          np.repeat(probs[1:, None] / (d - 1.0), d - 1, axis=1))
 
 
 def test_kraus_probability_multiset_layout():
@@ -353,5 +364,6 @@ def test_weyl_channel_validates_size():
 def test_canonical_mub_caches_and_covers_dim4():
     assert canonical_mub(4).n_bases == 5
     assert canonical_mub(3) is canonical_mub(3)
-    with pytest.raises(UnsupportedDimensionError):
-        canonical_mub(6)
+    for d in (6, 10, 12):
+        with pytest.raises(UnsupportedDimensionError, match=rf"d={d} "):
+            canonical_mub(d)

@@ -10,8 +10,8 @@ LN2 = np.log(2.0)
 VERIFY_CHECK_NAMES = [
     "probability/eigenvalue map round trip",
     "reference channel on the CP boundary",
-    "dim-4 basis triples commute",
-    "basis unitaries are displacement operators",
+    "displacement label sets commute and partition",
+    "bases diagonalize their displacement labels",
     "constructed bases are unbiased",
     "basis unitaries are channel eigenvectors",
     "basis projectors mix with the stated weights",
@@ -71,6 +71,12 @@ def test_bounds_rejects_noncp(capsys):
     code, _, err = run(capsys, "bounds", "--d", "2", "--lambdas", "0.9,0.9,-0.9")
     assert code == 2
     assert "error:" in err
+
+
+def test_cp_check_reports_bad_sum_as_a_float(capsys):
+    code, out, err = run(capsys, "cp-check", "--d", "3", "--probs", "0.2,0.2,0.2,0.2,0.3")
+    assert (code, out) == (2, "")
+    assert err == "error: probabilities sum to 1.1, expected 1\n"
 
 
 def test_bounds_rejects_wrong_length(capsys):
@@ -221,6 +227,17 @@ def test_random_sweep_rejects_non_integer_seed_variable(monkeypatch, capsys):
         assert code == 2
         assert out == ""
         assert "GPC_SEED" in err and "Traceback" not in err
+
+
+def test_random_sweep_rejects_negative_seed(monkeypatch, capsys):
+    monkeypatch.delenv("GPC_SEED", raising=False)
+    code, out, err = run(capsys, "random-sweep", "--d", "3", "--count", "4", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    monkeypatch.setenv("GPC_SEED", "-1")
+    code, out, err = run(capsys, "random-sweep", "--d", "3", "--count", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: GPC_SEED must be a non-negative integer, got -1\n"
 
 
 def test_random_sweep_default_seed_is_zero(monkeypatch, capsys):

@@ -4,29 +4,36 @@ import pytest
 from gpchannels.errors import UnsupportedDimensionError
 from gpchannels.mub import (
     MubSet,
-    build_mubs_dim4,
-    build_mubs_prime,
+    build_mubs,
     check_weyl_correspondence,
-    dim4_triples,
-    is_prime,
-    pauli_product,
+    displacement_products,
+    prime_power,
     unitary_u,
     verify_mub,
+    weyl_labels,
     weyl_operator,
 )
 
 PRIMES = (2, 3, 5, 7, 11)
+PRIME_POWERS = (4, 8, 9, 16, 25, 27)
 
 
 def test_is_prime_small_values():
-    assert [n for n in range(2, 14) if is_prime(n)] == [2, 3, 5, 7, 11, 13]
-    assert not is_prime(1)
-    assert not is_prime(0)
+    assert [n for n in range(2, 14) if prime_power(n) == (n, 1)] == [2, 3, 5, 7, 11, 13]
+    assert prime_power(1) is None
+    assert prime_power(0) is None
+
+
+def test_prime_power_small_values():
+    assert [prime_power(n) for n in (4, 8, 9, 16, 25, 27, 125)] == [
+        (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (5, 3)]
+    for n in (-4, 6, 10, 12, 36, 100):
+        assert prime_power(n) is None
 
 
 @pytest.mark.parametrize("d", PRIMES)
 def test_prime_set_has_d_plus_1_orthonormal_bases(d):
-    m = build_mubs_prime(d)
+    m = build_mubs(d)
     assert m.n_bases == d + 1
     for alpha in range(1, d + 2):
         b = m.basis(alpha)
@@ -35,7 +42,7 @@ def test_prime_set_has_d_plus_1_orthonormal_bases(d):
 
 @pytest.mark.parametrize("d", PRIMES)
 def test_prime_set_unbiased(d):
-    m = build_mubs_prime(d)
+    m = build_mubs(d)
     assert verify_mub(m)
     # spot check one cross overlap exactly
     v = m.basis(1)[0]
@@ -43,10 +50,41 @@ def test_prime_set_unbiased(d):
     assert abs(abs(np.vdot(v, w)) ** 2 - 1.0 / d) < 1e-10
 
 
-def test_build_mubs_prime_rejects_composite():
-    for d in (4, 6, 9):
-        with pytest.raises(UnsupportedDimensionError):
-            build_mubs_prime(d)
+def test_build_mubs_rejects_non_prime_powers():
+    for d in (1, 6, 10, 12):
+        with pytest.raises(UnsupportedDimensionError, match=rf"d={d} "):
+            build_mubs(d)
+        with pytest.raises(UnsupportedDimensionError, match=rf"d={d} "):
+            weyl_labels(d)
+
+
+@pytest.mark.parametrize("d", PRIMES)
+def test_weyl_labels_prime_form(d):
+    # basis alpha <= d holds (k, k(alpha-1)), basis d+1 the shifts (0, k)
+    k = np.arange(1, d)
+    expect = [k * d + k * s % d for s in range(d)] + [k]
+    assert np.array_equal(weyl_labels(d), expect)
+
+
+@pytest.mark.parametrize("d", PRIMES + PRIME_POWERS)
+def test_weyl_labels_partition_into_commuting_sets(d):
+    p, n = prime_power(d)
+    labels = weyl_labels(d)
+    assert labels.shape == (d + 1, d - 1)
+    assert np.array_equal(np.sort(labels, axis=None), np.arange(1, d * d))
+    if d <= 16:
+        for row in labels:
+            ops = displacement_products(p, n, row)
+            for a in ops:
+                for b in ops:
+                    assert np.max(np.abs(a @ b - b @ a)) < 1e-12
+
+
+def test_weyl_labels_cached_and_read_only():
+    labels = weyl_labels(8)
+    assert weyl_labels(8) is labels
+    with pytest.raises(ValueError):
+        labels[0, 0] = 0
 
 
 def test_weyl_operator_composition(rng):
@@ -73,20 +111,20 @@ def test_weyl_operator_unitary_and_modular_labels():
 
 @pytest.mark.parametrize("d", (2, 3, 5, 7))
 def test_basis_unitaries_are_displacements(d):
-    assert check_weyl_correspondence(build_mubs_prime(d))
+    assert check_weyl_correspondence(build_mubs(d))
 
 
 def test_correspondence_rejects_relabelled_bases():
     # still unbiased, but the Weyl form of a channel assumes the canonical labels
-    m = build_mubs_prime(5)
-    swapped = MubSet(5, m.bases[[0, 2, 1, 3, 4, 5]])
-    assert verify_mub(swapped)
-    assert not check_weyl_correspondence(swapped)
+    for d, order in ((5, [0, 2, 1, 3, 4, 5]), (8, [1, 0] + list(range(2, 9)))):
+        swapped = MubSet(d, build_mubs(d).bases[order])
+        assert verify_mub(swapped)
+        assert not check_weyl_correspondence(swapped)
 
 
 @pytest.mark.parametrize("d", (3, 5))
 def test_unitary_u_powers(d):
-    m = build_mubs_prime(d)
+    m = build_mubs(d)
     u1 = unitary_u(m, 2, 1)
     acc = u1.copy()
     for k in range(2, d):
@@ -98,7 +136,7 @@ def test_unitary_u_powers(d):
 
 def test_unitary_u_eigenvectors():
     d = 5
-    m = build_mubs_prime(d)
+    m = build_mubs(d)
     omega = np.exp(2j * np.pi / d)
     u = unitary_u(m, 3, 1)
     for l in range(d):
@@ -107,46 +145,23 @@ def test_unitary_u_eigenvectors():
 
 
 def test_unitary_u_rejects_bad_power():
-    m = build_mubs_prime(3)
+    m = build_mubs(3)
     with pytest.raises(ValueError):
         unitary_u(m, 1, 0)
     with pytest.raises(ValueError):
         unitary_u(m, 1, 3)
 
 
-def test_dim4_triples_commute_and_close():
-    for triple in dim4_triples():
-        ops = [pauli_product(i, j) for i, j in triple]
-        for a in range(3):
-            for b in range(3):
-                comm = ops[a] @ ops[b] - ops[b] @ ops[a]
-                assert np.max(np.abs(comm)) < 1e-12
-        # third element is the product of the first two up to phase
-        prod = ops[0] @ ops[1]
-        ratio = prod @ np.linalg.inv(ops[2])
-        assert np.allclose(ratio, ratio[0, 0] * np.eye(4), atol=1e-12)
-        assert abs(abs(ratio[0, 0]) - 1.0) < 1e-12
-
-
-def test_dim4_set_unbiased():
-    m = build_mubs_dim4()
-    assert m.n_bases == 5
+@pytest.mark.parametrize("d", PRIME_POWERS)
+def test_prime_power_set_is_unbiased_and_diagonalizes_its_labels(d):
+    m = build_mubs(d)
+    assert m.n_bases == d + 1
     assert verify_mub(m)
-
-
-def test_dim4_bases_diagonalize_their_triples():
-    m = build_mubs_dim4()
-    for alpha, triple in enumerate(dim4_triples(), start=1):
-        b = m.basis(alpha)
-        for i, j in triple:
-            op = pauli_product(i, j)
-            transformed = b.conj() @ op @ b.T
-            off = transformed - np.diag(np.diag(transformed))
-            assert np.max(np.abs(off)) < 1e-10
+    assert check_weyl_correspondence(m)
 
 
 def test_mubset_json_round_trip():
-    m = build_mubs_prime(3)
+    m = build_mubs(3)
     again = MubSet.from_json(m.to_json())
     assert again.dimension == 3
     assert np.allclose(again.bases, m.bases, atol=1e-15)
@@ -158,7 +173,7 @@ def test_mubset_validates_shape():
 
 
 def test_basis_label_out_of_range():
-    m = build_mubs_prime(2)
+    m = build_mubs(2)
     with pytest.raises(ValueError):
         m.basis(0)
     with pytest.raises(ValueError):

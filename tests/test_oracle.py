@@ -12,7 +12,9 @@ from gpchannels.channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
     canonical_mub,
+    choi_matrix,
     eigenvalues_from_probabilities,
+    fujiwara_algoet_margin,
     gpc_to_weyl,
     kraus_terms,
     probabilities_from_eigenvalues,
@@ -20,9 +22,9 @@ from gpchannels.channels import (
     superoperator,
 )
 from gpchannels.errors import NotCompletelyPositiveError
-from gpchannels.mub import build_mubs_prime
+from gpchannels.mub import build_mubs
 from gpchannels.selfcheck import sample_cp_eigenvalues
-from gpchannels.numerics import von_neumann_entropy
+from gpchannels.numerics import CLAMP_TOL, von_neumann_entropy
 from gpchannels.oracle import (
     SearchConfig,
     SearchResult,
@@ -76,6 +78,26 @@ def test_cp_oracle_matches_margin(cp_sampler, rng):
     for lam in cp_sampler(3, 20, rng):
         c = probabilities_from_eigenvalues(EigenvalueVector(3, lam))
         assert cp_oracle_choi(c)
+
+
+@pytest.mark.parametrize("d", (8, 9))
+def test_cp_oracle_matches_margin_on_prime_powers(d):
+    # Dirichlet weights, not sample_cp_eigenvalues: rejection from the
+    # eigenvalue box accepts about 2.5e-5 of its draws at d = 8
+    rng = np.random.default_rng([20261018, d])
+    probs = rng.dirichlet(np.ones(d + 2), size=8)
+    probs[4:6, 0] = 0.0
+    probs[6:, 1:3] = 0.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    for i, p in enumerate(probs):
+        c = GeneralizedPauliChannel(d, p)
+        margin = fujiwara_algoet_margin(eigenvalues_from_probabilities(c))
+        choi_min = np.linalg.eigvalsh(choi_matrix(c)).min()
+        assert cp_oracle_choi(c) and margin >= -CLAMP_TOL
+        if i >= 4:  # a zero weight puts the channel on the CP boundary
+            assert abs(margin) <= 1e-12 and abs(choi_min) <= 1e-12
+        else:
+            assert margin > 1e-6 and choi_min > 1e-9
 
 
 def test_min_output_entropy_identity_channel():
@@ -202,7 +224,7 @@ def test_superoperator_entropies_match_kraus_sum(d, route, cp_sampler):
 def test_weyl_channel_rejects_basis_set():
     c3 = probabilities_from_eigenvalues(EigenvalueVector(3, [0.5, 0.2, 0.1, 0.0]))
     cfg = SearchConfig(samples=8, refinement_iterations=0)
-    for m in (build_mubs_prime(5), canonical_mub(3)):
+    for m in (build_mubs(5), canonical_mub(3)):
         with pytest.raises(ValueError, match="basis set"):
             holevo_estimate(gpc_to_weyl(c3), m, cfg)
 
