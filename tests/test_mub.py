@@ -160,6 +160,24 @@ def test_prime_power_set_is_unbiased_and_diagonalizes_its_labels(d):
     assert check_weyl_correspondence(m)
 
 
+def test_dim4_set_unbiased():
+    m = build_mubs(4)
+    assert m.n_bases == 5
+    assert verify_mub(m)
+
+
+def test_dim4_bases_diagonalize_their_triples():
+    m = build_mubs(4)
+    labels = weyl_labels(4)
+    assert labels.shape == (5, 3)
+    for alpha, triple in enumerate(labels, start=1):
+        b = m.basis(alpha)
+        for op in displacement_products(2, 2, triple):
+            transformed = b.conj() @ op @ b.T
+            off = transformed - np.diag(np.diag(transformed))
+            assert np.max(np.abs(off)) < 1e-10
+
+
 def test_mubset_json_round_trip():
     m = build_mubs(3)
     again = MubSet.from_json(m.to_json())
