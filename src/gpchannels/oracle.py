@@ -3,8 +3,12 @@ positivity, and additivity probes for the closed-form capacity bounds.
 
 The search and the Choi oracle use only the Kraus operators, through the
 package's one route kraus_terms -> weighted_gram (superoperator, choi_matrix).
+The search evaluates grid, Kraus-eigenvector and random pure states and
+polishes the best with conditional-gradient steps, which certify a
+stationary point through their Frank-Wolfe gap.
 """
 
+import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -16,6 +20,7 @@ from .channels import (
     GeneralizedPauliChannel,
     choi_matrix,
     eigenvalues_from_probabilities,
+    kraus_terms,
     superoperator,
     tensor,
 )
@@ -27,6 +32,8 @@ from .mub import MubSet
 
 CHOI_PSD_TOL = 1e-9
 
+_log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -34,7 +41,9 @@ class SearchConfig:
 
     grid_resolution: polar divisions of the qubit state-space grid (the
     azimuthal count is twice that); doubling it refines the grid in place.
-    samples: random pure states drawn for d >= 3.
+    samples: random pure states drawn for d >= 3; the best three are polished.
+    refinement_iterations: cap on the conditional-gradient iterations of each
+    polished start; 0 skips the polish.
     """
 
     grid_resolution: int = 64
@@ -69,18 +78,22 @@ def _projector_rows(states: np.ndarray) -> np.ndarray:
     return (states[:, :, None] * states.conj()[:, None, :]).reshape(n, dim * dim)
 
 
-def _entropies_from_projectors(rho: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Entropy of S vec(rho) for each row of rho, all rows in one GEMM.
+def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat, with a single row doubled: BLAS takes one row through gemv,
+    whose rounding differs from gemm's, so this keeps each row's result the
+    same bits whatever batch it arrives in."""
+    n = rows.shape[0]
+    if n == 1:
+        rows = np.concatenate([rows, rows])
+    return (rows @ mat)[:n]
 
-    BLAS takes a single row through gemv, whose rounding differs from
-    gemm's; such a row is doubled so that every state's entropy is the same
-    bits whatever batch it arrives in.
-    """
+
+def _entropies_from_projectors(rho: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Entropy of S vec(rho) for each row of rho, all rows in one GEMM; each
+    state's entropy is the same bits whatever batch it arrives in."""
     n = rho.shape[0]
     dim = isqrt(sup.shape[0])
-    if n == 1:
-        rho = np.concatenate([rho, rho])
-    out = (rho @ sup.T)[:n].reshape(n, dim, dim)
+    out = _rows_times(rho, sup.T).reshape(n, dim, dim)
     if dim == 2:
         a = out[:, 0, 0].real
         dd = out[:, 1, 1].real
@@ -125,109 +138,82 @@ def _qubit_grid_projectors(resolution: int) -> np.ndarray:
     return rho
 
 
-def _angles_to_state(angles: np.ndarray) -> np.ndarray:
-    """Qubit states from (theta, phi) rows."""
-    th, ph = angles[:, 0], angles[:, 1]
-    return np.stack([np.cos(th / 2.0), np.exp(1j * ph) * np.sin(th / 2.0)], axis=1)
+# a polished start is certified stationary once its Frank-Wolfe gap is this small
+_GAP_TOL = 1e-13
+# output eigenvalues are clamped here before the log: pure outputs have zeros,
+# and a floor near float resolution keeps A's scale, and so the rounding of
+# its gap, well below _GAP_TOL
+_EIG_FLOOR = 1e-16
 
 
-def _params_to_state(x: np.ndarray) -> np.ndarray:
-    """Normalized states from (real parts, imaginary parts) rows.
+def _gradient_matrices(states: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """A = Phi^dagger(log Phi(psi psi^dagger)) for each pure state (rows).
 
-    A row of norm below 1e-12 maps to the first basis vector.
+    The gradient of -S(Phi(P)) at P = psi psi^dagger is A + I.  On row-major
+    vec rows Phi is rows @ sup.T and its adjoint rows @ sup.conj().
     """
-    dim = x.shape[1] // 2
-    v = x[:, :dim] + 1j * x[:, dim:]
-    norm = np.linalg.norm(v, axis=1)
-    tiny = norm < 1e-12
-    v[tiny] = 0.0
-    v[tiny, 0] = 1.0
-    norm[tiny] = 1.0
-    return v / norm[:, None]
+    n, dim = states.shape
+    out = _rows_times(_projector_rows(states), sup.T).reshape(n, dim, dim)
+    w, v = np.linalg.eigh(out)
+    logs = (v * np.log(np.maximum(w, _EIG_FLOOR))[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return _rows_times(logs.reshape(n, dim * dim), sup.conj()).reshape(n, dim, dim)
 
 
-# scipy's initial-simplex steps and non-adaptive Nelder-Mead coefficients,
-# and the search's tolerances
-_NONZDELT, _ZDELT = 0.05, 0.00025
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-_XATOL, _FATOL = 1e-12, 1e-14
+def _polish(states: np.ndarray, sup: np.ndarray, max_iterations: int):
+    """Conditional-gradient steps psi <- top eigenvector of A(psi), in lockstep.
 
-
-def _polish(objective, x0: np.ndarray, cfg: SearchConfig):
-    """Nelder-Mead minima of a batch objective from each row of x0, in lockstep.
-
-    objective maps (n, N) points to (n,) values.  Each start follows
-    scipy's minimize(method="Nelder-Mead") without adaptive coefficients,
-    with maxiter = cfg.refinement_iterations, xatol = 1e-12, fatol = 1e-14
-    and no cap on evaluations, and stops on its own.  Each iteration
-    evaluates the reflection, expansion and both contraction points of every
-    running start in one objective call, and the shrunk simplices in one
-    more; an objective that gives each row the same value whatever batch it
-    is in therefore reproduces scipy's path.  Returns the best point, its
-    value, the iteration count and whether the tolerances were met, one
-    entry per start.
+    -S(Phi(P)) is convex in P, so moving to the top eigenvector Q of A lowers
+    the output entropy by at least the Frank-Wolfe gap
+    lambda_max(A) - <psi|A|psi>, which is zero exactly at stationary points.
+    Each start stops once its gap is at most _GAP_TOL (converged) or after
+    max_iterations gap evaluations, and does not depend on the others.
+    Returns the final states, then per start the iteration count, whether it
+    converged and its last gap.
     """
-    k, n = x0.shape
-    rows = np.arange(k)[:, None]
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    step = np.arange(n)
-    sim[:, step + 1, step] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
-    fsim = objective(sim.reshape(-1, n)).reshape(k, n + 1)
-    order = np.argsort(fsim, axis=1)
-    sim, fsim = sim[rows, order], fsim[rows, order]
-    iterations = np.ones(k, dtype=int)
+    states = states.copy()
+    k = states.shape[0]
+    iterations = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
-    # candidate points a * xbar - b * worst: reflection, expansion, outside
-    # and inside contraction, with scipy's coefficient expressions (the
-    # inside one's + psi * worst is subtracted negated, which is exact)
-    coef_a = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])[:, None]
-    coef_b = np.array([_RHO, _RHO * _CHI, _PSI * _RHO, -_PSI])[:, None]
-    while True:
-        live = np.flatnonzero((iterations < cfg.refinement_iterations) & ~converged)
-        if live.size == 0:
-            break
-        s, f = sim[live], fsim[live]
-        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _XATOL)
-                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= _FATOL))
-        if done.any():
-            converged[live[done]] = True
-            live, s, f = live[~done], s[~done], f[~done]
-            if live.size == 0:
-                break
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        pts = coef_a * xbar[:, None, :] - coef_b * s[:, -1:, :]
-        fp = objective(pts.reshape(-1, n)).reshape(-1, 4)
-        fxr, fxe, fxc, fxcc = fp.T
-        # which candidate replaces the worst vertex; -1 shrinks the simplex
-        pick = np.where(
-            fxr < f[:, 0], np.where(fxe < fxr, 1, 0),
-            np.where(fxr < f[:, -2], 0,
-                     np.where(fxr < f[:, -1], np.where(fxc <= fxr, 2, -1),
-                              np.where(fxcc < f[:, -1], 3, -1))))
-        take = np.flatnonzero(pick >= 0)
-        s[take, -1], f[take, -1] = pts[take, pick[take]], fp[take, pick[take]]
-        shrink = np.flatnonzero(pick < 0)
-        if shrink.size:
-            best = s[shrink, :1]
-            s[shrink, 1:] = best + _SIGMA * (s[shrink, 1:] - best)
-            f[shrink, 1:] = objective(s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+    gaps = np.zeros(k)
+    live = np.arange(k)
+    while live.size:
+        psi = states[live]
+        a = _gradient_matrices(psi, sup)
+        w, v = np.linalg.eigh(a)
+        expect = np.sum(psi.conj() * (a @ psi[:, :, None])[:, :, 0], axis=1).real
+        gap = w[:, -1] - expect
         iterations[live] += 1
-        order = np.argsort(f, axis=1)
-        sub = np.arange(live.size)[:, None]
-        sim[live], fsim[live] = s[sub, order], f[sub, order]
-    return sim[:, 0], fsim.min(axis=1), iterations, converged
+        gaps[live] = gap
+        done = gap <= _GAP_TOL
+        converged[live[done]] = True
+        states[live[~done]] = v[~done, :, -1]
+        live = live[~done & (iterations[live] < max_iterations)]
+    return states, iterations, converged, gaps
+
+
+def _kraus_eigenvectors(channel, m: Optional[MubSet]) -> np.ndarray:
+    """Normalized eigenvectors (rows) of every operator in kraus_terms(channel, m).
+
+    One batched eig.  A degenerate spectrum (the identity, two-copy products,
+    prime-power displacement products) gives an arbitrary eigenbasis of each
+    eigenspace.
+    """
+    _, ops = kraus_terms(channel, m)
+    vecs = np.linalg.eig(ops)[1].transpose(0, 2, 1).reshape(-1, ops.shape[1])
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
 class SearchResult:
     """Where the minimum-output-entropy search found its minimum.
 
-    entropy is the smaller of grid_entropy (the best sampled or grid state)
-    and polished_entropy (the best Nelder-Mead polish; None when
+    entropy is the smaller of grid_entropy (the best grid, sampled or warm
+    start state) and polished_entropy (the best polished start; None when
     refinement_iterations is 0).  state is the input state that attains
-    entropy.  iterations and converged hold, per polished start, the
-    Nelder-Mead iteration count and whether it met xatol and fatol before
-    refinement_iterations ran out.
+    entropy.  iterations and converged hold, per polished start, the number
+    of conditional-gradient iterations and whether the start was certified
+    stationary (Frank-Wolfe gap at most 1e-13) before refinement_iterations
+    ran out.
     """
 
     entropy: float
@@ -243,10 +229,15 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
     """Brute-force search for the minimal output entropy over pure inputs.
 
     Qubits use a nested polar/azimuthal grid (finer resolutions contain the
-    coarser points, so the raw grid minimum never increases); higher
-    dimensions use seeded random states plus deterministic warm starts.  The
-    best candidates (the grid minimum for qubits, the best three otherwise)
-    are polished together with Nelder-Mead when refinement_iterations > 0.
+    coarser points, so the raw grid minimum never increases) and polish its
+    minimum.  Higher dimensions evaluate the eigenvectors of every Kraus
+    operator as warm starts plus seeded random states, and polish the best
+    three random states (the best three starts when samples is 0): the warm
+    starts of a generalized Pauli channel are basis vectors, which are
+    stationary points already, so polishing them would change nothing.  The
+    polish is a batched conditional-gradient step on pure states (_polish),
+    run when refinement_iterations > 0; a warning is logged when the best
+    polished start is not certified stationary.
     """
     cfg = cfg or SearchConfig()
     sup = superoperator(channel, m)
@@ -255,14 +246,10 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
     if dim == 2:
         states = _qubit_grid(cfg.grid_resolution)
         ents = _entropies_from_projectors(_qubit_grid_projectors(cfg.grid_resolution), sup)
-        idx = ents.argmin()
-        x0 = np.pi * np.array([[idx // (2 * cfg.grid_resolution),
-                                idx % (2 * cfg.grid_resolution)]]) / cfg.grid_resolution
-        to_state = _angles_to_state
+        idx = int(ents.argmin())
+        polish = [idx]
     else:
-        starts = [np.eye(dim, dtype=complex)]
-        if isinstance(channel, GeneralizedPauliChannel) and m is not None:
-            starts.append(m.bases.reshape(-1, dim))
+        starts = [_kraus_eigenvectors(channel, m)]
         if cfg.samples > 0:
             rng = np.random.default_rng(cfg.seed)
             raw = rng.standard_normal((cfg.samples, dim)) + 1j * rng.standard_normal(
@@ -271,21 +258,25 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
             starts.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
         states = np.concatenate(starts, axis=0)
         ents = _output_entropies(states, sup)
-        best3 = np.argsort(ents)[:3]
-        idx = best3[0]
-        x0 = np.concatenate([states[best3].real, states[best3].imag], axis=1)
-        to_state = _params_to_state
+        idx = int(ents.argmin())
+        first = len(states) - cfg.samples if cfg.samples > 0 else 0
+        polish = first + np.argsort(ents[first:])[:3]
 
     grid_entropy = float(ents[idx])
     state = states[idx].copy()
     if cfg.refinement_iterations == 0:
         return SearchResult(grid_entropy, grid_entropy, None, state, (), ())
-    x, fun, iterations, converged = _polish(
-        lambda pts: _output_entropies(to_state(pts), sup), x0, cfg)
+    final, iterations, converged, gaps = _polish(
+        states[polish], sup, cfg.refinement_iterations)
+    fun = _output_entropies(final, sup)
     j = int(fun.argmin())
     polished = float(fun[j])
+    if not converged[j]:
+        _log.warning(
+            "output-entropy search (d=%d): best polished start not stationary after "
+            "%d iterations, Frank-Wolfe gap %.3e", dim, iterations[j], gaps[j])
     if polished < grid_entropy:
-        state = to_state(x[j:j + 1])[0]
+        state = final[j]
     return SearchResult(
         entropy=min(grid_entropy, polished),
         grid_entropy=grid_entropy,

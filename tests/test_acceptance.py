@@ -13,6 +13,9 @@ from gpchannels.capacity import (
 )
 from gpchannels.channels import (
     EigenvalueVector,
+    GeneralizedPauliChannel,
+    canonical_mub,
+    eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
     probabilities_from_eigenvalues,
 )
@@ -122,6 +125,46 @@ def test_criterion_06_search_estimate_sandwich():
             f"reference error {err_ref:.3e} <= 1e-4, "
             f"min est-low {worst_low:.3e} >= -1e-4, "
             f"max est-up {worst_up:.3e} <= 1e-6")
+
+
+def _sandwich_channels(d):
+    if d <= 7:
+        lams = sample_cp_eigenvalues(d, 30, np.random.default_rng(9))
+        return [probabilities_from_eigenvalues(EigenvalueVector(d, lam)) for lam in lams]
+    # Dirichlet weights: rejection from the eigenvalue box accepts about
+    # 2.5e-5 of its draws at d = 8
+    probs = np.random.default_rng([9, d]).dirichlet(np.ones(d + 2), 10)
+    return [GeneralizedPauliChannel(d, p) for p in probs]
+
+
+@pytest.mark.parametrize("route", ["weyl", "mub"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
+def test_search_sandwiched_on_every_route(d, route):
+    channels = _sandwich_channels(d)
+    lams = np.array([eigenvalues_from_probabilities(c).values for c in channels])
+    b = bounds_batch(lams)
+    m = canonical_mub(d) if route == "mub" else None
+    est = np.array([holevo_estimate(c, m) for c in channels])
+    worst_low = np.min(est - b.chi_low)
+    worst_up = np.max(est - b.chi_up)
+    ok = worst_low >= -1e-12 and worst_up <= 1e-12
+    _report(f"search sandwiched by the bounds, d={d}, {route} route, "
+            f"{len(channels)} channels", ok,
+            f"min est-low {worst_low:.3e} >= -1e-12, max est-up {worst_up:.3e} <= 1e-12")
+
+
+@pytest.mark.parametrize("route", ["weyl", "mub"])
+def test_search_estimate_above_chi_low_witnesses(route):
+    # channels where chi_low is not the capacity: the search finds more
+    worst = 0.0
+    for lam, expect in (([-1 / 9] + [1 / 6] * 4, 0.038362),
+                        ([-0.09375] + [0.125] * 5, 0.029969)):
+        d = len(lam) - 1
+        c = probabilities_from_eigenvalues(EigenvalueVector(d, lam))
+        m = canonical_mub(d) if route == "mub" else None
+        worst = max(worst, abs(holevo_estimate(c, m) - expect))
+    _report(f"search pins the chi_low < chi witnesses, {route} route", worst <= 1e-5,
+            f"max |est - pinned| {worst:.3e} <= 1e-5")
 
 
 def test_criterion_07_block_forms_agree_and_are_continuous():

@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from gpchannels.capacity import holevo_lower_bound, holevo_upper_bound
 from gpchannels.channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
+    WeylChannel,
     canonical_mub,
     choi_matrix,
     eigenvalues_from_probabilities,
@@ -22,15 +24,14 @@ from gpchannels.channels import (
     superoperator,
 )
 from gpchannels.errors import NotCompletelyPositiveError
-from gpchannels.mub import build_mubs
+from gpchannels.mub import build_mubs, prime_power
 from gpchannels.selfcheck import sample_cp_eigenvalues
 from gpchannels.numerics import CLAMP_TOL, von_neumann_entropy
 from gpchannels.oracle import (
     SearchConfig,
     SearchResult,
-    _angles_to_state,
+    _gradient_matrices,
     _output_entropies,
-    _params_to_state,
     _polish,
     _qubit_grid,
     _qubit_grid_projectors,
@@ -289,94 +290,182 @@ def test_package_and_cli_import_without_scipy():
     assert proc.stdout.strip() == "ok"
 
 
-def _entropy_objective(d, route):
-    """Batch entropy objective of a seeded channel, as the search builds it."""
-    rng = np.random.default_rng([20261019, d])
+def _seeded_channel(d, route, seed):
+    """(channel, basis set) of a seeded channel on one Kraus route.
+
+    "asymmetric" is a WeylChannel with random weights on every displacement
+    product; unlike a generalized Pauli channel's, its Phi is not
+    self-adjoint, so it tells Phi^dagger from Phi.
+    """
+    rng = np.random.default_rng(seed)
+    if route == "asymmetric":
+        return WeylChannel(*prime_power(d), rng.dirichlet(np.ones(d * d))), None
     lam = sample_cp_eigenvalues(d, 1, rng)[0]
     c = probabilities_from_eigenvalues(EigenvalueVector(d, lam))
-    sup = superoperator(c, canonical_mub(d) if route == "mub" else None)
-    to_state = _angles_to_state if d == 2 else _params_to_state
-    return lambda pts: _output_entropies(to_state(pts), sup)
+    return c, canonical_mub(d) if route == "mub" else None
 
 
-def _scipy_polish(objective, x0, iterations):
-    from scipy.optimize import minimize  # reference implementation, tests only
-
-    return minimize(lambda x: objective(x[None, :])[0], x0, method="Nelder-Mead",
-                    options={"maxiter": iterations, "xatol": 1e-12, "fatol": 1e-14})
+def _seeded_sup(d, route):
+    """Superoperator of a seeded channel, as the search builds it."""
+    return superoperator(*_seeded_channel(d, route, [20261019, d]))
 
 
-def _assert_polish_matches_scipy(objective, x0, iterations):
-    x, fun, nit, converged = _polish(objective, x0, SearchConfig(
-        refinement_iterations=iterations))
-    for i, start in enumerate(x0):
-        res = _scipy_polish(objective, start, iterations)
-        assert nit[i] == res.nit
-        assert converged[i] == (res.status == 0)
-        assert abs(fun[i] - res.fun) <= 1e-12
-        assert np.abs(x[i] - res.x).max() <= 1e-12
+def _random_states(n, d, seed):
+    raw = np.random.default_rng(seed).standard_normal((n, 2 * d)).view(complex)
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-@pytest.mark.parametrize("route", ["weyl", "mub"])
-def test_polish_matches_scipy_nelder_mead(d, route):
-    objective = _entropy_objective(d, route)
-    rng = np.random.default_rng([20261020, d])
-    x0 = rng.standard_normal((3, 2 if d == 2 else 2 * d))
-    x0[0, 0] = 0.0  # a zero coordinate takes the 0.00025 simplex step
-    _assert_polish_matches_scipy(objective, x0, 200)
+@pytest.mark.parametrize("route", ["weyl", "mub", "asymmetric"])
+def test_gradient_matrices_use_the_adjoint_channel(d, route):
+    c, m = _seeded_channel(d, route, [20261024, d])
+    sup = superoperator(c, m)
+    rng = np.random.default_rng([20261025, d])
+    # <Y, Phi(X)> = <Phi^dagger(Y), X> with Phi = rows @ sup.T and
+    # Phi^dagger = rows @ sup.conj() on row-major vec rows
+    x, y = (rng.standard_normal((5, 2 * d * d)).view(complex) for _ in range(2))
+    lhs = np.sum(y.conj() * (x @ sup.T), axis=1)
+    rhs = np.sum((y @ sup.conj()).conj() * x, axis=1)
+    assert np.abs(lhs - rhs).max() <= 1e-12
+    # A = sum_k w_k U_k^dagger log(Phi(psi psi^dagger)) U_k
+    weights, ops = kraus_terms(c, m)
+    states = _random_states(4, d, [20261028, d])
+    got = _gradient_matrices(states, sup)
+    for psi, a in zip(states, got):
+        rho = np.outer(psi, psi.conj())
+        w, v = np.linalg.eigh(sum(wk * u @ rho @ u.conj().T for wk, u in zip(weights, ops)))
+        log_out = (v * np.log(w)) @ v.conj().T
+        expect = sum(wk * u.conj().T @ log_out @ u for wk, u in zip(weights, ops))
+        assert np.abs(a - expect).max() <= 1e-12
 
 
-def test_polish_matches_scipy_through_shrink_steps():
-    objective = _entropy_objective(2, "weyl")
-    sizes = []
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("route", ["weyl", "mub", "asymmetric"])
+def test_each_polish_step_lowers_entropy_by_its_gap(d, route):
+    sup = _seeded_sup(d, route)
+    states = _random_states(3, d, [20261026, d])
+    before = _output_entropies(states, sup)
+    for _ in range(25):
+        states, iterations, converged, gaps = _polish(states, sup, 1)
+        after = _output_entropies(states, sup)
+        assert list(iterations) == [1, 1, 1]
+        assert np.all(gaps >= -1e-14)
+        moved = ~converged  # a certified start stays where it is
+        assert np.all(after[moved] <= before[moved] - gaps[moved] + 1e-14)
+        assert np.array_equal(after[converged], before[converged])
+        before = after
 
-    def counting(pts):
-        sizes.append(len(pts))
-        return objective(pts)
 
-    x0 = np.array([[0.3, 1.1]])
-    _assert_polish_matches_scipy(counting, x0, 200)
-    # one start, two coordinates: the candidate calls have 4 rows, a shrink 2
-    assert 2 in sizes
-
-
-def test_polish_single_iteration_keeps_initial_simplex():
-    objective = _entropy_objective(3, "mub")
-    x0 = np.random.default_rng(20261021).standard_normal((3, 6))
-    _assert_polish_matches_scipy(objective, x0, 1)
-    _, fun, nit, converged = _polish(objective, x0, SearchConfig(refinement_iterations=1))
-    assert list(nit) == [1, 1, 1] and not converged.any()
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 9])
+def test_polish_certifies_pure_outputs_at_once(d):
+    # the identity channel: every output is pure and every state stationary;
+    # the clamped zero eigenvalues must not blow the gap's rounding past 1e-13
+    sup = superoperator(GeneralizedPauliChannel(d, [1.0] + [0.0] * (d + 1)), None)
+    states = _random_states(20, d, [20261027, d])
+    final, nit, converged, gaps = _polish(states, sup, 5)
+    assert np.array_equal(final, states)
+    assert np.all(nit == 1) and converged.all() and np.abs(gaps).max() <= 1e-13
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_polish_starts_do_not_interact(d):
-    objective = _entropy_objective(d, "weyl")
-    x0 = np.random.default_rng([20261022, d]).standard_normal((3, 2 if d == 2 else 2 * d))
-    cfg = SearchConfig(refinement_iterations=150)
-    x, fun, nit, converged = _polish(objective, x0, cfg)
+    sup = _seeded_sup(d, "weyl")
+    states = _random_states(3, d, [20261022, d])
+    final, nit, converged, gaps = _polish(states, sup, 150)
     for i in range(3):
-        xi, fi, ni, ci = _polish(objective, x0[i:i + 1], cfg)
-        assert abs(fun[i] - fi[0]) <= 1e-14
-        assert np.abs(x[i] - xi[0]).max() <= 1e-14
-        assert nit[i] == ni[0] and converged[i] == ci[0]
-
-
-def test_params_to_state_rows_and_tiny_norm_fallback():
-    x = np.array([[3.0, 0.0, 0.0, 4.0], [1e-13, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    states = _params_to_state(x)
-    assert np.allclose(states[0], [0.6, 0.8j], atol=1e-15)
-    assert np.array_equal(states[1:], [[1.0, 0.0], [1.0, 0.0]])
-    angles = _angles_to_state(np.array([[0.0, 1.0], [np.pi, 0.5]]))
-    assert np.allclose(angles, [[1.0, 0.0], [0.0, np.exp(0.5j)]], atol=1e-15)
+        fi, ni, ci, gi = _polish(states[i:i + 1], sup, 150)
+        assert np.array_equal(final[i], fi[0])
+        assert nit[i] == ni[0] and converged[i] == ci[0] and gaps[i] == gi[0]
 
 
 def test_output_entropies_do_not_depend_on_batch():
-    objective = _entropy_objective(3, "weyl")
-    pts = np.random.default_rng(20261023).standard_normal((9, 6))
-    whole = objective(pts)
-    assert np.array_equal(whole, np.concatenate([objective(pts[i:i + 1]) for i in range(9)]))
-    assert np.array_equal(whole, np.concatenate([objective(pts[:4]), objective(pts[4:])]))
+    sup = _seeded_sup(3, "weyl")
+    states = _random_states(9, 3, 20261023)
+    whole = _output_entropies(states, sup)
+    singles = [_output_entropies(states[i:i + 1], sup) for i in range(9)]
+    assert np.array_equal(whole, np.concatenate(singles))
+    halves = [_output_entropies(states[:4], sup), _output_entropies(states[4:], sup)]
+    assert np.array_equal(whole, np.concatenate(halves))
+
+
+# The hard set: channels whose minimum output entropy is not attained on a
+# basis vector.  The 3 widest-gap (chi_up - chi_low) rows of
+# sample_cp_eigenvalues(3, 4000, default_rng(5)), and the 2 widest-gap rows of
+# each two-value family (k eigenvalues mu, the other d + 1 - k lambda, on the
+# CP part of a 121 x 121 grid of [-1/(d-1), 1]^2) at (d, k) = (4, 2), (5, 2)
+# and (5, 3).  The entropies are the lockstep Nelder-Mead search's at
+# refinement_iterations=5000 on the (Weyl, basis-set) routes, where every
+# start had converged.
+HARD_SET = [
+    (3, [-0.3205384413357397, 0.34021340114905363, 0.32853609817611895,
+         -0.3198565631237488], (0.9702479505794932, 0.9702479505794932)),
+    (3, [-0.4447580106720623, -0.03855795897890979, -0.43761279988916246,
+         0.5852651237596704], (0.7812557501537478, 0.7812557501537478)),
+    (3, [-0.32005316353387436, 0.31186821010120014, 0.34469846568405227,
+         -0.3065123844411158], (0.9735909790709287, 0.973590979070929)),
+    (4, [0.35555555555555546] * 2 + [-0.28888888888888886] * 3,
+     (1.0975129255657454, 1.0975129255657454)),
+    (4, [0.36666666666666664] * 2 + [-0.26666666666666666] * 3,
+     (1.0961509758519725, 1.0961509758519725)),
+    (5, [0.375] * 2 + [-0.25] * 4, (1.3407783707986003, 1.3407783707986005)),
+    (5, [0.38541666666666663] * 2 + [-0.22916666666666666] * 4,
+     (1.3408329971517934, 1.3408329971517934)),
+    (5, [-0.1875] * 3 + [0.20833333333333331] * 3,
+     (1.5154948864097684, 1.5154948864097684)),
+    (5, [0.20833333333333331] * 3 + [-0.1875] * 3,
+     (1.5076723069698277, 1.5076723069698277)),
+]
+
+
+def _hard_channel(row):
+    d, lam, _ = HARD_SET[row]
+    return probabilities_from_eigenvalues(EigenvalueVector(d, lam))
+
+
+@pytest.mark.parametrize("route", ["weyl", "mub"])
+def test_search_reaches_hard_set_minima(route):
+    for row, (d, _, expect) in enumerate(HARD_SET):
+        m = canonical_mub(d) if route == "mub" else None
+        res = search_output_entropy(_hard_channel(row), m)
+        reference = expect[route == "mub"]
+        assert abs(res.entropy - reference) <= 1e-10, (row, res.entropy - reference)
+
+
+def test_unconverged_search_logs_a_warning(caplog):
+    with caplog.at_level(logging.WARNING, logger="gpchannels"):
+        res = search_output_entropy(_hard_channel(0), cfg=SearchConfig(
+            refinement_iterations=1))
+    assert res.converged == (False, False, False)
+    [record] = caplog.records
+    assert record.name == "gpchannels.oracle" and record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert "d=3" in message and "after 1 iterations" in message and "gap" in message
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="gpchannels"):
+        res = search_output_entropy(_hard_channel(0))
+    assert caplog.records == [] and all(res.converged)
+
+
+_SILENT = """
+from gpchannels import GeneralizedPauliChannel, SearchConfig, search_output_entropy
+from gpchannels.cli import main
+c = GeneralizedPauliChannel(3, {probs!r})
+res = search_output_entropy(c, cfg=SearchConfig(refinement_iterations=1))
+assert not any(res.converged)
+main(["bounds", "--d", "2", "--lambdas", "0.5,0,-0.5"])
+"""
+
+
+def test_warning_and_cli_are_silent_by_default():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gpchannels.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = _SILENT.format(probs=_hard_channel(0).probabilities.tolist())
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.strip()
 
 
 def _kraus_entropy(channel, m, state):
@@ -397,7 +486,7 @@ def test_search_output_entropy_reference_qubit():
     assert np.linalg.norm(res.state) == pytest.approx(1.0, abs=1e-15)
     assert _kraus_entropy(REF, None, res.state) == pytest.approx(res.entropy, abs=1e-12)
     assert len(res.iterations) == len(res.converged) == 1
-    assert 1 < res.iterations[0] < cfg.refinement_iterations
+    assert res.iterations == (1,)  # the grid minimum is exact; certified at once
     assert res.converged == (True,)
 
 
@@ -408,8 +497,8 @@ def test_search_output_entropy_without_polish_and_with_three_starts():
     assert res.iterations == () and res.converged == ()
     grid = _qubit_grid(64)
     assert any(np.array_equal(res.state, row) for row in grid)
-    # the best basis is the second one, which no start on this route contains
-    c3 = probabilities_from_eigenvalues(EigenvalueVector(3, [0.1, 0.5, 0.2, 0.0]))
+    # a hard-set channel: its minimum is not on a basis vector
+    c3 = _hard_channel(0)
     cfg = SearchConfig(samples=16, refinement_iterations=30)
     res = search_output_entropy(c3, None, cfg)
     assert len(res.iterations) == len(res.converged) == 3
