@@ -378,6 +378,37 @@ def test_polish_starts_do_not_interact(d):
         assert nit[i] == ni[0] and converged[i] == ci[0] and gaps[i] == gi[0]
 
 
+def _scipy_nelder_mead(sup, state, iterations):
+    """scipy's Nelder-Mead on the output entropy, over (Re psi, Im psi)."""
+    from scipy.optimize import minimize  # reference implementation, tests only
+
+    d = state.shape[0]
+
+    def objective(x):
+        psi = x[:d] + 1j * x[d:]
+        return _output_entropies((psi / np.linalg.norm(psi))[None, :], sup)[0]
+
+    x0 = np.concatenate([state.real, state.imag])
+    return minimize(objective, x0, method="Nelder-Mead",
+                    options={"maxiter": iterations, "xatol": 1e-12, "fatol": 1e-14}).fun
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("route", ["weyl", "mub"])
+def test_polish_matches_scipy_nelder_mead(d, route):
+    # from the same starts, the polish at 200 iterations ends no higher than
+    # scipy's Nelder-Mead at 200, and Nelder-Mead started at a polished state
+    # finds nothing lower: the certified states are local minima
+    sup = _seeded_sup(d, route)
+    states = _random_states(3, d, [20261020, d])
+    final, nit, converged, gaps = _polish(states, sup, 200)
+    assert converged.all() and np.all(nit < 200)
+    polished = _output_entropies(final, sup)
+    for start, state, entropy in zip(states, final, polished):
+        assert entropy <= _scipy_nelder_mead(sup, start, 200) + 1e-12
+        assert _scipy_nelder_mead(sup, state, 400) >= entropy - 1e-12
+
+
 def test_output_entropies_do_not_depend_on_batch():
     sup = _seeded_sup(3, "weyl")
     states = _random_states(9, 3, 20261023)
