@@ -19,18 +19,14 @@ from .channels import (
     WeylChannel,
     classical_map_rows,
     clip_eigenvalue_rows,
-    require_cp,
+    require_cp,  # noqa: F401  perfbench traces this name in this module
     require_cp_rows,
 )
 from .errors import UnsupportedDimensionError
-from .numerics import _entropy, as_distribution
+from .mub import prime_power
+from .numerics import CLAMP_TOL, _entropy, _xlogx, as_distribution
 
 COINCIDENCE_TOL = 1e-9
-
-
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    # x ln x with 0 ln 0 = 0; negative rounding noise counts as 0
-    return x * np.log(x, out=np.zeros(x.shape), where=x > 0.0)
 
 
 def transition_row_entropies(lams: np.ndarray, copies: int = 1) -> np.ndarray:
@@ -50,8 +46,8 @@ def transition_row_entropies(lams: np.ndarray, copies: int = 1) -> np.ndarray:
 
 def holevo_lower_via_classical(e: EigenvalueVector) -> float:
     """Same bound through the induced transition matrices: ln d - min row entropy."""
-    require_cp(e)
-    return float(np.log(e.dimension) - transition_row_entropies(e.values[None, :]).min())
+    lams = _checked_rows(e.values[None, :])
+    return float(np.log(e.dimension) - transition_row_entropies(lams).min())
 
 
 def zeta_vector(multiset, block_size: int) -> np.ndarray:
@@ -66,9 +62,7 @@ def zeta_vector(multiset, block_size: int) -> np.ndarray:
 
 def holevo_upper_bound_weyl(w: WeylChannel) -> float:
     """Upper bound straight from the channel's weight multiset."""
-    # the block vector is a distribution up to rounding: clip before the entropy
-    zeta = np.clip(zeta_vector(w.probabilities, w.dimension), 0.0, None)
-    return float(np.log(w.dimension) - _entropy(zeta))
+    return float(np.log(w.dimension) - _entropy(zeta_vector(w.probabilities, w.dimension)))
 
 
 @dataclass(frozen=True)
@@ -157,13 +151,15 @@ class BatchBounds:
 
 
 def _checked_rows(lams) -> np.ndarray:
-    # an (N, d+1) array of finite, CP rows inside the box, clipped to it;
-    # the package error names the first bad row
+    # an (N, d+1) array of finite, CP rows inside the box, clipped to it, for a
+    # prime power d (one with a basis set); the error names d or the first bad row
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 2:
         raise ValueError(f"need an (N, d+1) eigenvalue array, got shape {lams.shape}")
-    if lams.shape[1] < 3:
-        raise UnsupportedDimensionError(f"dimension must be >= 2, got {lams.shape[1] - 1}")
+    d = lams.shape[1] - 1
+    if prime_power(d) is None:
+        raise UnsupportedDimensionError(
+            f"no basis construction for d={d} (prime power required)")
     lams = clip_eigenvalue_rows(lams)
     require_cp_rows(lams)
     return lams
@@ -182,8 +178,8 @@ def _block_coefficients(d: int):
 def bounds_batch(lams) -> BatchBounds:
     """Both closed-form bounds for an (N, d+1) array of eigenvalue rows.
 
-    Rows are checked first: finite, inside [-1/(d-1), 1] (then clipped) and
-    completely positive; the package error names the first bad row.
+    Rows are checked first: d a prime power, entries finite, inside [-1/(d-1), 1]
+    (then clipped) and CP; the package error names d or the first bad row.
 
     Lower bound: per basis the capacity of the symmetric classical channel it
     induces, [1+(d-1)L]/d ln[1+(d-1)L] + (d-1)(1-L)/d ln(1-L), maximized
@@ -366,7 +362,7 @@ def capacity_from_fidelity(f):
     """Qubit capacity through an extreme fidelity value, or an array of them
     (the error then names the first bad entry, flat index)."""
     arr = np.asarray(f, dtype=float)
-    inside = ((arr >= -1e-12) & (arr <= 1.0 + 1e-12)).ravel()
+    inside = ((arr >= -CLAMP_TOL) & (arr <= 1.0 + CLAMP_TOL)).ravel()
     if not inside.all():
         i = int(np.argmin(inside))
         where, bad = (f"entry {i}: ", arr.ravel()[i]) if arr.ndim else ("", f)

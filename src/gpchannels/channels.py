@@ -31,9 +31,7 @@ from .mub import (
     unitary_u,
     weyl_labels,
 )
-from .numerics import CLAMP_TOL, as_distribution
-
-EIGENVALUE_BOX_TOL = 1e-9
+from .numerics import CLAMP_TOL, VALIDATION_TOL, as_distribution
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,7 @@ class EigenvalueVector:
     """The d+1 channel eigenvalues; may violate complete positivity.
 
     Each entry is confined to [-1/(d-1), 1], the range reachable from any
-    probability vector.  CP is the stronger pair of inequalities checked by
-    is_completely_positive.
+    probability vector.  cp_rows decides CP, a stronger pair of inequalities.
     """
 
     dimension: int
@@ -123,8 +120,8 @@ def eigenvalues_from_probabilities(c: GeneralizedPauliChannel) -> EigenvalueVect
 
 
 def probabilities_from_eigenvalues(e: EigenvalueVector) -> GeneralizedPauliChannel:
-    """Invert the spectral map (probability_rows); raises if the result is not
-    a distribution."""
+    """Invert the spectral map (probability_rows); raises
+    NotCompletelyPositiveError unless e is CP."""
     return GeneralizedPauliChannel(e.dimension, probability_rows(e.values[None, :])[0])
 
 
@@ -137,34 +134,25 @@ def probability_rows(lams: np.ndarray) -> np.ndarray:
 
     p_0 = [1 + (d-1) sum(lambda)] / d^2 and
     p_alpha = (d-1) [1 + d lambda_alpha - sum(lambda)] / d^2.  Raises
-    NotCompletelyPositiveError naming the first row with a probability below
-    -CLAMP_TOL.
+    NotCompletelyPositiveError naming the first row that is not CP.
     """
+    require_cp_rows(lams)
     d = lams.shape[1] - 1
     total = lams.sum(axis=1, keepdims=True)
-    p = np.concatenate([(1.0 + (d - 1.0) * total) / d**2,
-                        (d - 1.0) * (1.0 + d * lams - total) / d**2], axis=1)
-    low = p.min(axis=1)
-    bad = low < -CLAMP_TOL
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NotCompletelyPositiveError(
-            f"{_row_label(i, p.shape[0])}eigenvalues give negative probability "
-            f"{low[i]:.3e}"
-        )
-    return p
+    return np.concatenate([(1.0 + (d - 1.0) * total) / d**2,
+                           (d - 1.0) * (1.0 + d * lams - total) / d**2], axis=1)
 
 
 def clip_eigenvalue_rows(lams: np.ndarray) -> np.ndarray:
     """Check an (N, d+1) eigenvalue array row by row; return it clipped to the box.
 
     Entries must be finite and lie in [-1/(d-1), 1] within
-    EIGENVALUE_BOX_TOL.  The ValueError names the first failing row.
+    VALIDATION_TOL.  The ValueError names the first failing row.
     """
     d = lams.shape[1] - 1
     lo = -1.0 / (d - 1)
     # NaN and infinities fail a comparison, so this also tests finiteness
-    inside = (lams >= lo - EIGENVALUE_BOX_TOL) & (lams <= 1.0 + EIGENVALUE_BOX_TOL)
+    inside = (lams >= lo - VALIDATION_TOL) & (lams <= 1.0 + VALIDATION_TOL)
     inside = inside.all(axis=1)
     if not inside.all():
         i = int(np.argmin(inside))
@@ -188,15 +176,21 @@ def cp_margin_rows(lams: np.ndarray) -> np.ndarray:
     return np.minimum(total + 1.0 / (d - 1.0), 1.0 + d * lams.min(axis=1) - total)
 
 
+def cp_rows(lams: np.ndarray) -> np.ndarray:
+    """The package's one CP decision: which rows of an (N, d+1) eigenvalue
+    array have a Fujiwara-Algoet margin of at least -CLAMP_TOL."""
+    return cp_margin_rows(lams) >= -CLAMP_TOL
+
+
 def require_cp_rows(lams: np.ndarray) -> None:
-    """Raise NotCompletelyPositiveError naming the first row below -CLAMP_TOL."""
-    margins = cp_margin_rows(lams)
-    bad = margins < -CLAMP_TOL
-    if bad.any():
-        i = int(np.argmax(bad))
+    """Raise NotCompletelyPositiveError naming the first row that is not CP."""
+    ok = cp_rows(lams)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        margin = cp_margin_rows(lams[i:i + 1])[0]
         raise NotCompletelyPositiveError(
             f"{_row_label(i, lams.shape[0])}eigenvalues {lams[i].tolist()} "
-            f"violate complete positivity (margin {margins[i]:.3e})"
+            f"violate complete positivity (margin {margin:.3e})"
         )
 
 
@@ -205,8 +199,8 @@ def fujiwara_algoet_margin(e: EigenvalueVector) -> float:
     return float(cp_margin_rows(e.values[None, :])[0])
 
 
-def is_completely_positive(e: EigenvalueVector, tol: float = CLAMP_TOL) -> bool:
-    return fujiwara_algoet_margin(e) >= -tol
+def is_completely_positive(e: EigenvalueVector) -> bool:
+    return bool(cp_rows(e.values[None, :])[0])
 
 
 def require_cp(e: EigenvalueVector) -> None:
@@ -304,9 +298,13 @@ def kraus_terms(channel, m: Optional[MubSet] = None):
 
 
 def superoperator(channel, m: Optional[MubSet] = None) -> np.ndarray:
-    """S = sum_k w_k U_k (x) conj(U_k) over kraus_terms(channel, m), acting on
-    row-major vec(rho): the weighted_gram of the Kraus set, reshuffled."""
-    weights, ops = kraus_terms(channel, m)
+    """kraus_superoperator of kraus_terms(channel, m)."""
+    return kraus_superoperator(*kraus_terms(channel, m))
+
+
+def kraus_superoperator(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """S = sum_k w_k U_k (x) conj(U_k), acting on row-major vec(rho): the
+    weighted_gram of the Kraus set, reshuffled."""
     dim = ops.shape[1]
     gram = weighted_gram(weights, ops).reshape(dim, dim, dim, dim)
     return gram.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)

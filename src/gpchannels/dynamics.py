@@ -15,9 +15,8 @@ import numpy as np
 # pauli_classical_capacity stays importable here: perfbench traces the
 # per-step qubit closed form through this name
 from .capacity import bounds_batch, pauli_classical_capacity  # noqa: F401
-from .channels import cp_margin_rows
+from .channels import cp_rows
 from .errors import NotCompletelyPositiveError
-from .numerics import CLAMP_TOL
 
 P_DIVISIBILITY_TOL = 1e-10
 
@@ -128,7 +127,7 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
     traj = PauliTrajectory(
         times=times,
         lambdas=lambdas,
-        cp_everywhere=bool(np.all(cp_margin_rows(lambdas) >= -CLAMP_TOL)),
+        cp_everywhere=bool(cp_rows(lambdas).all()),
         p_divisible=not eigenvalue_rises(lambdas).any(),
     )
     return traj
@@ -189,7 +188,7 @@ def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
     governs and is either unique or fully degenerate) instead of being
     asserted against the finite-difference derivative elsewhere.
     """
-    ok = cp_margin_rows(traj.lambdas) >= -CLAMP_TOL
+    ok = cp_rows(traj.lambdas)
     if not np.all(ok):
         bad = int(np.argmin(ok))
         raise NotCompletelyPositiveError(

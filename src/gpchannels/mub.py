@@ -237,17 +237,17 @@ def build_mubs(d: int) -> MubSet:
     return MubSet(d, bases)
 
 
-def verify_mub(m: MubSet, tol: float = VALIDATION_TOL) -> bool:
+def verify_mub(m: MubSet) -> bool:
     """Check orthonormality within each basis and |<u|v>|^2 = 1/d across bases."""
     d = m.dimension
     for a in range(m.n_bases):
         gram = m.bases[a] @ m.bases[a].conj().T
-        if np.max(np.abs(gram - np.eye(d))) > tol:
+        if np.max(np.abs(gram - np.eye(d))) > VALIDATION_TOL:
             return False
     for a in range(m.n_bases):
         for b in range(a + 1, m.n_bases):
             overlaps = np.abs(m.bases[a] @ m.bases[b].conj().T) ** 2
-            if np.max(np.abs(overlaps - 1.0 / d)) > tol:
+            if np.max(np.abs(overlaps - 1.0 / d)) > VALIDATION_TOL:
                 return False
     return True
 
@@ -262,7 +262,7 @@ def unitary_u(m: MubSet, alpha: int, k: int) -> np.ndarray:
     return (vecs.T * phases) @ vecs.conj()
 
 
-def check_weyl_correspondence(m: MubSet, tol: float = VALIDATION_TOL) -> bool:
+def check_weyl_correspondence(m: MubSet) -> bool:
     """Check that basis alpha diagonalizes every displacement product in
     weyl_labels(d)[alpha-1], the property gpc_to_weyl relies on: the d-1
     unitaries of basis alpha and the d-1 products of its label set then give
@@ -275,6 +275,6 @@ def check_weyl_correspondence(m: MubSet, tol: float = VALIDATION_TOL) -> bool:
     off = 1.0 - np.eye(d)
     for basis, row in zip(m.bases, weyl_labels(d)):
         t = basis.conj() @ displacement_products(*pn, row) @ basis.T
-        if np.max(np.abs(t * off)) > tol:
+        if np.max(np.abs(t * off)) > VALIDATION_TOL:
             return False
     return True

@@ -8,17 +8,19 @@ import numpy as np
 
 from .errors import InvalidDistributionError, InvalidStateError
 
-# Slack conventions used throughout the package.
-CLAMP_TOL = 1e-12      # negative probabilities up to this size are clamped to 0
-VALIDATION_TOL = 1e-9  # sum / Hermiticity / trace checks
+# Slack table; a constant with one user stays beside it.  CLAMP_TOL is in units
+# of the Fujiwara-Algoet margin, where channels.cp_rows makes the one CP decision:
+# a CP row's probabilities are >= -(d-1)/d^2 CLAMP_TOL, so the CP criteria agree.
+CLAMP_TOL = 1e-12      # also the clamp on probabilities and fidelities
+VALIDATION_TOL = 1e-9  # sums, Hermiticity, traces, eigenvalue box, basis checks
 SPECTRAL_TOL = 1e-8    # eigendecomposition reconstruction error
 
 
-def as_distribution(p, tol: float = VALIDATION_TOL) -> np.ndarray:
+def as_distribution(p) -> np.ndarray:
     """Validate a probability vector and return a cleaned copy.
 
-    Entries in [-1e-12, 0) are clamped to 0; anything more negative is an
-    error, as is a total differing from 1 by more than `tol`.
+    Entries in [-CLAMP_TOL, 0) are clamped to 0; anything more negative is an
+    error, as is a total differing from 1 by more than VALIDATION_TOL.
     """
     arr = np.array(p, dtype=float).ravel()
     if arr.size == 0:
@@ -30,16 +32,18 @@ def as_distribution(p, tol: float = VALIDATION_TOL) -> np.ndarray:
         raise InvalidDistributionError(f"negative probability {low:.3e}")
     arr[arr < 0.0] = 0.0
     total = arr.sum()
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > VALIDATION_TOL:
         raise InvalidDistributionError(f"probabilities sum to {float(total)!r}, expected 1")
     return arr
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    # x ln x with 0 ln 0 = 0; negative rounding noise counts as 0
+    return x * np.log(x, out=np.zeros(x.shape), where=x > 0.0)
+
+
 def _entropy(p: np.ndarray) -> float:
-    # 0 * ln 0 = 0 by explicit branching on the support
-    support = p > 0.0
-    vals = p[support]
-    return float(-np.sum(vals * np.log(vals)))
+    return float(-_xlogx(p).sum())
 
 
 def shannon_entropy(p) -> float:
@@ -47,17 +51,18 @@ def shannon_entropy(p) -> float:
     return _entropy(as_distribution(p))
 
 
-def check_density_matrix(rho, tol: float = VALIDATION_TOL) -> np.ndarray:
-    """Validate a density matrix: Hermitian, trace 1, spectrum >= -tol."""
+def check_density_matrix(rho) -> np.ndarray:
+    """Validate a density matrix: Hermitian, trace 1, spectrum >= -VALIDATION_TOL."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if np.max(np.abs(rho - rho.conj().T)) > VALIDATION_TOL:
         raise InvalidStateError("matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
-        raise InvalidStateError(f"trace is {np.trace(rho)}, expected 1")
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > VALIDATION_TOL or abs(trace.imag) > VALIDATION_TOL:
+        raise InvalidStateError(f"trace is {trace}, expected 1")
     evs = np.linalg.eigvalsh(rho)
-    if evs.min() < -tol:
+    if evs.min() < -VALIDATION_TOL:
         raise InvalidStateError(f"negative eigenvalue {evs.min():.3e}")
     return rho
 
@@ -71,7 +76,7 @@ def von_neumann_entropy(rho) -> float:
     return _entropy(evs)
 
 
-def hermitian_eigenvalues(m, tol: float = VALIDATION_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted non-increasingly.
 
     Also enforces the reconstruction contract: V diag(w) V^dag must match the
@@ -80,7 +85,7 @@ def hermitian_eigenvalues(m, tol: float = VALIDATION_TOL) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    if np.max(np.abs(m - m.conj().T)) > VALIDATION_TOL:
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(m)
     resid = np.max(np.abs((v * w) @ v.conj().T - m))
@@ -89,8 +94,8 @@ def hermitian_eigenvalues(m, tol: float = VALIDATION_TOL) -> np.ndarray:
     return w[::-1].copy()
 
 
-def majorizes(a, b, tol: float = VALIDATION_TOL) -> bool:
-    """True iff distribution `a` majorizes distribution `b` (within tol).
+def majorizes(a, b) -> bool:
+    """True iff distribution `a` majorizes distribution `b` (within VALIDATION_TOL).
 
     Both are sorted non-increasingly; every partial sum of `a` must be at
     least the corresponding partial sum of `b`, up to slack.
@@ -101,4 +106,4 @@ def majorizes(a, b, tol: float = VALIDATION_TOL) -> bool:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     ca = np.cumsum(np.sort(a)[::-1])
     cb = np.cumsum(np.sort(b)[::-1])
-    return bool(np.all(ca >= cb - tol))
+    return bool(np.all(ca >= cb - VALIDATION_TOL))

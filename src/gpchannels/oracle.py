@@ -2,7 +2,8 @@
 positivity, and additivity probes for the closed-form capacity bounds.
 
 The search and the Choi oracle use only the Kraus operators, through the
-package's one route kraus_terms -> weighted_gram (superoperator, choi_matrix).
+package's one route kraus_terms -> weighted_gram (kraus_superoperator,
+choi_matrix).
 The search evaluates grid, Kraus-eigenvector and random pure states and
 polishes the best with conditional-gradient steps, which certify a
 stationary point through their Frank-Wolfe gap.
@@ -20,8 +21,8 @@ from .channels import (
     GeneralizedPauliChannel,
     choi_matrix,
     eigenvalues_from_probabilities,
+    kraus_superoperator,
     kraus_terms,
-    superoperator,
     tensor,
 )
 # gpc_to_weyl, require_cp and weyl_kraus_terms stay importable here:
@@ -191,14 +192,13 @@ def _polish(states: np.ndarray, sup: np.ndarray, max_iterations: int):
     return states, iterations, converged, gaps
 
 
-def _kraus_eigenvectors(channel, m: Optional[MubSet]) -> np.ndarray:
-    """Normalized eigenvectors (rows) of every operator in kraus_terms(channel, m).
+def _kraus_eigenvectors(ops: np.ndarray) -> np.ndarray:
+    """Normalized eigenvectors (rows) of every Kraus operator in ops.
 
     One batched eig.  A degenerate spectrum (the identity, two-copy products,
     prime-power displacement products) gives an arbitrary eigenbasis of each
     eigenspace.
     """
-    _, ops = kraus_terms(channel, m)
     vecs = np.linalg.eig(ops)[1].transpose(0, 2, 1).reshape(-1, ops.shape[1])
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
@@ -236,11 +236,12 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
     starts of a generalized Pauli channel are basis vectors, which are
     stationary points already, so polishing them would change nothing.  The
     polish is a batched conditional-gradient step on pure states (_polish),
-    run when refinement_iterations > 0; a warning is logged when the best
-    polished start is not certified stationary.
+    run when refinement_iterations > 0; a warning is logged when the returned
+    state is a polished start that is not certified stationary.
     """
     cfg = cfg or SearchConfig()
-    sup = superoperator(channel, m)
+    weights, ops = kraus_terms(channel, m)
+    sup = kraus_superoperator(weights, ops)
     dim = channel.dimension
 
     if dim == 2:
@@ -249,7 +250,7 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
         idx = int(ents.argmin())
         polish = [idx]
     else:
-        starts = [_kraus_eigenvectors(channel, m)]
+        starts = [_kraus_eigenvectors(ops)]
         if cfg.samples > 0:
             rng = np.random.default_rng(cfg.seed)
             raw = rng.standard_normal((cfg.samples, dim)) + 1j * rng.standard_normal(
@@ -271,12 +272,12 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
     fun = _output_entropies(final, sup)
     j = int(fun.argmin())
     polished = float(fun[j])
-    if not converged[j]:
-        _log.warning(
-            "output-entropy search (d=%d): best polished start not stationary after "
-            "%d iterations, Frank-Wolfe gap %.3e", dim, iterations[j], gaps[j])
     if polished < grid_entropy:
         state = final[j]
+        if not converged[j]:
+            _log.warning(
+                "output-entropy search (d=%d): best polished start not stationary "
+                "after %d iterations, Frank-Wolfe gap %.3e", dim, iterations[j], gaps[j])
     return SearchResult(
         entropy=min(grid_entropy, polished),
         grid_entropy=grid_entropy,

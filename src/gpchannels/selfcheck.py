@@ -27,6 +27,7 @@ from .channels import (
     choi_matrix,
     classical_map_t,
     cp_margin_rows,
+    cp_rows,
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
     gpc_to_weyl,
@@ -51,7 +52,6 @@ from .mub import (
     verify_mub,
     weyl_labels,
 )
-from .numerics import CLAMP_TOL
 
 LN2 = float(np.log(2.0))
 LN3 = float(np.log(3.0))
@@ -249,7 +249,7 @@ def check_one_parameter_families():
         lam_mid = rng.uniform(lam_neg, 0.0)
         rows = np.concatenate([np.column_stack([lam_max] + [lam_min] * d),
                                np.column_stack([lam_mid] * d + [lam_neg])])
-        keep = cp_margin_rows(rows) >= -CLAMP_TOL
+        keep = cp_rows(rows)
         b = bounds_batch(rows[keep])
         # the capacity of the odd eigenvalue's basis, via its transition matrix
         odd = np.repeat([0, d], 20)[keep]

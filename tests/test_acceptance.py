@@ -170,7 +170,7 @@ def test_search_estimate_above_chi_low_witnesses(route):
 def test_criterion_07_block_forms_agree_and_are_continuous():
     rng = _rng(7)
     worst = 0.0
-    for d in (2, 3, 4, 5, 6):
+    for d in (2, 3, 4, 5, 7):
         for lam in sample_cp_eigenvalues(d, 200, rng):
             e = EigenvalueVector(d, lam)
             a = holevo_upper_bound(e)[1]

@@ -86,7 +86,7 @@ def test_zeta_components_sum_to_one(cp_sampler, rng):
 
 def test_zeta_matches_sorted_multiset(cp_sampler, rng):
     # closed-form blocks against brute-force sort-and-sum
-    for d in (2, 3, 4, 5, 6):
+    for d in (2, 3, 4, 5, 7):
         for lam in cp_sampler(d, 20, rng):
             e = EigenvalueVector(d, lam)
             c = probabilities_from_eigenvalues(e)
@@ -225,10 +225,10 @@ def _lambdas_from_probs(p):
 
 @st.composite
 def cp_batches(draw):
-    """(d, rows): CP eigenvalue rows at d in 2..7 mixing interior channels with
-    the boundary inputs: lambda = 1, lambda = -1/(d-1), zero weights (CP
-    boundary) and integer weights, whose ties tie the region sort."""
-    d = draw(st.integers(min_value=2, max_value=7))
+    """(d, rows): CP eigenvalue rows at prime powers d in 2..7 mixing interior
+    channels with the boundary inputs: lambda = 1, lambda = -1/(d-1), zero
+    weights (CP boundary) and integer weights, whose ties tie the region sort."""
+    d = draw(st.sampled_from([2, 3, 4, 5, 7]))
     kinds = draw(st.lists(st.sampled_from(["interior", "zeros", "edge", "ties"]),
                           min_size=1, max_size=12))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -314,6 +314,17 @@ def test_bounds_batch_checks_shape():
     with pytest.raises(UnsupportedDimensionError):
         bounds_batch([[0.5, 0.5]])
     assert bounds_batch(np.empty((0, 4))).chi_low.shape == (0,)
+
+
+def test_bounds_refuse_dimensions_without_basis_set():
+    for d in (6, 10, 12):
+        lam = np.full(d + 1, 0.01)
+        for call in (lambda: bounds_batch(lam[None, :]),
+                     lambda: capacity_bounds(EigenvalueVector(d, lam)),
+                     lambda: holevo_lower_via_classical(EigenvalueVector(d, lam))):
+            with pytest.raises(UnsupportedDimensionError,
+                               match=f"^no basis construction for d={d} "):
+                call()
 
 
 def test_capacity_trajectory_matches_per_step_closed_form():

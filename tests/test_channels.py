@@ -1,7 +1,12 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gpchannels.capacity import capacity_bounds
 from gpchannels.channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
@@ -22,6 +27,7 @@ from gpchannels.channels import (
     kraus_terms,
     probabilities_from_eigenvalues,
     require_cp,
+    require_cp_rows,
     superoperator,
     tensor,
     weighted_gram,
@@ -32,7 +38,10 @@ from gpchannels.errors import (
     NotCompletelyPositiveError,
     UnsupportedDimensionError,
 )
+from gpchannels.cli import main
 from gpchannels.mub import MubSet, unitary_u, weyl_labels
+from gpchannels.numerics import CLAMP_TOL
+from gpchannels.oracle import cp_oracle_choi
 
 REF_PROBS = [0.25, 0.5, 0.25, 0.0]
 
@@ -103,6 +112,65 @@ def test_require_cp_raises():
 def test_probabilities_from_noncp_eigenvalues_raise():
     with pytest.raises(NotCompletelyPositiveError):
         probabilities_from_eigenvalues(EigenvalueVector(2, [0.9, 0.9, -0.9]))
+
+
+def _cp_verdicts(d, lam):
+    """CP verdicts on one row: is_completely_positive, require_cp_rows and
+    probabilities_from_eigenvalues (raises or not), and CLI cp-check."""
+    e = EigenvalueVector(d, lam)
+    verdicts = [is_completely_positive(e)]
+    for call in (lambda: require_cp_rows(e.values[None, :]),
+                 lambda: probabilities_from_eigenvalues(e)):
+        try:
+            call()
+            verdicts.append(True)
+        except NotCompletelyPositiveError:
+            verdicts.append(False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["cp-check", "--d", str(d), "--lambdas=" + ",".join(map(repr, lam))])
+    payload = json.loads(out.getvalue())
+    assert code == 0 and ("probabilities" in payload) == payload["completely_positive"]
+    return verdicts + [payload["completely_positive"]]
+
+
+@given(st.sampled_from([2, 3, 5]), st.sampled_from(["sum", "min"]),
+       st.sampled_from([-1.0, 1.0]), st.floats(min_value=-13.0, max_value=-11.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_cp_criteria_agree_next_to_the_boundary(d, side, sign, exponent, seed):
+    # a row at margin sign * 10**exponent on one side of the CP boundary: the
+    # probability behind that side (p_0 for the sum, p_alpha for the minimum)
+    # is (d-1)/d^2 times its margin
+    rng = np.random.default_rng(seed)
+    target = sign * 10.0**exponent
+    k = 0 if side == "sum" else 1 + int(rng.integers(d + 1))
+    p = np.insert(rng.dirichlet(np.ones(d + 1)), k, 0.0)
+    p[k] = target * (d - 1) / d**2
+    p[np.arange(d + 2) != k] *= 1.0 - p[k]
+    lam = [float(x) for x in (d * (p[0] + p[1:]) - 1.0) / (d - 1.0)]
+    margin = fujiwara_algoet_margin(EigenvalueVector(d, lam))
+    assert abs(margin - target) <= 1e-14
+    assert _cp_verdicts(d, lam) == [margin >= -CLAMP_TOL] * 4
+    if margin >= -CLAMP_TOL:
+        assert cp_oracle_choi(probabilities_from_eigenvalues(EigenvalueVector(d, lam)))
+
+
+# d = 3, margin -2.0e-12: its smallest probability, -4.4e-13, is within the
+# clamp, so a test on the probabilities alone would accept it
+CP_WITNESS = [0.3, 0.2, 0.1, -0.2 - 1e-12]
+
+
+def test_cp_decision_at_the_witness(capsys):
+    e = EigenvalueVector(3, CP_WITNESS)
+    assert fujiwara_algoet_margin(e) == pytest.approx(-2.0e-12, abs=1e-15)
+    assert _cp_verdicts(3, CP_WITNESS) == [False] * 4
+    with pytest.raises(NotCompletelyPositiveError):
+        channel_from_json({"d": 3, "lambdas": CP_WITNESS})
+    with pytest.raises(NotCompletelyPositiveError):
+        capacity_bounds(e)
+    assert main(["bounds", "--d", "3", "--lambdas=" + ",".join(map(repr, CP_WITNESS))]) == 2
+    assert "violate complete positivity (margin -2.000e-12)" in capsys.readouterr().err
 
 
 def test_identity_channel_acts_trivially(rng):

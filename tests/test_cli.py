@@ -73,6 +73,13 @@ def test_bounds_rejects_noncp(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["bounds", "zeta"])
+def test_capacity_commands_refuse_dimensions_without_basis_set(capsys, command):
+    code, out, err = run(capsys, command, "--d", "6", "--lambdas", ",".join(["0.1"] * 7))
+    assert (code, out) == (2, "")
+    assert err == "error: no basis construction for d=6 (prime power required)\n"
+
+
 def test_cp_check_reports_bad_sum_as_a_float(capsys):
     code, out, err = run(capsys, "cp-check", "--d", "3", "--probs", "0.2,0.2,0.2,0.2,0.3")
     assert (code, out) == (2, "")

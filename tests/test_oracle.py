@@ -477,6 +477,36 @@ def test_unconverged_search_logs_a_warning(caplog):
     assert caplog.records == [] and all(res.converged)
 
 
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_search_does_not_warn_when_a_warm_start_holds_the_minimum(d, caplog):
+    # near-identity dephasing: a basis vector has output entropy 0, while the
+    # polished random starts stop uncertified on the flat landscape around it
+    p = np.zeros(d + 2)
+    p[:2] = 0.999, 0.001
+    c = GeneralizedPauliChannel(d, p)
+    for m in (None, canonical_mub(d)):
+        with caplog.at_level(logging.WARNING, logger="gpchannels"):
+            res = search_output_entropy(c, m, SearchConfig(samples=16))
+        assert res.entropy == res.grid_entropy == 0.0 < res.polished_entropy
+        assert not any(res.converged)
+    assert caplog.records == []
+
+
+def test_search_builds_the_kraus_set_once(monkeypatch):
+    calls = []
+
+    def counted(channel, m=None):
+        calls.append(m)
+        return kraus_terms(channel, m)
+
+    monkeypatch.setattr(gpchannels.channels, "kraus_terms", counted)
+    monkeypatch.setattr(gpchannels.oracle, "kraus_terms", counted)
+    for m in (None, canonical_mub(3)):
+        search_output_entropy(_hard_channel(0), m, SearchConfig(samples=4,
+                                                                refinement_iterations=2))
+    assert len(calls) == 2
+
+
 _SILENT = """
 from gpchannels import GeneralizedPauliChannel, SearchConfig, search_output_entropy
 from gpchannels.cli import main
