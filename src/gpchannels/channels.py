@@ -9,11 +9,25 @@ form is derived.
 
 For a prime power d = p^n the same channel has displacement-product Kraus
 operators (gpc_to_weyl): the d-1 products in weyl_labels(d)[alpha-1] share
-the weight of basis alpha.  Other dimensions have no basis set here.
+the weight of basis alpha.
 
-Every channel action takes one route: kraus_terms -> weighted_gram, which is
-choi_matrix and, reshuffled, the superoperator behind apply, apply_weyl and
-the oracle's output-entropy search.
+Dimension policy: the lambda/p parametrization (EigenvalueVector,
+GeneralizedPauliChannel, channel_from_json and the maps between the two
+forms), the Fujiwara-Algoet margin and the CP decision are dimension-free and
+accept any d >= 2.  Everything that needs a basis set, or displacement
+products for a GeneralizedPauliChannel, requires a prime power d and raises
+UnsupportedDimensionError naming d otherwise: canonical_mub, gpc_to_weyl,
+tensor, the default Kraus route of kraus_terms and so superoperator, apply,
+choi_blocks, choi_matrix and the oracle, and the capacity bounds.  A
+WeylChannel carries its own displacement products, of any local dimension.
+
+Every channel action takes one route: kraus_terms -> weighted_gram, which,
+reshuffled, is the superoperator behind apply, apply_weyl and the oracle's
+output-entropy search.  The Choi matrix takes the same Kraus set block by
+block (choi_blocks): each displacement product moves |i> to |i + b>, so up
+to a permutation the Choi matrix is block diagonal over the shifts b, and
+its spectrum is the union of the block spectra.  choi_matrix scatters the
+blocks back.
 """
 
 from dataclasses import dataclass
@@ -264,7 +278,8 @@ def tensor(a, b) -> WeylChannel:
 def weighted_gram(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """G = sum_k w_k vec(U_k) vec(U_k)^dagger, one GEMM (row-major vec).
 
-    G / dim is the Choi matrix.  Reshuffled as G[a,b,c,d] -> S[(a,c),(b,d)]
+    G / dim is the Choi matrix (choi_blocks builds it by shift block, with a
+    batched form of this GEMM).  Reshuffled as G[a,b,c,d] -> S[(a,c),(b,d)]
     it is the superoperator S = sum_k w_k U_k (x) conj(U_k), which maps
     vec(rho) to vec(sum_k w_k U_k rho U_k^dagger).
     """
@@ -328,13 +343,50 @@ def apply_weyl(w: WeylChannel, rho: np.ndarray) -> np.ndarray:
     return apply(w, None, rho)
 
 
+@lru_cache(maxsize=None)
+def _shift_blocks(p: int, n: int) -> np.ndarray:
+    """Read-only (D, D) row-major vec indices i*D + j, D = p^n, grouped by
+    shift: row s holds, for each i in order, the j with j - i = s digitwise
+    mod p (digits base p, most significant first)."""
+    dim = p ** n
+    place = p ** np.arange(n - 1, -1, -1)
+    digits = np.arange(dim)[:, None] // place % p
+    cols = (digits[None, :, :] + digits[:, None, :]) % p @ place
+    idx = np.arange(dim) * dim + cols
+    idx.setflags(write=False)
+    return idx
+
+
+def choi_blocks(ch) -> np.ndarray:
+    """The Choi matrix as D blocks of D x D, D the channel dimension.
+
+    A displacement product sends |i> to a phase times |i + b>, so vec(U_k)
+    lives on the vec indices of one shift b, and the Choi matrix links
+    entry (i, j) only to entries (k, l) with the same shift j - i = l - k.
+    Block s is the Choi matrix on the indices _shift_blocks(p, n)[s]: the
+    matrix is block diagonal up to a permutation, so the blocks' spectra
+    together are its spectrum.  Each block is weighted_gram's GEMM on the
+    gathered Kraus vectors, all D in one batched matmul.
+    """
+    w = _as_weyl(ch)
+    weights, ops = kraus_terms(w)
+    idx = _shift_blocks(w.local_dimension, w.parts)
+    vecs = ops.reshape(ops.shape[0], -1).T[idx]
+    return (vecs * weights) @ vecs.conj().transpose(0, 2, 1) / w.dimension
+
+
 def choi_matrix(ch) -> np.ndarray:
     """Choi state (channel (x) id applied to the maximally entangled state).
 
-    Normalized to trace 1.  For orthogonal unitary Kraus operators the
-    eigenvalues are exactly the mixing weights.
+    Normalized to trace 1: choi_blocks scattered into their shift blocks,
+    zero elsewhere.  For orthogonal unitary Kraus operators the eigenvalues
+    are exactly the mixing weights.
     """
-    return weighted_gram(*kraus_terms(ch)) / ch.dimension
+    w = _as_weyl(ch)
+    idx = _shift_blocks(w.local_dimension, w.parts)
+    choi = np.zeros((idx.size, idx.size), dtype=complex)
+    choi[idx[:, :, None], idx[:, None, :]] = choi_blocks(w)
+    return choi
 
 
 def classical_map_rows(lams: np.ndarray) -> np.ndarray:

@@ -53,15 +53,18 @@ def _weyl_family(p: int) -> np.ndarray:
 
 def displacement_products(p: int, n: int, labels) -> np.ndarray:
     """Stacked W_{a_1 b_1} (x) ... (x) W_{a_n b_n} for flat labels, whose
-    base-p digits are (a_1, b_1, ..., a_n, b_n), most significant first."""
+    base-p digits are (a_1, b_1, ..., a_n, b_n), most significant first.
+
+    One broadcast Kronecker step per tensor factor, the same products as
+    np.kron label by label.
+    """
     fam = _weyl_family(p)
-    ops = np.zeros((len(labels), p ** n, p ** n), dtype=complex)
-    for row, flat in enumerate(labels):
-        digits = np.unravel_index(flat, (p,) * (2 * n))
-        op = fam[digits[0] * p + digits[1]]
-        for j in range(2, 2 * n, 2):
-            op = np.kron(op, fam[digits[j] * p + digits[j + 1]])
-        ops[row] = op
+    digits = np.unravel_index(np.asarray(labels), (p,) * (2 * n))
+    ops = fam[digits[0] * p + digits[1]]
+    for j in range(2, 2 * n, 2):
+        f = fam[digits[j] * p + digits[j + 1]]
+        side = ops.shape[1] * p
+        ops = (ops[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, side, side)
     return ops
 
 

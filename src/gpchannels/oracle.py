@@ -1,9 +1,11 @@
 """Independent numerical checks: brute-force output-entropy search, Choi
 positivity, and additivity probes for the closed-form capacity bounds.
 
-The search and the Choi oracle use only the Kraus operators, through the
-package's one route kraus_terms -> weighted_gram (kraus_superoperator,
-choi_matrix).
+The search and the Choi oracle use only the Kraus operators from
+kraus_terms.  The search goes through weighted_gram (kraus_superoperator);
+the Choi oracle diagonalizes choi_blocks, the Choi matrix's D blocks of
+D x D by displacement shift, whose spectra together are the full Choi
+spectrum, since the matrix is block diagonal up to a permutation.
 The search evaluates grid, Kraus-eigenvector and random pure states and
 polishes the best with conditional-gradient steps, which certify a
 stationary point through their Frank-Wolfe gap.
@@ -19,15 +21,15 @@ import numpy as np
 
 from .channels import (
     GeneralizedPauliChannel,
-    choi_matrix,
+    choi_blocks,
     eigenvalues_from_probabilities,
     kraus_superoperator,
     kraus_terms,
     tensor,
 )
-# gpc_to_weyl, require_cp and weyl_kraus_terms stay importable here:
-# perfbench traces these names in this module
-from .channels import gpc_to_weyl, require_cp, weyl_kraus_terms  # noqa: F401
+# choi_matrix, gpc_to_weyl, require_cp and weyl_kraus_terms stay importable
+# here: perfbench traces these names in this module
+from .channels import choi_matrix, gpc_to_weyl, require_cp, weyl_kraus_terms  # noqa: F401
 from .capacity import bounds_batch, holevo_upper_bound_weyl, transition_row_entropies
 from .mub import MubSet
 
@@ -68,9 +70,10 @@ class SearchConfig:
 
 
 def cp_oracle_choi(ch) -> bool:
-    """Complete positivity straight from the Choi spectrum."""
-    evs = np.linalg.eigvalsh(choi_matrix(ch))
-    return bool(evs.min() >= -CHOI_PSD_TOL)
+    """Complete positivity straight from the Choi spectrum, taken block by
+    block: choi_blocks are the Choi matrix's diagonal blocks up to a
+    permutation, so their spectra together are the full spectrum."""
+    return bool(np.linalg.eigvalsh(choi_blocks(ch)).min() >= -CHOI_PSD_TOL)
 
 
 def _projector_rows(states: np.ndarray) -> np.ndarray:

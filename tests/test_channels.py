@@ -16,6 +16,7 @@ from gpchannels.channels import (
     canonical_mub,
     channel_from_json,
     channel_to_json,
+    choi_blocks,
     choi_matrix,
     classical_map_rows,
     classical_map_t,
@@ -39,7 +40,7 @@ from gpchannels.errors import (
     UnsupportedDimensionError,
 )
 from gpchannels.cli import main
-from gpchannels.mub import MubSet, unitary_u, weyl_labels
+from gpchannels.mub import MubSet, prime_power, unitary_u, weyl_labels
 from gpchannels.numerics import CLAMP_TOL
 from gpchannels.oracle import cp_oracle_choi
 
@@ -390,6 +391,57 @@ def test_weighted_gram_matches_outer_product_sum(case):
     assert np.abs(choi - expect / dim).max() <= 1e-15
     assert np.abs(choi - choi.conj().T).max() <= 1e-15
     assert abs(np.trace(choi) - 1.0) <= 1e-15
+
+
+CHOI_CASES = ([("single", d, zeros) for d in (2, 3, 4, 5, 7, 8, 9) for zeros in (0, 2)]
+              + [("pair", d, 0) for d in (2, 3, 4, 5)] + [("pair", 3, 2)])
+
+
+def _choi_case(kind, d, zeros):
+    """A seeded channel on d (kind "single") or two copies of one (kind
+    "pair"), with `zeros` basis weights set to zero."""
+    rng = np.random.default_rng([20261021, d, zeros])
+    p = rng.dirichlet(np.ones(d + 2))
+    p[1 + rng.choice(d + 1, size=zeros, replace=False)] = 0.0
+    c = GeneralizedPauliChannel(d, p / p.sum())
+    return c if kind == "single" else tensor(c, c)
+
+
+def _vec_shifts(ch):
+    """Digitwise shift j - i mod p of every row-major vec index i*D + j."""
+    p, n = prime_power(ch.dimension)
+    dim = ch.dimension
+    digits = np.arange(dim)[:, None] // p ** np.arange(n) % p
+    shift = (digits[None, :, :] - digits[:, None, :]) % p
+    return (shift @ p ** np.arange(n)).ravel()
+
+
+@pytest.mark.parametrize("kind,d,zeros", CHOI_CASES)
+def test_choi_matrix_is_shift_block_diagonal_outer_product_sum(kind, d, zeros):
+    ch = _choi_case(kind, d, zeros)
+    dim = ch.dimension
+    expect = np.zeros((dim * dim, dim * dim), dtype=complex)
+    weights, ops = kraus_terms(ch)
+    for weight, u in zip(weights, ops):
+        v = u.ravel()
+        # the zero entries of vec(U_k) add exact zeros; skip them for speed
+        nz = np.flatnonzero(v)
+        expect[np.ix_(nz, nz)] += weight * np.outer(v[nz], v[nz].conj())
+    expect /= dim
+    choi = choi_matrix(ch)
+    shifts = _vec_shifts(ch)
+    off_block = shifts[:, None] != shifts[None, :]
+    assert np.all(choi[off_block] == 0.0)
+    assert np.abs(choi - expect).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kind,d,zeros", CHOI_CASES)
+def test_choi_block_spectra_are_the_choi_spectrum(kind, d, zeros):
+    ch = _choi_case(kind, d, zeros)
+    blocks = choi_blocks(ch)
+    assert blocks.shape == (ch.dimension,) * 3
+    evs = np.sort(np.linalg.eigvalsh(blocks), axis=None)
+    assert np.abs(evs - np.linalg.eigvalsh(choi_matrix(ch))).max() <= 1e-14
 
 
 def test_classical_map_rows_are_stochastic():

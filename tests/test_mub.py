@@ -80,6 +80,23 @@ def test_weyl_labels_partition_into_commuting_sets(d):
                     assert np.max(np.abs(a @ b - b @ a)) < 1e-12
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2),
+                                 (2, 3), (2, 4)])
+def test_displacement_products_match_kron_loop(p, n):
+    labels = np.arange(p ** (2 * n))
+    expect = []
+    for flat in labels:
+        digits = np.unravel_index(flat, (p,) * (2 * n))
+        op = weyl_operator(p, digits[0], digits[1]).matrix
+        for j in range(2, 2 * n, 2):
+            op = np.kron(op, weyl_operator(p, digits[j], digits[j + 1]).matrix)
+        expect.append(op)
+    ops = displacement_products(p, n, labels)
+    assert ops.dtype == complex
+    assert np.array_equal(ops, expect)
+    assert np.array_equal(displacement_products(p, n, labels[::-3]), ops[::-3])
+
+
 def test_weyl_labels_cached_and_read_only():
     labels = weyl_labels(8)
     assert weyl_labels(8) is labels

@@ -265,7 +265,8 @@ import gpchannels, gpchannels.cli
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded
 from gpchannels import (GeneralizedPauliChannel, RateSpec, SearchConfig,
-                        canonical_mub, holevo_estimate, ode_eigenvalue_oracle)
+                        canonical_mub, cp_oracle_choi, holevo_estimate,
+                        ode_eigenvalue_oracle, tensor)
 est = holevo_estimate(GeneralizedPauliChannel(2, [0.25, 0.5, 0.25, 0.0]),
                       cfg=SearchConfig(grid_resolution=16))
 assert abs(est - (0.75 * math.log(3.0) - math.log(2.0))) < 1e-6
@@ -274,6 +275,9 @@ for m in (None, canonical_mub(3)):
     holevo_estimate(c3, m, SearchConfig(samples=16, refinement_iterations=20))
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded  # the polish is numpy, scipy.optimize included
+assert cp_oracle_choi(c3) and cp_oracle_choi(tensor(c3, c3))
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded  # the Choi oracle is numpy too
 lams = ode_eigenvalue_oracle(RateSpec.constant(0.5, 0.3, 0.2), 1.0, 11)
 assert lams.shape == (11, 3)
 print("ok")
