@@ -22,8 +22,7 @@ from .channels import (
     require_cp,  # noqa: F401  perfbench traces this name in this module
     require_cp_rows,
 )
-from .errors import UnsupportedDimensionError
-from .mub import prime_power
+from .mub import require_prime_power
 from .numerics import CLAMP_TOL, _entropy, _xlogx, as_distribution
 
 COINCIDENCE_TOL = 1e-9
@@ -157,9 +156,7 @@ def _checked_rows(lams) -> np.ndarray:
     if lams.ndim != 2:
         raise ValueError(f"need an (N, d+1) eigenvalue array, got shape {lams.shape}")
     d = lams.shape[1] - 1
-    if prime_power(d) is None:
-        raise UnsupportedDimensionError(
-            f"no basis construction for d={d} (prime power required)")
+    require_prime_power(d)
     lams = clip_eigenvalue_rows(lams)
     require_cp_rows(lams)
     return lams

@@ -17,9 +17,10 @@ forms), the Fujiwara-Algoet margin and the CP decision are dimension-free and
 accept any d >= 2.  Everything that needs a basis set, or displacement
 products for a GeneralizedPauliChannel, requires a prime power d and raises
 UnsupportedDimensionError naming d otherwise: canonical_mub, gpc_to_weyl,
-tensor, the default Kraus route of kraus_terms and so superoperator, apply,
-choi_blocks, choi_matrix and the oracle, and the capacity bounds.  A
-WeylChannel carries its own displacement products, of any local dimension.
+tensor, both Kraus routes of kraus_terms and so superoperator, apply,
+choi_blocks, choi_matrix and the oracle, and the capacity bounds.  The
+basis-set route also refuses a set that fails verify_mub.  A WeylChannel
+carries its own displacement products, of any local dimension.
 
 Every channel action takes one route: kraus_terms -> weighted_gram, which,
 reshuffled, is the superoperator behind apply, apply_weyl and the oracle's
@@ -42,7 +43,9 @@ from .mub import (
     build_mubs,
     displacement_products,
     prime_power,
+    require_prime_power,
     unitary_u,
+    verify_mub,
     weyl_labels,
 )
 from .numerics import CLAMP_TOL, VALIDATION_TOL, as_distribution
@@ -292,7 +295,8 @@ def kraus_terms(channel, m: Optional[MubSet] = None):
 
     m None: the displacement products (weyl_kraus_terms).  A basis set: the
     identity and each basis's unitaries U_alpha^k, weighted by
-    kraus_probability_multiset.  The two sets are kept apart on purpose, as
+    kraus_probability_multiset; the set must be d + 1 mutually unbiased bases
+    (verify_mub) of a prime power d.  The two sets are kept apart on purpose, as
     a cross-check of the bases.
     """
     if m is None:
@@ -307,6 +311,9 @@ def kraus_terms(channel, m: Optional[MubSet] = None):
         raise ValueError(
             f"basis set (d={m.dimension}, n={m.n_bases}) does not match channel d={d}"
         )
+    require_prime_power(d)
+    if not verify_mub(m):
+        raise ValueError(f"basis set (d={d}) is not mutually unbiased")
     ops = [np.eye(d, dtype=complex)]
     ops += [unitary_u(m, alpha, k) for alpha in range(1, d + 2) for k in range(1, d)]
     return kraus_probability_multiset(channel), np.asarray(ops)

@@ -4,7 +4,10 @@ The generator damps each Pauli axis at the sum of the other two rates, so
 the map eigenvalues factorize as lambda_a(t) = exp(-(G_b + G_c)) with G the
 cumulative rate integrals.  Two independent code paths produce lambda(t):
 Simpson quadrature of the rates (the fast path) and direct integration of
-the generator acting on the full map (the oracle).
+the generator acting on the full map (the oracle).  The oracle integrates
+with the embedded Dormand-Prince 5(4) pair (Dormand & Prince 1980) and its
+quartic dense output (Shampine 1986), under the step-size rules of scipy's
+RK45; it is plain numpy.
 """
 
 from dataclasses import dataclass, replace
@@ -19,6 +22,8 @@ from .channels import cp_rows
 from .errors import NotCompletelyPositiveError
 
 P_DIVISIBILITY_TOL = 1e-10
+ODE_RTOL = 1e-10
+ODE_ATOL = 1e-12
 
 _SIGMA = (
     np.eye(2, dtype=complex),
@@ -26,6 +31,44 @@ _SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+# 1/2 (S_a (x) S_a^T - 1) for a = x, y, z on row-major vec: the generator is
+# their sum weighted by the rates.  Each S_a (x) S_a^T is real.
+_GENERATOR_PARTS = np.stack(
+    [0.5 * (np.kron(s, s.T).real - np.eye(4)) for s in _SIGMA[1:]])
+# vec(S_a) and vec(S_a^T): lambda_a = 1/2 vec(S_a^T) . M vec(S_a)
+_PAULI_VECS = np.stack([s.ravel() for s in _SIGMA[1:]])
+_PAULI_T_VECS = np.stack([s.T.ravel() for s in _SIGMA[1:]])
+
+# Dormand-Prince 5(4): stage times, stage rows (row 6 is the 5th-order
+# solution, whose rate is the first stage of the next step), the embedded
+# error weights, and the quartic dense-output rows (Shampine's c_6 optimum).
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
+                  -22 / 525, 1 / 40])
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_DP_POWERS = np.arange(1, 5)
 
 
 @dataclass(frozen=True)
@@ -113,7 +156,8 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
     """Map eigenvalues on a uniform grid via cumulative Simpson quadrature.
 
     Each grid interval contributes h/6 (g_i + 4 g_mid + g_{i+1}); exact for
-    constant and linear rates between samples.
+    constant and linear rates between samples.  Raises ValueError naming the
+    first grid time at which an eigenvalue overflows.
     """
     times = _time_grid(t_max, steps)
     h = times[1] - times[0]
@@ -123,7 +167,12 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
     gamma_cum = np.concatenate(
         [np.zeros((3, 1)), np.cumsum(increments, axis=1)], axis=1
     )
-    lambdas = np.exp(gamma_cum - gamma_cum.sum(axis=0)).T
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        lambdas = np.exp(gamma_cum - gamma_cum.sum(axis=0)).T
+    finite = np.isfinite(lambdas).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"map eigenvalues are not finite at t={times[bad]:.6g}")
     traj = PauliTrajectory(
         times=times,
         lambdas=lambdas,
@@ -133,44 +182,105 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
     return traj
 
 
+def _generators(r: RateSpec, t) -> np.ndarray:
+    """The 4x4 generators L(t) at the times t, shape (n, 4, 4)."""
+    return np.einsum("an,aij->nij", r.evaluate(t), _GENERATOR_PARTS)
+
+
+def _rms(x: np.ndarray) -> float:
+    return float(np.sqrt(x @ x / x.size))
+
+
+def _dp_steps(r: RateSpec, t: float, t_end: float):
+    """Accepted Dormand-Prince 5(4) steps of dM/dt = L(t) M from M = 1 at t
+    to t_end, each as (t, t_new, y, stages): y the row-major vec of M at t
+    and stages the (7, 16) stage rates, whose last row is the rate at t_new.
+
+    Local extrapolation, and step control as scipy's RK45: RMS error norm,
+    safety 0.9, factors in [0.2, 10], exponent -1/5, no growth right after a
+    rejection, and its initial step.  Raises RuntimeError when the step
+    underflows or the state stops being finite.
+    """
+    y = np.eye(4).ravel()
+    f = (_generators(r, [t])[0] @ y.reshape(4, 4)).ravel()
+
+    # initial step (Hairer, Norsett & Wanner, Sec. II.4, as scipy selects it)
+    scale = ODE_ATOL + np.abs(y) * ODE_RTOL
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end - t)
+    f1 = (_generators(r, [t + h0])[0] @ (y + h0 * f).reshape(4, 4)).ravel()
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_end - t)
+
+    stages = np.empty((7, 16))
+    stage_mats = stages.reshape(7, 4, 4)
+    while t < t_end:
+        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(f"map integration failed: step size "
+                                   f"{h_abs:.3g} underflows at t={t:.6g}")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            gens = _generators(r, t + _DP_C * h)
+            stages[0] = f
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                for s in range(1, 7):
+                    y_new = y + np.dot(stages[:s].T, _DP_A[s, :s]) * h
+                    np.matmul(gens[s], y_new.reshape(4, 4), out=stage_mats[s])
+            if not np.isfinite(stages).all():
+                raise RuntimeError(f"map integration failed: state not "
+                                   f"finite at t={t:.6g}, h={h:.3g}")
+            scale = ODE_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * ODE_RTOL
+            err = _rms(np.dot(stages.T, _DP_E) * h / scale)
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        yield t, t_new, y, stages
+        t, y, f = t_new, y_new, stages[6].copy()
+
+
+def _dormand_prince(r: RateSpec, times: np.ndarray) -> np.ndarray:
+    """Row-major vec of M(t), dM/dt = L(t) M from M = 1 at times[0], at each of
+    the increasing times: shape (len(times), 16).  The times inside each
+    accepted step, its end included, are read off its quartic interpolant
+    together, so the grid does not constrain the steps."""
+    out = np.empty((times.size, 16))
+    done = 0
+    for t, t_new, y, stages in _dp_steps(r, float(times[0]), float(times[-1])):
+        upto = int(np.searchsorted(times, t_new, side="right"))
+        if upto > done:
+            h = t_new - t
+            x = (times[done:upto] - t) / h
+            out[done:upto] = y + h * (x[:, None] ** _DP_POWERS) @ (_DP_P.T @ stages)
+            done = upto
+    return out
+
+
 def ode_eigenvalue_oracle(r: RateSpec, t_max: float, steps: int) -> np.ndarray:
     """Eigenvalues from direct integration of the generator on the full map.
 
     Evolves the 4x4 superoperator (row-major vectorization) under
-    dM/dt = L(t) M with L = 1/2 sum_a g_a(t) (S_a (x) S_a^T - 1) and reads
-    each eigenvalue off the evolved Pauli operator.
+    dM/dt = L(t) M with L = 1/2 sum_a g_a(t) (S_a (x) S_a^T - 1), from the
+    identity, and reads each eigenvalue off the evolved Pauli operator,
+    lambda_a = 1/2 Tr(S_a M(S_a)).  The integrator is Dormand-Prince 5(4)
+    with dense output and scipy's RK45 step rules, at rtol ODE_RTOL and atol
+    ODE_ATOL; it uses neither the factorized closed form nor the quadrature.
+    Raises RuntimeError when the integration fails.
     """
-    from scipy.integrate import solve_ivp  # imported on first use: it is slow to load
-
     times = _time_grid(t_max, steps)
-    conj_parts = [np.kron(_SIGMA[a], _SIGMA[a].T) for a in (1, 2, 3)]
-    eye4 = np.eye(4)
-
-    def rhs(t, y):
-        g = r.evaluate(t)
-        lmat = sum(
-            0.5 * g[i] * (conj_parts[i] - eye4) for i in range(3)
-        )
-        return (lmat @ y.reshape(4, 4)).ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_max)),
-        np.eye(4, dtype=complex).ravel(),
-        t_eval=times,
-        rtol=1e-10,
-        atol=1e-12,
-    )
-    if not sol.success:
-        raise RuntimeError(f"map integration failed: {sol.message}")
-    lambdas = np.empty((times.size, 3))
-    for a in (1, 2, 3):
-        sigma_vec = _SIGMA[a].ravel()
-        evolved = sol.y.T.reshape(-1, 4, 4) @ sigma_vec
-        lambdas[:, a - 1] = 0.5 * np.einsum(
-            "ij,nji->n", _SIGMA[a], evolved.reshape(-1, 2, 2)
-        ).real
-    return lambdas
+    maps = _dormand_prince(r, times).reshape(-1, 4, 4)
+    return 0.5 * np.einsum("ak,nkl,al->na", _PAULI_T_VECS, maps, _PAULI_VECS).real
 
 
 def p_divisibility_check(traj: PauliTrajectory) -> bool:

@@ -32,6 +32,16 @@ def prime_power(d: int) -> Optional[Tuple[int, int]]:
     return (p, n) if d == 1 else None
 
 
+def require_prime_power(d: int) -> Tuple[int, int]:
+    """prime_power(d), or UnsupportedDimensionError naming d: the basis layers
+    exist only for prime powers."""
+    pn = prime_power(d)
+    if pn is None:
+        raise UnsupportedDimensionError(
+            f"no basis construction for d={d} (prime power required)")
+    return pn
+
+
 def _weyl_matrix(d: int, k: int, l: int) -> np.ndarray:
     # W_{kl} = sum_m omega^{mk} |m><m+l|, indices mod d
     m = np.arange(d)
@@ -105,11 +115,7 @@ def weyl_labels(d: int) -> np.ndarray:
     M_s is symmetric, so each set commutes.  For prime d this is
     (k, k*(alpha-1)) and (0, k), k = 1..d-1.
     """
-    pn = prime_power(d)
-    if pn is None:
-        raise UnsupportedDimensionError(
-            f"no basis construction for d={d} (prime power required)")
-    p, n = pn
+    p, n = require_prime_power(d)
     digits = np.arange(d)[:, None] // p ** np.arange(n) % p
     for coeffs in digits:
         labels = _labels_for_polynomial(p, n, digits, coeffs)
@@ -241,18 +247,20 @@ def build_mubs(d: int) -> MubSet:
 
 
 def verify_mub(m: MubSet) -> bool:
-    """Check orthonormality within each basis and |<u|v>|^2 = 1/d across bases."""
-    d = m.dimension
-    for a in range(m.n_bases):
-        gram = m.bases[a] @ m.bases[a].conj().T
-        if np.max(np.abs(gram - np.eye(d))) > VALIDATION_TOL:
-            return False
-    for a in range(m.n_bases):
-        for b in range(a + 1, m.n_bases):
-            overlaps = np.abs(m.bases[a] @ m.bases[b].conj().T) ** 2
-            if np.max(np.abs(overlaps - 1.0 / d)) > VALIDATION_TOL:
-                return False
-    return True
+    """Check orthonormality within each basis and |<u|v>|^2 = 1/d across bases.
+
+    One Gram matrix of all n*d vectors: its diagonal d x d blocks must be the
+    identity and the moduli squared off them 1/d, each within VALIDATION_TOL.
+    """
+    n, d = m.n_bases, m.dimension
+    vecs = m.bases.reshape(n * d, d)
+    gram = (vecs @ vecs.conj().T).reshape(n, d, n, d)
+    same = np.arange(n)
+    within = np.abs(gram[same, :, same] - np.eye(d))
+    across = np.abs(np.abs(gram) ** 2 - 1.0 / d)
+    across[same, :, same] = 0.0
+    return bool(within.max(initial=0.0) <= VALIDATION_TOL
+                and across.max(initial=0.0) <= VALIDATION_TOL)
 
 
 def unitary_u(m: MubSet, alpha: int, k: int) -> np.ndarray:

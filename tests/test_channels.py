@@ -259,6 +259,26 @@ def test_kraus_terms_errors_reach_every_caller():
         apply(c3, canonical_mub(3), np.eye(2))
 
 
+def test_kraus_terms_basis_route_requires_a_prime_power_set_of_mubs():
+    from gpchannels.oracle import holevo_estimate
+
+    # seven copies of the standard basis look like a d = 6 set by shape alone
+    c6 = GeneralizedPauliChannel(6, [1.0 / 8.0] * 8)
+    copies = MubSet(6, np.stack([np.eye(6)] * 7))
+    for call in (lambda: kraus_terms(c6, copies), lambda: superoperator(c6, copies),
+                 lambda: holevo_estimate(c6, copies)):
+        with pytest.raises(UnsupportedDimensionError,
+                           match=r"^no basis construction for d=6 \(prime power required\)$"):
+            call()
+    c5 = GeneralizedPauliChannel(5, [1.0 / 7.0] * 7)
+    repeated = canonical_mub(5).bases.copy()
+    repeated[3] = repeated[2]
+    for call in (lambda: kraus_terms(c5, MubSet(5, repeated)),
+                 lambda: holevo_estimate(c5, MubSet(5, repeated))):
+        with pytest.raises(ValueError, match=r"^basis set \(d=5\) is not mutually unbiased$"):
+            call()
+
+
 def test_kraus_terms_basis_route_weights_are_the_multiset():
     c = GeneralizedPauliChannel(5, np.random.default_rng(3).dirichlet(np.ones(7)))
     m = canonical_mub(5)

@@ -1,6 +1,10 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
 
+from gpchannels import dynamics
 from gpchannels.dynamics import (
     PauliTrajectory,
     RateSpec,
@@ -144,3 +148,119 @@ def test_trajectory_is_frozen():
     assert isinstance(traj, PauliTrajectory)
     with pytest.raises(AttributeError):
         traj.times = np.zeros(3)
+
+
+def _dip_rates(seed):
+    """A seeded rate table with a negative dip, next to two constant rates."""
+    rng = np.random.default_rng(seed)
+    base, dip = rng.uniform(1.5, 3.5), -rng.uniform(0.3, 1.5)
+    knots = np.cumsum([0.0, *rng.uniform(0.1, 0.6, size=3)]) + rng.uniform(0.5, 1.2)
+    times = np.concatenate([[0.0], knots, [3.0]])  # the last knot stays below 3.0
+    values = np.array([base, base, dip, dip, base, base])
+    return RateSpec(((times, values), *rng.uniform(0.1, 0.4, size=2)))
+
+
+_REFERENCE_RATES = [non_p_divisible_capacity_witness(),
+                    *(_dip_rates(seed) for seed in (11, 12, 13)),
+                    RateSpec.constant(0.4, 0.2, 0.1)]
+
+
+def _pauli_lambdas(states):
+    """lambda_a = 1/2 Tr(S_a M(S_a)) for row-major vec states M, one Pauli at a time."""
+    maps = np.asarray(states).reshape(-1, 4, 4)
+    return np.stack([
+        0.5 * np.einsum("ij,nji->n", s, (maps @ s.ravel()).reshape(-1, 2, 2)).real
+        for s in dynamics._SIGMA[1:]], axis=1)
+
+
+def _scipy_rk45_lambdas(r, times):
+    """scipy's RK45 on the same generator and tolerances, restarted at every
+    knot of a rate table and composed, M(t) = M(t, k) M(k).  A step across a
+    knot, where the rates have a kink, can cost either integrator several
+    1e-8; the restarts keep that error out of the reference."""
+    from scipy.integrate import solve_ivp  # reference implementation, tests only
+
+    def rhs(t, y):
+        return (dynamics._generators(r, [t])[0] @ y.reshape(4, 4)).ravel()
+
+    t0, t1 = times[0], times[-1]
+    knots = {k for entry in r.rates if entry[0] == "table" for k in entry[1] if t0 < k < t1}
+    edges = np.array(sorted(knots | {t0, t1}))
+    total = np.eye(4)
+    states = [total.ravel()]
+    for a, b in zip(edges[:-1], edges[1:]):
+        inside = times[(times > a) & (times <= b)]
+        sol = solve_ivp(rhs, (a, b), np.eye(4).ravel(), method="RK45",
+                        t_eval=np.union1d(inside, [b]), rtol=1e-10, atol=1e-12)
+        assert sol.success, sol.message
+        maps = sol.y.T.reshape(-1, 4, 4)
+        states.extend((maps[:inside.size] @ total).reshape(-1, 16))
+        total = maps[-1] @ total
+    return _pauli_lambdas(states)
+
+
+@pytest.mark.parametrize("r", _REFERENCE_RATES)
+def test_dormand_prince_matches_scipy_rk45(r):
+    times = np.linspace(0.0, 3.0, 301)
+    lam = ode_eigenvalue_oracle(r, 3.0, 301)
+    assert np.max(np.abs(lam - _scipy_rk45_lambdas(r, times))) < 5e-8
+
+
+@pytest.mark.parametrize("g", [(0.4, 0.2, 0.1), (2.0, 0.05, 0.7), (-0.3, 0.5, 0.9)])
+def test_dormand_prince_matches_constant_rate_closed_form(g):
+    lam = ode_eigenvalue_oracle(RateSpec.constant(*g), 3.0, 301)
+    t = np.linspace(0.0, 3.0, 301)[:, None]
+    expect = np.exp(-(np.sum(g) - np.array(g)) * t)
+    assert np.max(np.abs(lam - expect)) < 1e-10
+
+
+def _step_ends(r):
+    return np.array([t_new for _, t_new, _, _ in dynamics._dp_steps(r, 0.0, 3.0)])
+
+
+def test_dormand_prince_output_on_step_ends_and_two_steps():
+    g = np.array([0.4, 0.2, 0.1])
+    r = RateSpec.constant(*g)
+    ends = _step_ends(r)
+    assert ends.size > 10 and ends[-1] == 3.0
+
+    def exact(t):
+        return np.exp(-(g.sum() - g) * np.asarray(t)[:, None])
+
+    two = ode_eigenvalue_oracle(r, 3.0, 2)
+    assert two.shape == (2, 3)
+    assert np.array_equal(two[0], np.ones(3))
+    assert np.max(np.abs(two - exact([0.0, 3.0]))) < 1e-10
+    # every accepted step end an output time, then every other one
+    for grid in (np.concatenate([[0.0], ends]), np.concatenate([[0.0], ends[1::2]])):
+        lam = _pauli_lambdas(dynamics._dormand_prince(r, grid))
+        assert np.max(np.abs(lam - exact(grid))) < 1e-10
+    witness = non_p_divisible_capacity_witness()
+    grid = np.concatenate([[0.0], _step_ends(witness)])
+    lam = _pauli_lambdas(dynamics._dormand_prince(witness, grid))
+    assert np.max(np.abs(lam - _scipy_rk45_lambdas(witness, grid))) < 5e-8
+
+
+def test_quadrature_refuses_non_finite_eigenvalues():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^map eigenvalues are not finite at t=1\.5$"):
+            eigenvalue_trajectory(RateSpec.constant(-250, -250, -250), 3.0, 11)
+
+
+def test_ode_oracle_fails_fast_on_overflow():
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"^map integration failed: .*t=.*"):
+            ode_eigenvalue_oracle(RateSpec.constant(-400, -400, -400), 3.0, 11)
+    assert time.perf_counter() - start < 30.0
+
+
+def test_large_finite_backflow_is_accepted_on_both_routes():
+    r = RateSpec.constant(-100, -100, -100)
+    traj = eigenvalue_trajectory(r, 3.0, 11)
+    lam = ode_eigenvalue_oracle(r, 3.0, 11)
+    assert np.all(np.isfinite(traj.lambdas)) and not traj.cp_everywhere
+    assert np.all(np.isfinite(lam))
+    assert np.allclose(lam, traj.lambdas, rtol=1e-6, atol=0.0)

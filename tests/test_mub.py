@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gpchannels.errors import UnsupportedDimensionError
+from gpchannels.numerics import VALIDATION_TOL
 from gpchannels.mub import (
     MubSet,
     build_mubs,
@@ -213,3 +214,45 @@ def test_basis_label_out_of_range():
         m.basis(0)
     with pytest.raises(ValueError):
         m.basis(4)
+
+
+def _verify_mub_pairwise(m):
+    """verify_mub as one Gram product per basis and per pair of bases."""
+    d = m.dimension
+    for a in range(m.n_bases):
+        gram = m.bases[a] @ m.bases[a].conj().T
+        if np.max(np.abs(gram - np.eye(d))) > VALIDATION_TOL:
+            return False
+        for b in range(a + 1, m.n_bases):
+            overlaps = np.abs(m.bases[a] @ m.bases[b].conj().T) ** 2
+            if np.max(np.abs(overlaps - 1.0 / d)) > VALIDATION_TOL:
+                return False
+    return True
+
+
+def _mub_variants(d):
+    """The canonical set, and copies broken in one place or perturbed below tolerance."""
+    good = build_mubs(d).bases
+    repeated = good.copy()
+    repeated[-1] = repeated[0]
+    scaled = good.copy()
+    scaled[1, 0] *= 1.0 + 1e-6
+    rotated = good.copy()
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    rotated[2, :2] = [c * good[2, 0] + s * good[2, 1], -s * good[2, 0] + c * good[2, 1]]
+    swapped = good.copy()
+    swapped[0, 0], swapped[1, 0] = good[1, 0], good[0, 0]
+    within = good * np.exp(1j * 1e-12)
+    return {"canonical": good, "repeated": repeated, "scaled": scaled,
+            "rotated": rotated, "swapped": swapped, "within": within}
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 7, 8, 9))
+def test_verify_mub_matches_pairwise_loop(d):
+    verdicts = {}
+    for name, bases in _mub_variants(d).items():
+        m = MubSet(d, bases)
+        verdicts[name] = verify_mub(m)
+        assert verdicts[name] == _verify_mub_pairwise(m), name
+    assert verdicts == {"canonical": True, "repeated": False, "scaled": False,
+                        "rotated": False, "swapped": False, "within": True}

@@ -280,6 +280,8 @@ loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded  # the Choi oracle is numpy too
 lams = ode_eigenvalue_oracle(RateSpec.constant(0.5, 0.3, 0.2), 1.0, 11)
 assert lams.shape == (11, 3)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded  # the ODE oracle's integrator is numpy as well
 print("ok")
 """
 
@@ -292,6 +294,24 @@ def test_package_and_cli_import_without_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+_BLOCKED_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+from gpchannels.cli import main
+sys.exit(main(["verify", "--suite", "paper"]))
+"""
+
+
+def test_verify_runs_with_scipy_blocked():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gpchannels.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _BLOCKED_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "21/21 checks passed"
 
 
 def _seeded_channel(d, route, seed):
