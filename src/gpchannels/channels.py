@@ -23,12 +23,16 @@ basis-set route also refuses a set that fails verify_mub.  A WeylChannel
 carries its own displacement products, of any local dimension.
 
 Every channel action takes one route: kraus_terms -> weighted_gram, which,
-reshuffled, is the superoperator behind apply, apply_weyl and the oracle's
-output-entropy search.  The Choi matrix takes the same Kraus set block by
-block (choi_blocks): each displacement product moves |i> to |i + b>, so up
-to a permutation the Choi matrix is block diagonal over the shifts b, and
-its spectrum is the union of the block spectra.  choi_matrix scatters the
-blocks back.
+reshuffled, is the superoperator behind apply and the oracle's
+output-entropy search, and over D is choi_matrix.  choi_blocks takes the
+same Kraus set block by block: each displacement product moves |i> to
+|i + b>, so up to a permutation the Choi matrix is block diagonal over the
+shifts b, and its spectrum is the union of the block spectra.
+
+The Choi spectrum of a constructed channel is its Kraus weight multiset,
+which as_distribution has already clamped to be non-negative.  So the
+oracle's cp_oracle_choi returns True on every channel this module builds;
+it is not an independent CP test, and cp_rows stays the one CP decision.
 """
 
 from dataclasses import dataclass
@@ -281,10 +285,11 @@ def tensor(a, b) -> WeylChannel:
 def weighted_gram(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """G = sum_k w_k vec(U_k) vec(U_k)^dagger, one GEMM (row-major vec).
 
-    G / dim is the Choi matrix (choi_blocks builds it by shift block, with a
-    batched form of this GEMM).  Reshuffled as G[a,b,c,d] -> S[(a,c),(b,d)]
-    it is the superoperator S = sum_k w_k U_k (x) conj(U_k), which maps
-    vec(rho) to vec(sum_k w_k U_k rho U_k^dagger).
+    G / dim is the Choi matrix, choi_matrix (choi_blocks builds it by shift
+    block, with a batched form of this GEMM).  Reshuffled as
+    G[a,b,c,d] -> S[(a,c),(b,d)] it is the superoperator
+    S = sum_k w_k U_k (x) conj(U_k), which maps vec(rho) to
+    vec(sum_k w_k U_k rho U_k^dagger).
     """
     vecs = ops.reshape(ops.shape[0], -1)
     return (vecs.T * weights) @ vecs.conj()
@@ -345,11 +350,6 @@ def apply(c, m: Optional[MubSet], rho: np.ndarray) -> np.ndarray:
     return (sup @ rho.ravel()).reshape(rho.shape)
 
 
-def apply_weyl(w: WeylChannel, rho: np.ndarray) -> np.ndarray:
-    """apply(w, None, rho): the channel through its displacement products."""
-    return apply(w, None, rho)
-
-
 @lru_cache(maxsize=None)
 def _shift_blocks(p: int, n: int) -> np.ndarray:
     """Read-only (D, D) row-major vec indices i*D + j, D = p^n, grouped by
@@ -385,15 +385,12 @@ def choi_blocks(ch) -> np.ndarray:
 def choi_matrix(ch) -> np.ndarray:
     """Choi state (channel (x) id applied to the maximally entangled state).
 
-    Normalized to trace 1: choi_blocks scattered into their shift blocks,
-    zero elsewhere.  For orthogonal unitary Kraus operators the eigenvalues
-    are exactly the mixing weights.
+    Normalized to trace 1: the dense weighted_gram of the displacement
+    products over D, built independently of choi_blocks.  For orthogonal
+    unitary Kraus operators the eigenvalues are exactly the mixing weights.
     """
     w = _as_weyl(ch)
-    idx = _shift_blocks(w.local_dimension, w.parts)
-    choi = np.zeros((idx.size, idx.size), dtype=complex)
-    choi[idx[:, :, None], idx[:, None, :]] = choi_blocks(w)
-    return choi
+    return weighted_gram(*kraus_terms(w)) / w.dimension
 
 
 def classical_map_rows(lams: np.ndarray) -> np.ndarray:
@@ -413,13 +410,11 @@ def classical_map_t(e: EigenvalueVector, alpha: int) -> np.ndarray:
     return classical_map_rows(e.values[None, :])[0, alpha - 1]
 
 
-def channel_to_json(c: GeneralizedPauliChannel) -> dict:
-    return {"d": c.dimension, "probabilities": c.probabilities.tolist()}
-
-
 def channel_from_json(obj: dict) -> GeneralizedPauliChannel:
-    """Build a channel from {"d", "probabilities"} or {"d", "lambdas"}."""
-    d = int(obj["d"])
+    """Build a channel from {"d", "probabilities"} or {"d", "lambdas"}, d an integer."""
+    d = obj.get("d")
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise ValueError(f"channel JSON needs an integer 'd', got {d!r}")
     if "probabilities" in obj:
         return GeneralizedPauliChannel(d, np.asarray(obj["probabilities"], dtype=float))
     if "lambdas" in obj:

@@ -125,24 +125,11 @@ def weyl_labels(d: int) -> np.ndarray:
     raise AssertionError(f"no label partition found for d={d}")
 
 
-@dataclass(frozen=True)
-class WeylOperator:
-    """Displacement operator W_{kl} on a d-dimensional system."""
-
-    dimension: int
-    k: int
-    l: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return _weyl_matrix(self.dimension, self.k, self.l)
-
-
-def weyl_operator(d: int, k: int, l: int) -> WeylOperator:
+def weyl_operator(d: int, k: int, l: int) -> np.ndarray:
     """The displacement operator with phase index k and shift index l (mod d)."""
     if d < 2:
         raise UnsupportedDimensionError(f"dimension must be >= 2, got {d}")
-    return WeylOperator(d, k % d, l % d)
+    return _weyl_matrix(d, k % d, l % d)
 
 
 @dataclass(frozen=True)
@@ -175,23 +162,6 @@ class MubSet:
         """Rank-1 projector onto vector k (0-based) of basis alpha (1-based)."""
         v = self.basis(alpha)[k]
         return np.outer(v, v.conj())
-
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "bases": [
-                [[[z.real, z.imag] for z in vec] for vec in basis]
-                for basis in self.bases
-            ],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "MubSet":
-        bases = np.asarray(
-            [[[complex(re, im) for re, im in vec] for vec in basis]
-             for basis in obj["bases"]]
-        )
-        return MubSet(int(obj["dimension"]), bases)
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Entropies, Hermitian spectra and majorization on plain numpy arrays.
+"""Entropies and majorization on plain numpy arrays.
 
 All entropies are in nats.  Conversion to bits happens only at the output
 layer (see the CLI), never here.
@@ -13,7 +13,6 @@ from .errors import InvalidDistributionError, InvalidStateError
 # a CP row's probabilities are >= -(d-1)/d^2 CLAMP_TOL, so the CP criteria agree.
 CLAMP_TOL = 1e-12      # also the clamp on probabilities and fidelities
 VALIDATION_TOL = 1e-9  # sums, Hermiticity, traces, eigenvalue box, basis checks
-SPECTRAL_TOL = 1e-8    # eigendecomposition reconstruction error
 
 
 def as_distribution(p) -> np.ndarray:
@@ -74,24 +73,6 @@ def von_neumann_entropy(rho) -> float:
     evs = np.clip(evs, 0.0, None)
     evs /= evs.sum()
     return _entropy(evs)
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted non-increasingly.
-
-    Also enforces the reconstruction contract: V diag(w) V^dag must match the
-    input to within SPECTRAL_TOL.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > VALIDATION_TOL:
-        raise ValueError("matrix is not Hermitian")
-    w, v = np.linalg.eigh(m)
-    resid = np.max(np.abs((v * w) @ v.conj().T - m))
-    if resid > SPECTRAL_TOL:
-        raise ValueError(f"eigendecomposition reconstruction error {resid:.3e}")
-    return w[::-1].copy()
 
 
 def majorizes(a, b) -> bool:

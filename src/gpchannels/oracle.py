@@ -5,7 +5,9 @@ The search and the Choi oracle use only the Kraus operators from
 kraus_terms.  The search goes through weighted_gram (kraus_superoperator);
 the Choi oracle diagonalizes choi_blocks, the Choi matrix's D blocks of
 D x D by displacement shift, whose spectra together are the full Choi
-spectrum, since the matrix is block diagonal up to a permutation.
+spectrum, since the matrix is block diagonal up to a permutation.  That
+spectrum is the channel's Kraus weights, already clamped non-negative, so
+the Choi oracle returns True on every channel the package can construct.
 The search evaluates grid, Kraus-eigenvector and random pure states and
 polishes the best with conditional-gradient steps, which certify a
 stationary point through their Frank-Wolfe gap.
@@ -32,6 +34,7 @@ from .channels import (
 from .channels import choi_matrix, gpc_to_weyl, require_cp, weyl_kraus_terms  # noqa: F401
 from .capacity import bounds_batch, holevo_upper_bound_weyl, transition_row_entropies
 from .mub import MubSet
+from .numerics import _xlogx
 
 CHOI_PSD_TOL = 1e-9
 
@@ -72,7 +75,12 @@ class SearchConfig:
 def cp_oracle_choi(ch) -> bool:
     """Complete positivity straight from the Choi spectrum, taken block by
     block: choi_blocks are the Choi matrix's diagonal blocks up to a
-    permutation, so their spectra together are the full spectrum."""
+    permutation, so their spectra together are the full spectrum.
+
+    True on every channel the package can construct: the spectrum is the
+    Kraus weight multiset, which as_distribution has clamped to be
+    non-negative.  It is not an independent CP test; cp_rows decides CP.
+    """
     return bool(np.linalg.eigvalsh(choi_blocks(ch)).min() >= -CHOI_PSD_TOL)
 
 
@@ -111,9 +119,7 @@ def _entropies_from_projectors(rho: np.ndarray, sup: np.ndarray) -> np.ndarray:
     # rows; summing many short rows is several times slower
     np.maximum(evs, 0.0, out=evs)
     evs /= evs.sum(axis=0)
-    logs = np.log(evs, out=np.zeros_like(evs), where=evs > 0.0)
-    logs *= evs
-    return -logs.sum(axis=0)
+    return -_xlogx(evs).sum(axis=0)
 
 
 def _output_entropies(states: np.ndarray, sup: np.ndarray) -> np.ndarray:
@@ -321,19 +327,6 @@ class AdditivityReport:
     upper_gap: float
     tensor_row_entropies: tuple
     chi_grid_estimate: Optional[float] = None
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.dimension,
-            "chi_low": self.chi_low,
-            "chi_low_tensor": self.chi_low_tensor,
-            "lower_gap": self.lower_gap,
-            "chi_up": self.chi_up,
-            "chi_up_tensor": self.chi_up_tensor,
-            "upper_gap": self.upper_gap,
-            "tensor_row_entropies": list(self.tensor_row_entropies),
-            "chi_grid_estimate": self.chi_grid_estimate,
-        }
 
 
 def additivity_report(c: GeneralizedPauliChannel,

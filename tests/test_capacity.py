@@ -21,10 +21,12 @@ from gpchannels.capacity import (
 from gpchannels.channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
+    canonical_mub,
     classical_map_t,
     eigenvalues_from_probabilities,
     gpc_to_weyl,
     probabilities_from_eigenvalues,
+    superoperator,
     tensor,
 )
 from gpchannels.dynamics import (
@@ -33,6 +35,7 @@ from gpchannels.dynamics import (
     non_p_divisible_capacity_witness,
 )
 from gpchannels.errors import NotCompletelyPositiveError, UnsupportedDimensionError
+from gpchannels.numerics import majorizes
 from gpchannels.selfcheck import sample_cp_eigenvalues
 
 LN2, LN3, LN5 = np.log(2.0), np.log(3.0), np.log(5.0)
@@ -108,6 +111,28 @@ def test_p_form_and_lambda_form_agree(cp_sampler, rng):
             assert np.allclose(a.shifted_blocks, b.shifted_blocks, atol=1e-12)
             assert np.allclose(a.straddle_blocks, b.straddle_blocks, atol=1e-12)
             assert np.allclose(a.merged_blocks, b.merged_blocks, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 7))
+def test_zeta_majorizes_every_output_spectrum(d):
+    # the premise of chi_up: the grouped weights majorize the output spectrum of
+    # every pure input, so ln d - H(zeta) bounds the Holevo quantity from above
+    rng = np.random.default_rng([20261025, d])
+    basis_states = canonical_mub(d).bases.reshape(-1, d)
+    for i in range(40):
+        p = rng.dirichlet(np.ones(d + 2))
+        if i % 2:  # CP boundary: one or two basis weights zero
+            p[1 + rng.choice(d + 1, size=1 + i % 4 // 2, replace=False)] = 0.0
+        c = GeneralizedPauliChannel(d, p / p.sum())
+        zeta = bounds_batch(eigenvalues_from_probabilities(c).values[None, :]).zeta[0]
+        raw = rng.standard_normal((20, d)) + 1j * rng.standard_normal((20, d))
+        states = np.concatenate([basis_states,
+                                 raw / np.linalg.norm(raw, axis=1, keepdims=True)])
+        rho = (states[:, :, None] * states.conj()[:, None, :]).reshape(len(states), -1)
+        outputs = (rho @ superoperator(c).T).reshape(-1, d, d)
+        spectra = np.linalg.eigvalsh(outputs)
+        failed = [k for k, spectrum in enumerate(spectra) if not majorizes(zeta, spectrum)]
+        assert not failed, f"channel {i}: zeta does not majorize states {failed}"
 
 
 def test_region_boundary_continuity():

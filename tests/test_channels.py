@@ -12,10 +12,8 @@ from gpchannels.channels import (
     GeneralizedPauliChannel,
     WeylChannel,
     apply,
-    apply_weyl,
     canonical_mub,
     channel_from_json,
-    channel_to_json,
     choi_blocks,
     choi_matrix,
     classical_map_rows,
@@ -213,7 +211,7 @@ def test_apply_matches_weyl_route(d, rng):
     c = GeneralizedPauliChannel(d, p)
     m = canonical_mub(d)
     rho = random_density(rng, d)
-    assert np.allclose(apply(c, m, rho), apply_weyl(gpc_to_weyl(c), rho), atol=1e-10)
+    assert np.allclose(apply(c, m, rho), apply(gpc_to_weyl(c), None, rho), atol=1e-10)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5, 7, 8, 9))
@@ -231,8 +229,8 @@ def test_apply_matches_explicit_kraus_sum_on_both_routes(d):
     w = gpc_to_weyl(c)
     weyl_sum = sum(wk * (u @ rho @ u.conj().T) for wk, u in zip(*weyl_kraus_terms(w)))
     assert np.abs(apply(c, m, rho) - mub_sum).max() <= 1e-14
-    assert np.abs(apply_weyl(w, rho) - weyl_sum).max() <= 1e-14
-    assert np.array_equal(apply(c, None, rho), apply_weyl(w, rho))
+    assert np.abs(apply(w, None, rho) - weyl_sum).max() <= 1e-14
+    assert np.array_equal(apply(c, None, rho), apply(w, None, rho))
 
 
 def test_kraus_terms_errors_reach_every_caller():
@@ -299,7 +297,7 @@ def test_gpc_to_weyl_dim4_round_trip(rng):
     assert weights.size == 16
     assert np.allclose(weights.sum(), 1.0, atol=1e-12)
     rho = random_density(rng, 4)
-    out = apply_weyl(w, rho)
+    out = apply(w, None, rho)
     assert np.trace(out) == pytest.approx(1.0, abs=1e-12)
     m = canonical_mub(4)
     assert np.allclose(out, apply(c, m, rho), atol=1e-10)
@@ -491,9 +489,16 @@ def test_classical_map_structure():
 
 def test_channel_json_round_trip():
     c = GeneralizedPauliChannel(3, [0.2, 0.3, 0.25, 0.15, 0.1])
-    again = channel_from_json(channel_to_json(c))
+    again = channel_from_json({"d": c.dimension, "probabilities": c.probabilities.tolist()})
     assert again.dimension == 3
     assert np.allclose(again.probabilities, c.probabilities, atol=1e-15)
+
+
+@pytest.mark.parametrize("obj", [{}, {"d": 2.7}, {"d": "x"}, {"d": True}],
+                         ids=["missing", "float", "string", "bool"])
+def test_channel_from_json_needs_an_integer_d(obj):
+    with pytest.raises(ValueError, match="integer 'd'"):
+        channel_from_json({**obj, "probabilities": [0.25, 0.5, 0.25, 0.0]})
 
 
 def test_weyl_channel_validates_size():

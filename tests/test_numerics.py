@@ -6,7 +6,6 @@ from gpchannels.errors import InvalidDistributionError, InvalidStateError
 from gpchannels.numerics import (
     as_distribution,
     check_density_matrix,
-    hermitian_eigenvalues,
     majorizes,
     shannon_entropy,
     von_neumann_entropy,
@@ -82,14 +81,6 @@ def test_von_neumann_entropy_basis_invariant(rng):
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     rho = q @ np.diag(evs) @ q.conj().T
     assert von_neumann_entropy(rho) == pytest.approx(shannon_entropy(evs), abs=1e-10)
-
-
-def test_hermitian_eigenvalues_sorted_descending(rng):
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h = (a + a.conj().T) / 2
-    evs = hermitian_eigenvalues(h)
-    assert np.all(np.diff(evs) <= 0)
-    assert np.allclose(sorted(evs), sorted(np.linalg.eigvalsh(h)))
 
 
 def test_majorizes_uniform_is_bottom():
