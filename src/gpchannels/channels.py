@@ -24,10 +24,12 @@ carries its own displacement products, of any local dimension.
 
 Every channel action takes one route: kraus_terms -> weighted_gram, which,
 reshuffled, is the superoperator behind apply and the oracle's
-output-entropy search, and over D is choi_matrix.  choi_blocks takes the
-same Kraus set block by block: each displacement product moves |i> to
-|i + b>, so up to a permutation the Choi matrix is block diagonal over the
-shifts b, and its spectrum is the union of the block spectra.
+output-entropy search, and over D is choi_matrix.  choi_blocks reads the
+displacement products of all D^2 labels, zero weights included, regrouped
+shift-major: each product moves |i> to a phase times |i + b>, so up to a
+permutation the Choi matrix is block diagonal over the shifts b, block b
+comes from the D products of shift b alone, and the Choi spectrum is the
+union of the block spectra.
 
 The Choi spectrum of a constructed channel is its Kraus weight multiset,
 which as_distribution has already clamped to be non-negative.  So the
@@ -285,9 +287,9 @@ def tensor(a, b) -> WeylChannel:
 def weighted_gram(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """G = sum_k w_k vec(U_k) vec(U_k)^dagger, one GEMM (row-major vec).
 
-    G / dim is the Choi matrix, choi_matrix (choi_blocks builds it by shift
-    block, with a batched form of this GEMM).  Reshuffled as
-    G[a,b,c,d] -> S[(a,c),(b,d)] it is the superoperator
+    G / dim is the Choi matrix, choi_matrix (choi_blocks builds its shift
+    blocks instead, each from the displacement products of one shift).
+    Reshuffled as G[a,b,c,d] -> S[(a,c),(b,d)] it is the superoperator
     S = sum_k w_k U_k (x) conj(U_k), which maps vec(rho) to
     vec(sum_k w_k U_k rho U_k^dagger).
     """
@@ -350,36 +352,26 @@ def apply(c, m: Optional[MubSet], rho: np.ndarray) -> np.ndarray:
     return (sup @ rho.ravel()).reshape(rho.shape)
 
 
-@lru_cache(maxsize=None)
-def _shift_blocks(p: int, n: int) -> np.ndarray:
-    """Read-only (D, D) row-major vec indices i*D + j, D = p^n, grouped by
-    shift: row s holds, for each i in order, the j with j - i = s digitwise
-    mod p (digits base p, most significant first)."""
-    dim = p ** n
-    place = p ** np.arange(n - 1, -1, -1)
-    digits = np.arange(dim)[:, None] // place % p
-    cols = (digits[None, :, :] + digits[:, None, :]) % p @ place
-    idx = np.arange(dim) * dim + cols
-    idx.setflags(write=False)
-    return idx
-
-
 def choi_blocks(ch) -> np.ndarray:
     """The Choi matrix as D blocks of D x D, D the channel dimension.
 
     A displacement product sends |i> to a phase times |i + b>, so vec(U_k)
-    lives on the vec indices of one shift b, and the Choi matrix links
-    entry (i, j) only to entries (k, l) with the same shift j - i = l - k.
-    Block s is the Choi matrix on the indices _shift_blocks(p, n)[s]: the
-    matrix is block diagonal up to a permutation, so the blocks' spectra
-    together are its spectrum.  Each block is weighted_gram's GEMM on the
-    gathered Kraus vectors, all D in one batched matmul.
+    lives on the vec indices (i, i + b) of its shift b, and up to a
+    permutation the Choi matrix is block diagonal over the shifts: its
+    spectrum is the union of the block spectra.  Block b, indexed by i, is
+    sum_k w_k u_k u_k^dagger / D over the D products of shift b, u_k the
+    entries U_k[i, i + b]: the row sums of U_k, exact since each row holds
+    one nonzero.  The (p,)*2n grid of all D^2 labels, zero weights included,
+    is transposed so that the shift digits lead, and the D blocks come from
+    one batched matmul.
     """
     w = _as_weyl(ch)
-    weights, ops = kraus_terms(w)
-    idx = _shift_blocks(w.local_dimension, w.parts)
-    vecs = ops.reshape(ops.shape[0], -1).T[idx]
-    return (vecs * weights) @ vecs.conj().transpose(0, 2, 1) / w.dimension
+    p, n, dim = w.local_dimension, w.parts, w.dimension
+    labels = np.arange(dim * dim).reshape((p,) * (2 * n))
+    labels = labels.transpose(*range(1, 2 * n, 2), *range(0, 2 * n, 2)).reshape(dim, dim)
+    rows = displacement_products(p, n, labels.ravel()).sum(axis=2).reshape(dim, dim, dim)
+    weighted = rows.transpose(0, 2, 1) * w.probabilities[labels][:, None, :]
+    return weighted @ rows.conj() / dim
 
 
 def choi_matrix(ch) -> np.ndarray:
@@ -412,6 +404,8 @@ def classical_map_t(e: EigenvalueVector, alpha: int) -> np.ndarray:
 
 def channel_from_json(obj: dict) -> GeneralizedPauliChannel:
     """Build a channel from {"d", "probabilities"} or {"d", "lambdas"}, d an integer."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"channel JSON must be an object, got {type(obj).__name__}")
     d = obj.get("d")
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
         raise ValueError(f"channel JSON needs an integer 'd', got {d!r}")

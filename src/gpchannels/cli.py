@@ -6,7 +6,6 @@ dynamics CSV always stores nats (the column name says so).
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -167,16 +166,9 @@ def _cmd_random_sweep(args) -> int:
     d = args.d
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
-    seed, source = args.seed, "--seed"
-    if seed is None:
-        text, source = os.environ.get("GPC_SEED", "0"), "GPC_SEED"
-        try:
-            seed = int(text)
-        except ValueError:
-            raise ValueError(f"GPC_SEED must be an integer, got {text!r}") from None
-    if seed < 0:
-        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    rng = np.random.default_rng(args.seed)
     # reshape: a zero count gives an empty 1-d array
     samples = sample_cp_eigenvalues(d, args.count, rng).reshape(-1, d + 1)
     bounds = bounds_batch(samples)
@@ -228,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random-sweep", help="bounds for random channels as CSV")
     p.add_argument("--d", type=int, choices=[2, 3, 4, 5], required=True)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int,
-                   help="random seed (default: the GPC_SEED variable, else 0)")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=_cmd_random_sweep)
 
     return parser

@@ -7,7 +7,8 @@ Simpson quadrature of the rates (the fast path) and direct integration of
 the generator acting on the full map (the oracle).  The oracle integrates
 with the embedded Dormand-Prince 5(4) pair (Dormand & Prince 1980) and its
 quartic dense output (Shampine 1986), under the step-size rules of scipy's
-RK45; it is plain numpy.
+RK45, except that its steps end on the knots of every rate table, so no step
+straddles a kink in the rates; it is plain numpy.
 """
 
 from dataclasses import dataclass, replace
@@ -198,9 +199,14 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
 
     Local extrapolation, and step control as scipy's RK45: RMS error norm,
     safety 0.9, factors in [0.2, 10], exponent -1/5, no growth right after a
-    rejection, and its initial step.  Raises RuntimeError when the step
-    underflows or the state stops being finite.
+    rejection, and its initial step.  Unlike RK45, steps end on the interior
+    knots of every rate table, where the rates have kinks; the step size and
+    the first-same-as-last rate carry across a knot, since the rates are
+    continuous there.  Raises RuntimeError when the step underflows or the
+    state stops being finite.
     """
+    knots = [k for entry in r.rates if entry[0] == "table" for k in entry[1]]
+    stops = np.unique([k for k in knots if t < k < t_end] + [t_end])
     y = np.eye(4).ravel()
     f = (_generators(r, [t])[0] @ y.reshape(4, 4)).ravel()
 
@@ -220,6 +226,7 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
     stages = np.empty((7, 16))
     stage_mats = stages.reshape(7, 4, 4)
     while t < t_end:
+        stop = stops[np.searchsorted(stops, t, side="right")]
         min_step = 10.0 * (np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -227,7 +234,7 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
             if h_abs < min_step:
                 raise RuntimeError(f"map integration failed: step size "
                                    f"{h_abs:.3g} underflows at t={t:.6g}")
-            t_new = min(t + h_abs, t_end)
+            t_new = min(t + h_abs, stop)
             h = t_new - t
             gens = _generators(r, t + _DP_C * h)
             stages[0] = f

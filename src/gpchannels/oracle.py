@@ -1,13 +1,15 @@
 """Independent numerical checks: brute-force output-entropy search, Choi
 positivity, and additivity probes for the closed-form capacity bounds.
 
-The search and the Choi oracle use only the Kraus operators from
-kraus_terms.  The search goes through weighted_gram (kraus_superoperator);
-the Choi oracle diagonalizes choi_blocks, the Choi matrix's D blocks of
-D x D by displacement shift, whose spectra together are the full Choi
-spectrum, since the matrix is block diagonal up to a permutation.  That
-spectrum is the channel's Kraus weights, already clamped non-negative, so
-the Choi oracle returns True on every channel the package can construct.
+The search and the Choi oracle use only the channel's unitary Kraus
+operators.  The search takes them from kraus_terms, through weighted_gram
+(kraus_superoperator).  The Choi oracle diagonalizes choi_blocks, the Choi
+matrix's D blocks of D x D by displacement shift, each built from the
+displacement products of its shift alone; the matrix is block diagonal up
+to a permutation, so their spectra together are the full Choi spectrum.
+That spectrum is the channel's Kraus weights, already clamped
+non-negative, so the Choi oracle returns True on every channel the package
+can construct.
 The search evaluates grid, Kraus-eigenvector and random pure states and
 polishes the best with conditional-gradient steps, which certify a
 stationary point through their Frank-Wolfe gap.

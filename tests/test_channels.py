@@ -64,6 +64,8 @@ def test_channel_validates_distribution():
 def test_channel_rejects_dimension_one():
     with pytest.raises(UnsupportedDimensionError):
         GeneralizedPauliChannel(1, [0.5, 0.5, 0.0])
+    with pytest.raises(UnsupportedDimensionError, match="dimension must be >= 2, got 1$"):
+        EigenvalueVector(1, [0.5, 0.5])
 
 
 def test_eigenvalue_vector_box():
@@ -348,6 +350,9 @@ def test_tensor_accepts_gpc_inputs():
     pair = tensor(c, c)
     assert pair.dimension == 4
     assert pair.probabilities.size == 16
+    qutrit = GeneralizedPauliChannel(3, [0.2, 0.3, 0.25, 0.15, 0.1])
+    with pytest.raises(ValueError, match="local dimensions differ: 2 vs 3$"):
+        tensor(c, qutrit)
 
 
 def test_choi_matrix_properties(rng):
@@ -458,8 +463,13 @@ def test_choi_block_spectra_are_the_choi_spectrum(kind, d, zeros):
     ch = _choi_case(kind, d, zeros)
     blocks = choi_blocks(ch)
     assert blocks.shape == (ch.dimension,) * 3
+    choi = choi_matrix(ch)
+    shifts = _vec_shifts(ch)
+    for b, block in enumerate(blocks):
+        idx = np.flatnonzero(shifts == b)
+        assert np.abs(block - choi[np.ix_(idx, idx)]).max() <= 1e-15
     evs = np.sort(np.linalg.eigvalsh(blocks), axis=None)
-    assert np.abs(evs - np.linalg.eigvalsh(choi_matrix(ch))).max() <= 1e-14
+    assert np.abs(evs - np.linalg.eigvalsh(choi)).max() <= 1e-14
 
 
 def test_classical_map_rows_are_stochastic():
@@ -483,8 +493,12 @@ def test_classical_map_rows_stack_every_basis(cp_sampler, rng):
 
 def test_classical_map_structure():
     lam = 0.5
-    t = classical_map_t(EigenvalueVector(2, [lam, 0.0, -0.5]), 1)
+    e = EigenvalueVector(2, [lam, 0.0, -0.5])
+    t = classical_map_t(e, 1)
     assert np.allclose(t, [[0.75, 0.25], [0.25, 0.75]], atol=1e-15)
+    for alpha in (0, 4):
+        with pytest.raises(ValueError, match=f"basis label {alpha} out of range 1..3$"):
+            classical_map_t(e, alpha)
 
 
 def test_channel_json_round_trip():
@@ -501,9 +515,24 @@ def test_channel_from_json_needs_an_integer_d(obj):
         channel_from_json({**obj, "probabilities": [0.25, 0.5, 0.25, 0.0]})
 
 
+@pytest.mark.parametrize("obj,message", [
+    ([1, 2], "must be an object, got list$"),
+    (None, "must be an object, got NoneType$"),
+    ("x", "must be an object, got str$"),
+    ({"d": 2}, "needs 'probabilities' or 'lambdas'$"),
+], ids=["list", "none", "string", "no-weights"])
+def test_channel_from_json_needs_an_object_with_weights(obj, message):
+    with pytest.raises(ValueError, match=message):
+        channel_from_json(obj)
+
+
 def test_weyl_channel_validates_size():
     with pytest.raises(ValueError):
         WeylChannel(2, 1, [0.5, 0.5])
+    with pytest.raises(UnsupportedDimensionError, match="local dimension must be >= 2, got 1$"):
+        WeylChannel(1, 1, [1.0])
+    with pytest.raises(ValueError, match="parts must be >= 1, got 0$"):
+        WeylChannel(2, 0, [1.0])
 
 
 def test_canonical_mub_caches_and_covers_dim4():

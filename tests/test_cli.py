@@ -205,50 +205,13 @@ def test_random_sweep_deterministic(capsys):
     assert len(lines) == 5
 
 
-def test_random_sweep_seed_from_environment(monkeypatch, capsys):
-    monkeypatch.setenv("GPC_SEED", "42")
-    _, via_env, _ = run(capsys, "random-sweep", "--d", "3", "--count", "4")
-    _, via_flag, _ = run(capsys, "random-sweep", "--d", "3", "--count", "4",
-                         "--seed", "42")
-    assert via_env == via_flag
-
-
-@pytest.mark.parametrize("argv", [
-    ("bounds", "--d", "2", "--lambdas", "0.5,0.2,0.1"),
-    ("zeta", "--d", "3", "--lambdas", "0.5,0.2,0.1,0.1"),
-    ("cp-check", "--d", "2", "--lambdas", "0.9,0.9,-0.9"),
-    ("random-sweep", "--d", "3", "--count", "4", "--seed", "42"),
-])
-def test_bad_seed_variable_only_matters_to_random_sweep(monkeypatch, capsys, argv):
-    _, expect, _ = run(capsys, *argv)
-    monkeypatch.setenv("GPC_SEED", "abc")
-    code, out, err = run(capsys, *argv)
-    assert code == 0 and err == ""
-    assert out == expect
-
-
-def test_random_sweep_rejects_non_integer_seed_variable(monkeypatch, capsys):
-    for text in ("abc", "1.5", ""):
-        monkeypatch.setenv("GPC_SEED", text)
-        code, out, err = run(capsys, "random-sweep", "--d", "3", "--count", "4")
-        assert code == 2
-        assert out == ""
-        assert "GPC_SEED" in err and "Traceback" not in err
-
-
-def test_random_sweep_rejects_negative_seed(monkeypatch, capsys):
-    monkeypatch.delenv("GPC_SEED", raising=False)
+def test_random_sweep_rejects_negative_seed(capsys):
     code, out, err = run(capsys, "random-sweep", "--d", "3", "--count", "4", "--seed", "-1")
     assert (code, out) == (2, "")
     assert err == "error: --seed must be a non-negative integer, got -1\n"
-    monkeypatch.setenv("GPC_SEED", "-1")
-    code, out, err = run(capsys, "random-sweep", "--d", "3", "--count", "4")
-    assert (code, out) == (2, "")
-    assert err == "error: GPC_SEED must be a non-negative integer, got -1\n"
 
 
-def test_random_sweep_default_seed_is_zero(monkeypatch, capsys):
-    monkeypatch.delenv("GPC_SEED", raising=False)
+def test_random_sweep_default_seed_is_zero(capsys):
     _, default, _ = run(capsys, "random-sweep", "--d", "2", "--count", "3")
     _, zero, _ = run(capsys, "random-sweep", "--d", "2", "--count", "3", "--seed", "0")
     assert default == zero

@@ -137,6 +137,7 @@ def test_correspondence_rejects_relabelled_bases():
         swapped = MubSet(d, build_mubs(d).bases[order])
         assert verify_mub(swapped)
         assert not check_weyl_correspondence(swapped)
+    assert not check_weyl_correspondence(MubSet(3, build_mubs(3).bases[:3]))  # n_bases != d + 1
 
 
 @pytest.mark.parametrize("d", (3, 5))

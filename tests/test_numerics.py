@@ -31,6 +31,8 @@ def test_as_distribution_rejects_negative():
 def test_as_distribution_rejects_bad_sum():
     with pytest.raises(InvalidDistributionError):
         as_distribution([0.5, 0.4])
+    with pytest.raises(InvalidDistributionError, match="^empty probability vector$"):
+        as_distribution([])
 
 
 def test_as_distribution_rejects_nan():
@@ -57,6 +59,8 @@ def test_check_density_matrix_accepts_mixed_state():
 def test_check_density_matrix_rejects_nonhermitian():
     with pytest.raises(InvalidStateError):
         check_density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
+    with pytest.raises(InvalidStateError, match=r"got shape \(2, 3\)$"):
+        check_density_matrix(np.zeros((2, 3)))
 
 
 def test_check_density_matrix_rejects_negative_eigenvalue():
@@ -86,6 +90,8 @@ def test_von_neumann_entropy_basis_invariant(rng):
 def test_majorizes_uniform_is_bottom():
     assert majorizes([0.5, 0.3, 0.2], np.full(3, 1 / 3))
     assert not majorizes(np.full(3, 1 / 3), [0.5, 0.3, 0.2])
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 3$"):
+        majorizes([0.5, 0.5], [0.2, 0.3, 0.5])
 
 
 def test_majorizes_self():
