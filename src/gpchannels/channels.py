@@ -24,17 +24,9 @@ carries its own displacement products, of any local dimension.
 
 Every channel action takes one route: kraus_terms -> weighted_gram, which,
 reshuffled, is the superoperator behind apply and the oracle's
-output-entropy search, and over D is choi_matrix.  choi_blocks reads the
-displacement products of all D^2 labels, zero weights included, regrouped
-shift-major: each product moves |i> to a phase times |i + b>, so up to a
-permutation the Choi matrix is block diagonal over the shifts b, block b
-comes from the D products of shift b alone, and the Choi spectrum is the
-union of the block spectra.
-
-The Choi spectrum of a constructed channel is its Kraus weight multiset,
-which as_distribution has already clamped to be non-negative.  So the
-oracle's cp_oracle_choi returns True on every channel this module builds;
-it is not an independent CP test, and cp_rows stays the one CP decision.
+output-entropy search, and over D is choi_matrix.  choi_blocks builds the
+same Choi matrix as D shift blocks of D x D, read off the displacement
+products.
 """
 
 from dataclasses import dataclass
@@ -54,7 +46,7 @@ from .mub import (
     verify_mub,
     weyl_labels,
 )
-from .numerics import CLAMP_TOL, VALIDATION_TOL, as_distribution
+from .numerics import CLAMP_TOL, VALIDATION_TOL, _require_integer, as_distribution
 
 
 @dataclass(frozen=True)
@@ -65,7 +57,8 @@ class GeneralizedPauliChannel:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        if int(self.dimension) < 2:
+        _require_integer("dimension", self.dimension, UnsupportedDimensionError)
+        if self.dimension < 2:
             raise UnsupportedDimensionError(f"dimension must be >= 2, got {self.dimension}")
         object.__setattr__(self, "dimension", int(self.dimension))
         probs = as_distribution(self.probabilities)
@@ -89,7 +82,8 @@ class EigenvalueVector:
     values: np.ndarray
 
     def __post_init__(self):
-        if int(self.dimension) < 2:
+        _require_integer("dimension", self.dimension, UnsupportedDimensionError)
+        if self.dimension < 2:
             raise UnsupportedDimensionError(f"dimension must be >= 2, got {self.dimension}")
         object.__setattr__(self, "dimension", int(self.dimension))
         vals = np.array(self.values, dtype=float).ravel()
@@ -115,11 +109,13 @@ class WeylChannel:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        if int(self.local_dimension) < 2:
+        _require_integer("local_dimension", self.local_dimension, UnsupportedDimensionError)
+        if self.local_dimension < 2:
             raise UnsupportedDimensionError(
                 f"local dimension must be >= 2, got {self.local_dimension}"
             )
-        if int(self.parts) < 1:
+        _require_integer("parts", self.parts)
+        if self.parts < 1:
             raise ValueError(f"parts must be >= 1, got {self.parts}")
         object.__setattr__(self, "local_dimension", int(self.local_dimension))
         object.__setattr__(self, "parts", int(self.parts))
@@ -135,11 +131,18 @@ class WeylChannel:
 
 
 def eigenvalues_from_probabilities(c: GeneralizedPauliChannel) -> EigenvalueVector:
-    """lambda_alpha = [d (p_0 + p_alpha) - 1] / (d - 1)."""
-    d = c.dimension
-    p = c.probabilities
-    lam = (d * (p[0] + p[1:]) - 1.0) / (d - 1.0)
-    return EigenvalueVector(d, lam)
+    """Apply the spectral map (eigenvalue_rows) to one channel."""
+    return EigenvalueVector(c.dimension, eigenvalue_rows(c.probabilities[None, :])[0])
+
+
+def eigenvalue_rows(probs: np.ndarray) -> np.ndarray:
+    """(N, d+1) eigenvalues of an (N, d+2) mixing-probability array:
+    lambda_alpha = [d (p_0 + p_alpha) - 1] / (d - 1).
+
+    An affine bijection from the probability simplex onto the CP region.
+    """
+    d = probs.shape[1] - 2
+    return (d * (probs[:, :1] + probs[:, 1:]) - 1.0) / (d - 1.0)
 
 
 def probabilities_from_eigenvalues(e: EigenvalueVector) -> GeneralizedPauliChannel:
@@ -288,7 +291,7 @@ def weighted_gram(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """G = sum_k w_k vec(U_k) vec(U_k)^dagger, one GEMM (row-major vec).
 
     G / dim is the Choi matrix, choi_matrix (choi_blocks builds its shift
-    blocks instead, each from the displacement products of one shift).
+    blocks instead).
     Reshuffled as G[a,b,c,d] -> S[(a,c),(b,d)] it is the superoperator
     S = sum_k w_k U_k (x) conj(U_k), which maps vec(rho) to
     vec(sum_k w_k U_k rho U_k^dagger).

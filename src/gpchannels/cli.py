@@ -169,8 +169,7 @@ def _cmd_random_sweep(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
-    # reshape: a zero count gives an empty 1-d array
-    samples = sample_cp_eigenvalues(d, args.count, rng).reshape(-1, d + 1)
+    samples = sample_cp_eigenvalues(d, args.count, rng)
     bounds = bounds_batch(samples)
     header = ["index"] + [f"lambda{a}" for a in range(1, d + 2)]
     header += ["chi_low", "chi_up", "coincide"]

@@ -21,6 +21,7 @@ import numpy as np
 from .capacity import bounds_batch, pauli_classical_capacity  # noqa: F401
 from .channels import cp_rows
 from .errors import NotCompletelyPositiveError
+from .numerics import _require_integer
 
 P_DIVISIBILITY_TOL = 1e-10
 ODE_RTOL = 1e-10
@@ -146,11 +147,13 @@ def eigenvalue_rises(lambdas: np.ndarray) -> np.ndarray:
 
 
 def _time_grid(t_max: float, steps: int) -> np.ndarray:
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    # NaN fails both comparisons
+    if not 0.0 < t_max < np.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    _require_integer("steps", steps)
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
-    return np.linspace(0.0, float(t_max), int(steps))
+    return np.linspace(0.0, float(t_max), steps)
 
 
 def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTrajectory:

@@ -15,6 +15,13 @@ CLAMP_TOL = 1e-12      # also the clamp on probabilities and fidelities
 VALIDATION_TOL = 1e-9  # sums, Hermiticity, traces, eigenvalue box, basis checks
 
 
+def _require_integer(name: str, value, error=ValueError) -> None:
+    """Raise error naming the field unless value is an integer; a bool is not,
+    a numpy integer is."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def as_distribution(p) -> np.ndarray:
     """Validate a probability vector and return a cleaned copy.
 

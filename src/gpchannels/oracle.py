@@ -3,13 +3,8 @@ positivity, and additivity probes for the closed-form capacity bounds.
 
 The search and the Choi oracle use only the channel's unitary Kraus
 operators.  The search takes them from kraus_terms, through weighted_gram
-(kraus_superoperator).  The Choi oracle diagonalizes choi_blocks, the Choi
-matrix's D blocks of D x D by displacement shift, each built from the
-displacement products of its shift alone; the matrix is block diagonal up
-to a permutation, so their spectra together are the full Choi spectrum.
-That spectrum is the channel's Kraus weights, already clamped
-non-negative, so the Choi oracle returns True on every channel the package
-can construct.
+(kraus_superoperator).  The Choi oracle diagonalizes the Choi matrix's
+shift blocks, choi_blocks.
 The search evaluates grid, Kraus-eigenvector and random pure states and
 polishes the best with conditional-gradient steps, which certify a
 stationary point through their Frank-Wolfe gap.
@@ -36,7 +31,7 @@ from .channels import (
 from .channels import choi_matrix, gpc_to_weyl, require_cp, weyl_kraus_terms  # noqa: F401
 from .capacity import bounds_batch, holevo_upper_bound_weyl, transition_row_entropies
 from .mub import MubSet
-from .numerics import _xlogx
+from .numerics import _require_integer, _xlogx
 
 CHOI_PSD_TOL = 1e-9
 
@@ -61,9 +56,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("grid_resolution", "samples", "seed", "refinement_iterations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _require_integer(name, getattr(self, name))
         if self.grid_resolution < 8:
             raise ValueError(f"grid_resolution must be >= 8, got {self.grid_resolution}")
         if self.samples < 0:
@@ -75,13 +68,13 @@ class SearchConfig:
 
 
 def cp_oracle_choi(ch) -> bool:
-    """Complete positivity straight from the Choi spectrum, taken block by
-    block: choi_blocks are the Choi matrix's diagonal blocks up to a
-    permutation, so their spectra together are the full spectrum.
+    """Complete positivity from the spectra of the Choi matrix's shift
+    blocks, choi_blocks.
 
     True on every channel the package can construct: the spectrum is the
     Kraus weight multiset, which as_distribution has clamped to be
-    non-negative.  It is not an independent CP test; cp_rows decides CP.
+    non-negative.  So it is not yet an independent CP test (ROADMAP.md,
+    open item 2); cp_rows decides CP.
     """
     return bool(np.linalg.eigvalsh(choi_blocks(ch)).min() >= -CHOI_PSD_TOL)
 

@@ -26,8 +26,8 @@ from .channels import (
     canonical_mub,
     choi_matrix,
     classical_map_t,
-    cp_margin_rows,
     cp_rows,
+    eigenvalue_rows,
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
     gpc_to_weyl,
@@ -45,6 +45,7 @@ from .dynamics import (
     ode_eigenvalue_oracle,
     p_divisibility_check,
 )
+from .errors import UnsupportedDimensionError
 from .mub import (
     check_weyl_correspondence,
     prime_power,
@@ -72,13 +73,14 @@ class CheckResult(NamedTuple):
 
 
 def sample_cp_eigenvalues(d: int, count: int, rng) -> np.ndarray:
-    """Uniform CP eigenvalue vectors by rejection from the bounding box."""
-    lo = -1.0 / (d - 1.0)
-    out = []
-    while len(out) < count:
-        batch = rng.uniform(lo, 1.0, size=(max(4 * count, 1024), d + 1))
-        out.extend(batch[cp_margin_rows(batch) >= 0.0])
-    return np.asarray(out[:count])
+    """count eigenvalue rows drawn uniformly from the CP region, shape (count, d+1).
+
+    Dirichlet(1, ..., 1) rows are uniform on the probability simplex, and
+    eigenvalue_rows maps the simplex affinely onto the CP region.
+    """
+    if d < 2:
+        raise UnsupportedDimensionError(f"dimension must be >= 2, got {d}")
+    return eigenvalue_rows(rng.dirichlet(np.ones(d + 2), count))
 
 
 _REGISTERED: List[Callable[[], CheckResult]] = []

@@ -13,7 +13,6 @@ from gpchannels.capacity import (
 )
 from gpchannels.channels import (
     EigenvalueVector,
-    GeneralizedPauliChannel,
     canonical_mub,
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
@@ -128,13 +127,9 @@ def test_criterion_06_search_estimate_sandwich():
 
 
 def _sandwich_channels(d):
-    if d <= 7:
-        lams = sample_cp_eigenvalues(d, 30, np.random.default_rng(9))
-        return [probabilities_from_eigenvalues(EigenvalueVector(d, lam)) for lam in lams]
-    # Dirichlet weights: rejection from the eigenvalue box accepts about
-    # 2.5e-5 of its draws at d = 8
-    probs = np.random.default_rng([9, d]).dirichlet(np.ones(d + 2), 10)
-    return [GeneralizedPauliChannel(d, p) for p in probs]
+    # 10 rows at d >= 8, where each search costs most
+    lams = sample_cp_eigenvalues(d, 30 if d <= 7 else 10, np.random.default_rng(9))
+    return [probabilities_from_eigenvalues(EigenvalueVector(d, lam)) for lam in lams]
 
 
 @pytest.mark.parametrize("route", ["weyl", "mub"])

@@ -18,6 +18,9 @@ from gpchannels.channels import (
     choi_matrix,
     classical_map_rows,
     classical_map_t,
+    cp_margin_rows,
+    cp_rows,
+    eigenvalue_rows,
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
     gpc_to_weyl,
@@ -39,8 +42,9 @@ from gpchannels.errors import (
 )
 from gpchannels.cli import main
 from gpchannels.mub import MubSet, prime_power, unitary_u, weyl_labels
-from gpchannels.numerics import CLAMP_TOL
+from gpchannels.numerics import CLAMP_TOL, VALIDATION_TOL
 from gpchannels.oracle import cp_oracle_choi
+from gpchannels.selfcheck import sample_cp_eigenvalues
 
 REF_PROBS = [0.25, 0.5, 0.25, 0.0]
 
@@ -66,6 +70,13 @@ def test_channel_rejects_dimension_one():
         GeneralizedPauliChannel(1, [0.5, 0.5, 0.0])
     with pytest.raises(UnsupportedDimensionError, match="dimension must be >= 2, got 1$"):
         EigenvalueVector(1, [0.5, 0.5])
+    with pytest.raises(UnsupportedDimensionError, match="dimension must be an integer, got 2.7$"):
+        GeneralizedPauliChannel(2.7, REF_PROBS)
+    with pytest.raises(UnsupportedDimensionError, match="dimension must be an integer, got '3'$"):
+        EigenvalueVector("3", [0.1] * 4)
+    with pytest.raises(UnsupportedDimensionError, match="dimension must be an integer, got True$"):
+        EigenvalueVector(True, [0.1] * 2)
+    assert GeneralizedPauliChannel(np.int64(2), REF_PROBS).dimension == 2
 
 
 def test_eigenvalue_vector_box():
@@ -96,6 +107,64 @@ def test_probability_round_trip(d, seed):
     back = probabilities_from_eigenvalues(eigenvalues_from_probabilities(c))
     assert np.allclose(back.probabilities, c.probabilities, atol=1e-12)
 
+
+
+def test_eigenvalue_rows_match_the_one_row_formula(rng):
+    for d in (2, 3, 5, 8):
+        probs = rng.dirichlet(np.ones(d + 2), 50)
+        expect = [(d * (p[0] + p[1:]) - 1.0) / (d - 1.0) for p in probs]
+        assert np.array_equal(eigenvalue_rows(probs), expect)
+        one = eigenvalues_from_probabilities(GeneralizedPauliChannel(d, probs[7]))
+        assert np.array_equal(one.values, expect[7])
+
+
+def _rejection_cp_rows(d, count, rng):
+    # reference sampler: uniform on the eigenvalue box, kept where the
+    # Fujiwara-Algoet margin is non-negative; the CP region lies inside the box
+    lo = -1.0 / (d - 1.0)
+    out = []
+    while len(out) < count:
+        batch = rng.uniform(lo, 1.0, size=(max(4 * count, 1024), d + 1))
+        out.extend(batch[cp_margin_rows(batch) >= 0.0])
+    return np.asarray(out[:count])
+
+
+def _moments(x):
+    """Coordinate means and covariance entries with their standard errors."""
+    centred = x - x.mean(axis=0)
+    prods = centred[:, :, None] * centred[:, None, :]
+    root_n = np.sqrt(x.shape[0])
+    return (x.mean(axis=0), x.std(axis=0) / root_n,
+            prods.mean(axis=0), prods.std(axis=0) / root_n)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sampler_matches_rejection_reference(d):
+    n = 20_000
+    mean, mean_se, cov, cov_se = _moments(
+        sample_cp_eigenvalues(d, n, np.random.default_rng([20261101, d])))
+    ref_mean, ref_mean_se, ref_cov, ref_cov_se = _moments(
+        _rejection_cp_rows(d, n, np.random.default_rng([20261102, d])))
+    assert np.all(np.abs(mean - ref_mean) <= 5 * np.hypot(mean_se, ref_mean_se))
+    assert np.all(np.abs(cov - ref_cov) <= 5 * np.hypot(cov_se, ref_cov_se))
+    # E[p_0 + p_alpha] = 2/(d+2) under Dirichlet(1, ..., 1)
+    exact = (d - 2) / ((d + 2) * (d - 1))
+    assert np.all(np.abs(mean - exact) <= 5 * mean_se)
+    assert np.all(np.abs(ref_mean - exact) <= 5 * ref_mean_se)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
+def test_sampled_rows_are_cp_and_in_the_box(d):
+    lams = sample_cp_eigenvalues(d, 2000, np.random.default_rng([20261103, d]))
+    assert lams.shape == (2000, d + 1)
+    assert cp_rows(lams).all()
+    assert lams.min() >= -1.0 / (d - 1) - VALIDATION_TOL
+    assert lams.max() <= 1.0 + VALIDATION_TOL
+
+
+def test_sampler_refuses_dimension_one(rng):
+    with pytest.raises(UnsupportedDimensionError, match="dimension must be >= 2, got 1$"):
+        sample_cp_eigenvalues(1, 5, rng)
 
 def test_cp_margin_signs():
     assert fujiwara_algoet_margin(EigenvalueVector(2, [0.5, 0.0, -0.5])) == pytest.approx(0.0, abs=1e-15)
@@ -533,6 +602,11 @@ def test_weyl_channel_validates_size():
         WeylChannel(1, 1, [1.0])
     with pytest.raises(ValueError, match="parts must be >= 1, got 0$"):
         WeylChannel(2, 0, [1.0])
+    with pytest.raises(UnsupportedDimensionError,
+                       match="local_dimension must be an integer, got 2.5$"):
+        WeylChannel(2.5, 1, [0.25] * 4)
+    with pytest.raises(ValueError, match="parts must be an integer, got 1.9$"):
+        WeylChannel(2, 1.9, [0.25] * 4)
 
 
 def test_canonical_mub_caches_and_covers_dim4():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,16 @@ def test_dynamics_rejects_cp_violation(capsys):
                        "--gamma3", "0.2", "--t-max", "1", "--steps", "11")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("t_max", ["inf", "nan"])
+def test_dynamics_rejects_non_finite_t_max(capsys, t_max):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "dynamics", "--gamma1", "0.1", "--gamma2", "0.1",
+                             "--gamma3", "0.1", "--t-max", t_max)
+    assert (code, out, caught) == (2, "", [])
+    assert err == f"error: t_max must be positive and finite, got {t_max}\n"
 
 
 def test_verify_suite_passes(capsys):

@@ -71,6 +71,13 @@ def test_trajectory_validates_arguments():
         eigenvalue_trajectory(RateSpec.constant(1, 1, 1), -1.0, 10)
     with pytest.raises(ValueError):
         eigenvalue_trajectory(RateSpec.constant(1, 1, 1), 1.0, 1)
+    for route in (eigenvalue_trajectory, ode_eigenvalue_oracle):
+        with pytest.raises(ValueError, match="^steps must be an integer, got 11.9$"):
+            route(RateSpec.constant(1, 1, 1), 3.0, 11.9)
+        for t_max in (np.inf, np.nan):
+            with pytest.raises(ValueError,
+                               match=f"^t_max must be positive and finite, got {t_max}$"):
+                route(RateSpec.constant(1, 1, 1), t_max, 11)
 
 
 @pytest.mark.parametrize("steps", [0, 1])
@@ -84,6 +91,12 @@ def test_ode_oracle_matches_quadrature_constant_rates():
     traj = eigenvalue_trajectory(r, 3.0, 61)
     lam = ode_eigenvalue_oracle(r, 3.0, 61)
     assert np.max(np.abs(traj.lambdas - lam)) < 1e-8
+    # zero rates: the derivative vanishes, so the integrator takes its
+    # zero-derivative initial step
+    r = RateSpec.constant(0, 0, 0)
+    lam = ode_eigenvalue_oracle(r, 3.0, 61)
+    assert np.max(np.abs(lam - 1.0)) <= 1e-15
+    assert np.array_equal(lam, eigenvalue_trajectory(r, 3.0, 61).lambdas)
 
 
 def test_ode_oracle_matches_quadrature_witness():

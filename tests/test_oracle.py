@@ -83,8 +83,8 @@ def test_cp_oracle_matches_margin(cp_sampler, rng):
 
 @pytest.mark.parametrize("d", (8, 9))
 def test_cp_oracle_matches_margin_on_prime_powers(d):
-    # Dirichlet weights, not sample_cp_eigenvalues: rejection from the
-    # eigenvalue box accepts about 2.5e-5 of its draws at d = 8
+    # probabilities, not eigenvalue rows: zeroing weights puts rows 4-7 on
+    # the CP boundary
     rng = np.random.default_rng([20261018, d])
     probs = rng.dirichlet(np.ones(d + 2), size=8)
     probs[4:6, 0] = 0.0
@@ -442,11 +442,12 @@ def test_output_entropies_do_not_depend_on_batch():
 
 
 # The hard set: channels whose minimum output entropy is not attained on a
-# basis vector.  The 3 widest-gap (chi_up - chi_low) rows of
-# sample_cp_eigenvalues(3, 4000, default_rng(5)), and the 2 widest-gap rows of
-# each two-value family (k eigenvalues mu, the other d + 1 - k lambda, on the
-# CP part of a 121 x 121 grid of [-1/(d-1), 1]^2) at (d, k) = (4, 2), (5, 2)
-# and (5, 3).  The entropies are the lockstep Nelder-Mead search's at
+# basis vector.  The 3 widest-gap (chi_up - chi_low) rows of 4000 qutrit rows
+# drawn with default_rng(5) by the sampler that sample_cp_eigenvalues used
+# before it mapped Dirichlet rows (uniform on the eigenvalue box, kept where
+# CP), and the 2 widest-gap rows of each two-value family (k eigenvalues mu,
+# the other d + 1 - k lambda, on the CP part of a 121 x 121 grid of
+# [-1/(d-1), 1]^2) at (d, k) = (4, 2), (5, 2) and (5, 3).  The entropies are the lockstep Nelder-Mead search's at
 # refinement_iterations=5000 on the (Weyl, basis-set) routes, where every
 # start had converged.
 HARD_SET = [
