@@ -334,6 +334,15 @@ def superoperator(channel, m: Optional[MubSet] = None) -> np.ndarray:
     return kraus_superoperator(*kraus_terms(channel, m))
 
 
+# The Pauli matrices I, X, Y, Z, their row-major vecs and the vecs of their
+# transposes.  Tr(A B) = vec(A^T) . vec(B), so a qubit superoperator S has the
+# Pauli transfer matrix T_ij = 1/2 vec(S_i^T) . S vec(S_j).
+_SIGMA = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                   [[1, 0], [0, -1]]], dtype=complex)
+_PAULI_VECS = _SIGMA.reshape(4, 4)
+_PAULI_T_VECS = _SIGMA.transpose(0, 2, 1).reshape(4, 4)
+
+
 def kraus_superoperator(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """S = sum_k w_k U_k (x) conj(U_k), acting on row-major vec(rho): the
     weighted_gram of the Kraus set, reshuffled."""

@@ -19,7 +19,7 @@ import numpy as np
 # pauli_classical_capacity stays importable here: perfbench traces the
 # per-step qubit closed form through this name
 from .capacity import bounds_batch, pauli_classical_capacity  # noqa: F401
-from .channels import cp_rows
+from .channels import _PAULI_T_VECS, _PAULI_VECS, _SIGMA, cp_rows
 from .errors import NotCompletelyPositiveError
 from .numerics import _require_integer
 
@@ -27,20 +27,10 @@ P_DIVISIBILITY_TOL = 1e-10
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
 
-_SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 # 1/2 (S_a (x) S_a^T - 1) for a = x, y, z on row-major vec: the generator is
 # their sum weighted by the rates.  Each S_a (x) S_a^T is real.
 _GENERATOR_PARTS = np.stack(
     [0.5 * (np.kron(s, s.T).real - np.eye(4)) for s in _SIGMA[1:]])
-# vec(S_a) and vec(S_a^T): lambda_a = 1/2 vec(S_a^T) . M vec(S_a)
-_PAULI_VECS = np.stack([s.ravel() for s in _SIGMA[1:]])
-_PAULI_T_VECS = np.stack([s.T.ravel() for s in _SIGMA[1:]])
 
 # Dormand-Prince 5(4): stage times, stage rows (row 6 is the 5th-order
 # solution, whose rate is the first stage of the next step), the embedded
@@ -290,7 +280,8 @@ def ode_eigenvalue_oracle(r: RateSpec, t_max: float, steps: int) -> np.ndarray:
     """
     times = _time_grid(t_max, steps)
     maps = _dormand_prince(r, times).reshape(-1, 4, 4)
-    return 0.5 * np.einsum("ak,nkl,al->na", _PAULI_T_VECS, maps, _PAULI_VECS).real
+    # lambda_a = 1/2 vec(S_a^T) . M vec(S_a), the Pauli transfer diagonal
+    return 0.5 * np.einsum("ak,nkl,al->na", _PAULI_T_VECS[1:], maps, _PAULI_VECS[1:]).real
 
 
 def p_divisibility_check(traj: PauliTrajectory) -> bool:

@@ -7,30 +7,36 @@ operators.  The search takes them from kraus_terms, through weighted_gram
 shift blocks, choi_blocks.
 The search evaluates grid, Kraus-eigenvector and random pure states and
 polishes the best with conditional-gradient steps, which certify a
-stationary point through their Frank-Wolfe gap.
+stationary point through their Frank-Wolfe gap.  It ranks the qubit grid by
+output purity, not entropy: a qubit output with Bloch vector r' has
+eigenvalues (1 +- |r'|)/2, so its entropy falls strictly as |r'| grows, and
+the purest output on the grid is its entropy minimum.
 """
 
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 from typing import Optional
 
 import numpy as np
 
 from .channels import (
+    _PAULI_T_VECS,
+    _PAULI_VECS,
+    _SIGMA,
     GeneralizedPauliChannel,
     choi_blocks,
     eigenvalues_from_probabilities,
+    gpc_to_weyl,
     kraus_superoperator,
     kraus_terms,
     tensor,
 )
-# choi_matrix, gpc_to_weyl, require_cp and weyl_kraus_terms stay importable
-# here: perfbench traces these names in this module
-from .channels import choi_matrix, gpc_to_weyl, require_cp, weyl_kraus_terms  # noqa: F401
+# choi_matrix, require_cp and weyl_kraus_terms stay importable here: perfbench
+# traces these names in this module
+from .channels import choi_matrix, require_cp, weyl_kraus_terms  # noqa: F401
 from .capacity import bounds_batch, holevo_upper_bound_weyl, transition_row_entropies
-from .mub import MubSet
+from .mub import MubSet, displacement_products
 from .numerics import _require_integer, _xlogx
 
 CHOI_PSD_TOL = 1e-9
@@ -95,31 +101,18 @@ def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (rows @ mat)[:n]
 
 
-def _entropies_from_projectors(rho: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Entropy of S vec(rho) for each row of rho, all rows in one GEMM; each
-    state's entropy is the same bits whatever batch it arrives in."""
-    n = rho.shape[0]
-    dim = isqrt(sup.shape[0])
-    out = _rows_times(rho, sup.T).reshape(n, dim, dim)
-    if dim == 2:
-        a = out[:, 0, 0].real
-        dd = out[:, 1, 1].real
-        half = (a + dd) / 2.0
-        det = a * dd - np.abs(out[:, 0, 1]) ** 2
-        disc = np.sqrt(np.maximum(half**2 - det, 0.0))
-        evs = np.stack([half + disc, half - disc])
-    else:
-        evs = np.linalg.eigvalsh(out).T.copy()
+def _output_entropies(states: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Entropy of the channel output for each pure input state (rows), all
+    rows in one GEMM; each state's entropy is the same bits whatever batch it
+    arrives in."""
+    n, dim = states.shape
+    out = _rows_times(_projector_rows(states), sup.T).reshape(n, dim, dim)
     # one row per eigenvalue index, so that each sum over a spectrum adds whole
     # rows; summing many short rows is several times slower
+    evs = np.linalg.eigvalsh(out).T.copy()
     np.maximum(evs, 0.0, out=evs)
     evs /= evs.sum(axis=0)
     return -_xlogx(evs).sum(axis=0)
-
-
-def _output_entropies(states: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Entropy of the channel output for each pure input state (rows)."""
-    return _entropies_from_projectors(_projector_rows(states), sup)
 
 
 @lru_cache(maxsize=None)
@@ -136,11 +129,23 @@ def _qubit_grid(resolution: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _qubit_grid_projectors(resolution: int) -> np.ndarray:
-    """Read-only psi (x) conj(psi) rows of the grid states, cached per resolution."""
-    rho = _projector_rows(_qubit_grid(resolution))
-    rho.setflags(write=False)
-    return rho
+def _qubit_grid_bloch(resolution: int) -> np.ndarray:
+    """Read-only Bloch vectors of the grid states as columns, cached per
+    resolution: row j holds <psi|S_j|psi> for S = X, Y, Z.  Three long rows,
+    not one short row per state, so that the ranking's GEMM and its sum over
+    the three components walk whole rows, several times faster."""
+    states = _qubit_grid(resolution)
+    bloch = np.einsum("ni,jik,nk->jn", states.conj(), _SIGMA[1:], states).real
+    bloch.setflags(write=False)
+    return bloch
+
+
+def _pauli_transfer(sup: np.ndarray) -> np.ndarray:
+    """The real 4 x 4 Pauli transfer matrix T_ij = 1/2 Tr(S_i Phi(S_j)) of a
+    qubit superoperator, over I, X, Y, Z.  A unital, trace-preserving map has
+    first row and column (1, 0, 0, 0) and sends Bloch vector r to T[1:, 1:] r.
+    """
+    return 0.5 * (_PAULI_T_VECS @ sup @ _PAULI_VECS.T).real
 
 
 # a polished start is certified stationary once its Frank-Wolfe gap is this small
@@ -196,15 +201,21 @@ def _polish(states: np.ndarray, sup: np.ndarray, max_iterations: int):
     return states, iterations, converged, gaps
 
 
-def _kraus_eigenvectors(ops: np.ndarray) -> np.ndarray:
-    """Normalized eigenvectors (rows) of every Kraus operator in ops.
+# bounded: a two-copy d = 5 entry is 6 MB
+@lru_cache(maxsize=32)
+def _displacement_eigenvectors(p: int, n: int, labels: tuple) -> np.ndarray:
+    """Read-only normalized eigenvectors (rows) of the displacement products
+    with these labels; they do not depend on the weights, so they are cached.
 
     One batched eig.  A degenerate spectrum (the identity, two-copy products,
     prime-power displacement products) gives an arbitrary eigenbasis of each
     eigenspace.
     """
+    ops = displacement_products(p, n, np.array(labels, dtype=np.intp))
     vecs = np.linalg.eig(ops)[1].transpose(0, 2, 1).reshape(-1, ops.shape[1])
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    vecs.setflags(write=False)
+    return vecs
 
 
 @dataclass(frozen=True)
@@ -234,27 +245,44 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
 
     Qubits use a nested polar/azimuthal grid (finer resolutions contain the
     coarser points, so the raw grid minimum never increases) and polish its
-    minimum.  Higher dimensions evaluate the eigenvectors of every Kraus
-    operator as warm starts plus seeded random states, and polish the best
-    three random states (the best three starts when samples is 0): the warm
-    starts of a generalized Pauli channel are basis vectors, which are
-    stationary points already, so polishing them would change nothing.  The
-    polish is a batched conditional-gradient step on pure states (_polish),
-    run when refinement_iterations > 0; a warning is logged when the returned
-    state is a polished start that is not certified stationary.
+    minimum.  The grid is ranked by output purity, which is exact: the Kraus
+    operators are unitary, so the channel is unital and sends Bloch vector r
+    to T r, T the 3 x 3 block of its Pauli transfer matrix; the output
+    eigenvalues are (1 +- |T r|)/2, whose entropy falls strictly as |T r|
+    grows.  So the row of largest |T r|^2 is the grid's entropy minimum, and
+    only its entropy is computed.
+
+    Higher dimensions evaluate the eigenvectors of every Kraus operator as
+    warm starts plus seeded random states, and polish the best three random
+    states (the best three starts when samples is 0).  On the basis-set route
+    those eigenvectors are the basis vectors; on the displacement route they
+    depend only on the nonzero labels and are cached.  The warm starts of a
+    generalized Pauli channel are basis vectors, which are stationary points
+    already, so polishing them would change nothing.  The polish is a batched
+    conditional-gradient step on pure states (_polish), run when
+    refinement_iterations > 0; a warning is logged when the returned state is
+    a polished start that is not certified stationary.
     """
     cfg = cfg or SearchConfig()
-    weights, ops = kraus_terms(channel, m)
-    sup = kraus_superoperator(weights, ops)
+    if m is None and isinstance(channel, GeneralizedPauliChannel):
+        channel = gpc_to_weyl(channel)
+    sup = kraus_superoperator(*kraus_terms(channel, m))
     dim = channel.dimension
 
     if dim == 2:
         states = _qubit_grid(cfg.grid_resolution)
-        ents = _entropies_from_projectors(_qubit_grid_projectors(cfg.grid_resolution), sup)
-        idx = int(ents.argmin())
+        bloch = _pauli_transfer(sup)[1:, 1:] @ _qubit_grid_bloch(cfg.grid_resolution)
+        idx = int(np.einsum("ij,ij->j", bloch, bloch).argmax())
+        grid_entropy = float(_output_entropies(states[idx:idx + 1], sup)[0])
         polish = [idx]
     else:
-        starts = [_kraus_eigenvectors(ops)]
+        if m is None:
+            labels = tuple(np.flatnonzero(channel.probabilities).tolist())
+            warm = _displacement_eigenvectors(channel.local_dimension, channel.parts, labels)
+        else:
+            warm = m.bases.reshape(-1, dim)
+            warm = warm / np.linalg.norm(warm, axis=1, keepdims=True)
+        starts = [warm]
         if cfg.samples > 0:
             rng = np.random.default_rng(cfg.seed)
             raw = rng.standard_normal((cfg.samples, dim)) + 1j * rng.standard_normal(
@@ -264,10 +292,10 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
         states = np.concatenate(starts, axis=0)
         ents = _output_entropies(states, sup)
         idx = int(ents.argmin())
+        grid_entropy = float(ents[idx])
         first = len(states) - cfg.samples if cfg.samples > 0 else 0
         polish = first + np.argsort(ents[first:])[:3]
 
-    grid_entropy = float(ents[idx])
     state = states[idx].copy()
     if cfg.refinement_iterations == 0:
         return SearchResult(grid_entropy, grid_entropy, None, state, (), ())

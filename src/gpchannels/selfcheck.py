@@ -53,6 +53,7 @@ from .mub import (
     verify_mub,
     weyl_labels,
 )
+from .numerics import _require_integer
 
 LN2 = float(np.log(2.0))
 LN3 = float(np.log(3.0))
@@ -78,6 +79,7 @@ def sample_cp_eigenvalues(d: int, count: int, rng) -> np.ndarray:
     Dirichlet(1, ..., 1) rows are uniform on the probability simplex, and
     eigenvalue_rows maps the simplex affinely onto the CP region.
     """
+    _require_integer("dimension", d, UnsupportedDimensionError)
     if d < 2:
         raise UnsupportedDimensionError(f"dimension must be >= 2, got {d}")
     return eigenvalue_rows(rng.dirichlet(np.ones(d + 2), count))

@@ -166,6 +166,14 @@ def test_sampler_refuses_dimension_one(rng):
     with pytest.raises(UnsupportedDimensionError, match="dimension must be >= 2, got 1$"):
         sample_cp_eigenvalues(1, 5, rng)
 
+
+@pytest.mark.parametrize("d, shown", [(2.5, "2.5"), (True, "True"), ("3", "'3'")])
+def test_sampler_refuses_non_integer_dimension(d, shown, rng):
+    with pytest.raises(UnsupportedDimensionError,
+                       match=f"^dimension must be an integer, got {shown}$"):
+        sample_cp_eigenvalues(d, 5, rng)
+
+
 def test_cp_margin_signs():
     assert fujiwara_algoet_margin(EigenvalueVector(2, [0.5, 0.0, -0.5])) == pytest.approx(0.0, abs=1e-15)
     assert fujiwara_algoet_margin(EigenvalueVector(2, [0.2, 0.1, 0.0])) > 0

@@ -18,10 +18,12 @@ from gpchannels.channels import (
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
     gpc_to_weyl,
+    kraus_superoperator,
     kraus_terms,
     probabilities_from_eigenvalues,
     require_cp,
     superoperator,
+    tensor,
 )
 from gpchannels.errors import NotCompletelyPositiveError
 from gpchannels.mub import build_mubs, prime_power
@@ -30,11 +32,13 @@ from gpchannels.numerics import CLAMP_TOL, von_neumann_entropy
 from gpchannels.oracle import (
     SearchConfig,
     SearchResult,
+    _displacement_eigenvectors,
     _gradient_matrices,
     _output_entropies,
+    _pauli_transfer,
     _polish,
     _qubit_grid,
-    _qubit_grid_projectors,
+    _qubit_grid_bloch,
     additivity_report,
     cp_oracle_choi,
     holevo_estimate,
@@ -243,17 +247,86 @@ def test_holevo_estimate_accepts_channel_within_sum_tolerance():
         assert abs(est - holevo_estimate(normalized, m, cfg)) <= 1e-8
 
 
+_PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+           np.array([[1, 0], [0, -1]]))
+
+
+def _bloch(rho):
+    return np.array([np.trace(s @ rho).real for s in _PAULIS])
+
+
+def _random_unitaries(k, rng):
+    return np.linalg.qr(rng.standard_normal((k, 2, 4)).view(complex))[0]
+
+
 def test_qubit_grid_is_cached_and_read_only():
     grid = _qubit_grid(16)
     assert _qubit_grid(16) is grid
     assert grid.shape == (17 * 32, 2)
     with pytest.raises(ValueError):
         grid[0, 0] = 0.0
-    rho = _qubit_grid_projectors(16)
-    assert _qubit_grid_projectors(16) is rho
-    assert np.array_equal(rho, [np.outer(psi, psi.conj()).ravel() for psi in grid])
+    bloch = _qubit_grid_bloch(16)
+    assert _qubit_grid_bloch(16) is bloch
+    expect = [[(psi.conj() @ s @ psi).real for s in _PAULIS] for psi in grid]
+    assert np.abs(bloch.T - expect).max() <= 1e-15
     with pytest.raises(ValueError):
-        rho[0, 0] = 0.0
+        bloch[0, 0] = 0.0
+
+
+def test_pauli_transfer_maps_bloch_vectors():
+    # random unitaries, not Paulis: T is then not symmetric, so a transposed
+    # T would fail here, which a Pauli channel's diagonal T cannot show
+    rng = np.random.default_rng(20261115)
+    for k in (1, 2, 3, 5):
+        weights = rng.dirichlet(np.ones(k))
+        ops = _random_unitaries(k, rng)
+        t = _pauli_transfer(kraus_superoperator(weights, ops))[1:, 1:]
+        assert np.abs(t - t.T).max() > 0.05
+        for psi in _random_states(6, 2, [20261116, k]):
+            rho = np.outer(psi, psi.conj())
+            out = sum(w * u @ rho @ u.conj().T for w, u in zip(weights, ops))
+            got = t @ _bloch(rho)
+            assert np.abs(got - _bloch(out)).max() <= 1e-14
+            assert abs(got @ got - _bloch(out) @ _bloch(out)) <= 1e-14
+
+
+@pytest.mark.parametrize("route", ["weyl", "mub", "asymmetric"])
+def test_pauli_transfer_is_trace_preserving_and_unital(route):
+    # the purity ranking reads only the 3 x 3 block: it needs T's trace row
+    # and column to be (1, 0, 0, 0)
+    for seed in range(5):
+        t = _pauli_transfer(superoperator(*_seeded_channel(2, route, [20261117, seed])))
+        assert np.abs(t[0] - [1, 0, 0, 0]).max() <= 1e-15
+        assert np.abs(t[:, 0] - [1, 0, 0, 0]).max() <= 1e-15
+
+
+_PURITY_EDGES = [
+    [1.0, 1.0, 1.0],      # the identity: every output pure
+    [1.0, 0.3, 0.3],      # lambda = 1 edges
+    [1.0, -1.0, -1.0],
+    [-1.0, 0.4, -0.4],    # lambda = -1 entries, on the CP boundary
+    [-0.6, -0.4, 0.0],    # zero weights: p = (0, 0.2, 0.3, 0.5)
+    [1.0, 0.0, 0.0],      # p = (0.5, 0.5, 0, 0)
+    [0.3, 0.3, 0.3],      # depolarizing ties
+    [0.0, 0.0, 0.0],
+    [-1 / 3, -1 / 3, -1 / 3],
+    [0.5, 0.5, 0.1],
+]
+
+
+@pytest.mark.parametrize("resolution", [16, 64, 256])
+def test_purity_ranked_grid_entropy_is_the_grid_minimum(resolution):
+    grid = _qubit_grid(resolution)
+    rho = (grid[:, :, None] * grid.conj()[:, None, :]).reshape(-1, 4)
+    cfg = SearchConfig(grid_resolution=resolution, refinement_iterations=0)
+    for lam in _PURITY_EDGES:
+        c = probabilities_from_eigenvalues(EigenvalueVector(2, lam))
+        # U rho U^dagger is (U (x) conj(U)) vec(rho) on row-major vec
+        sup = sum(w * np.kron(u, u.conj()) for w, u in zip(*kraus_terms(c)))
+        evs = np.clip(np.linalg.eigvalsh((rho @ sup.T).reshape(-1, 2, 2)), 0.0, None)
+        ents = -np.sum(evs * np.log(np.where(evs > 0.0, evs, 1.0)), axis=1)
+        res = search_output_entropy(c, None, cfg)
+        assert abs(res.grid_entropy - ents.min()) <= 1e-14, lam
 
 
 _LAZY_SCIPY = """
@@ -513,6 +586,44 @@ def test_search_does_not_warn_when_a_warm_start_holds_the_minimum(d, caplog):
         assert res.entropy == res.grid_entropy == 0.0 < res.polished_entropy
         assert not any(res.converged)
     assert caplog.records == []
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_displacement_warm_starts_are_cached_eig_rows(d):
+    # the cache returns the uncached batched eig's rows bit for bit: they
+    # depend on the labels of the nonzero weights only
+    lam = sample_cp_eigenvalues(d, 1, np.random.default_rng([20261118, d]))[0]
+    c = probabilities_from_eigenvalues(EigenvalueVector(d, lam))
+    p = c.probabilities.copy()
+    p[1] = 0.0
+    p[0] += c.probabilities[1]
+    channels = [gpc_to_weyl(c), gpc_to_weyl(GeneralizedPauliChannel(d, p))]
+    if d == 3:
+        channels.append(tensor(c, c))
+    for w in channels:
+        ops = kraus_terms(w)[1]
+        vecs = np.linalg.eig(ops)[1].transpose(0, 2, 1).reshape(-1, w.dimension)
+        expect = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        labels = tuple(np.flatnonzero(w.probabilities).tolist())
+        got = _displacement_eigenvectors(w.local_dimension, w.parts, labels)
+        assert np.array_equal(got, expect)
+        assert _displacement_eigenvectors(w.local_dimension, w.parts, labels) is got
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8, 9])
+def test_basis_warm_starts_match_the_eig_route(d):
+    # the basis vectors in place of the d^3 eigenvectors of every basis-set
+    # Kraus operator: the best warm start keeps its entropy
+    m = canonical_mub(d)
+    cfg = SearchConfig(samples=0, refinement_iterations=0)
+    for lam in sample_cp_eigenvalues(d, 10, np.random.default_rng([20261119, d])):
+        c = probabilities_from_eigenvalues(EigenvalueVector(d, lam))
+        weights, ops = kraus_terms(c, m)
+        vecs = np.linalg.eig(ops)[1].transpose(0, 2, 1).reshape(-1, d)
+        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        old = _output_entropies(vecs, kraus_superoperator(weights, ops)).min()
+        assert abs(search_output_entropy(c, m, cfg).grid_entropy - old) <= 1e-15
 
 
 def test_search_builds_the_kraus_set_once(monkeypatch):
