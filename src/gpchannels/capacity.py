@@ -4,6 +4,13 @@ The lower bound is the best single-basis classical capacity; the upper bound
 comes from grouping the sorted Kraus weights into d blocks of d (the grouped
 weight vector majorizes every output spectrum, so its entropy lower-bounds
 the minimal output entropy).  Both are in nats.
+
+bounds_batch is the one entry point: it checks (N, d+1) eigenvalue rows and
+evaluates both closed forms on all of them at once; the CLI, the dynamics,
+the self-checks and the oracle read it directly.  The second routes, through
+the transition matrices (transition_row_entropies) and through the sorted
+weights (zeta_vector, zeta_components_p_form), are kept apart on purpose as
+cross-checks.
 """
 
 import math
@@ -74,9 +81,7 @@ class ZetaComponents:
     - plain_blocks[k-1]: copies only, identity weight not yet reached;
     - shifted_blocks[k-1]: copies only, identity weight consumed earlier
       (the copy pattern is shifted by one slot);
-    - straddle_blocks[k-1]: the block that contains the identity weight;
-    - merged_blocks[k-1]: identity weight plus every copy of family k
-      (the straddle block at the extremes; length d+1).
+    - straddle_blocks[k-1]: the block that contains the identity weight.
 
     `region` is the 1-based index of the block holding the identity weight,
     and `zeta` the assembled non-increasing distribution of length d.
@@ -89,7 +94,6 @@ class ZetaComponents:
     plain_blocks: np.ndarray
     shifted_blocks: np.ndarray
     straddle_blocks: np.ndarray
-    merged_blocks: np.ndarray
 
     def zeta_for_region(self, region: int) -> np.ndarray:
         """Assemble the block vector as if the identity weight sat in `region`.
@@ -119,8 +123,7 @@ class BatchBounds:
 
     Capacities are in nats.  `maximizing_alpha` and `region` are 1-based;
     `exact_capacity` is NaN where the capacity is not known.  The block
-    arrays are those of ZetaComponents, stacked: (N, d) and, for the merged
-    blocks, (N, d+1).
+    arrays are those of ZetaComponents, stacked, each (N, d).
     """
 
     dimension: int
@@ -132,7 +135,6 @@ class BatchBounds:
     plain_blocks: np.ndarray
     shifted_blocks: np.ndarray
     straddle_blocks: np.ndarray
-    merged_blocks: np.ndarray
     coincide: np.ndarray
     exact_capacity: np.ndarray
 
@@ -145,7 +147,6 @@ class BatchBounds:
             plain_blocks=self.plain_blocks[i],
             shifted_blocks=self.shifted_blocks[i],
             straddle_blocks=self.straddle_blocks[i],
-            merged_blocks=self.merged_blocks[i],
         )
 
 
@@ -190,10 +191,15 @@ def bounds_batch(lams) -> BatchBounds:
     plain_k    = [1 + (d-k) L_k + k L_{k+1} - S] / d
     shifted_k  = [1 + (d+1-k) L_k + (k-1) L_{k+1} - S] / d
     straddle_k = [1 + (d-k) L_k + (k-1) L_{k+1}] / d
-    merged_k   = [1 + (d-1) L_k] / d
 
     The exact capacity is known for every qubit, where it is driven by the
-    largest-magnitude eigenvalue, and wherever the bounds coincide.
+    largest-magnitude eigenvalue, and wherever the bounds coincide.  For
+    d >= 3 they meet, among others, on two sub-regions of the families with
+    all eigenvalues equal except one: the odd eigenvalue is the largest and
+    the others are >= 0, or it is the most negative and the others are <= 0.
+    Elsewhere in those families they can differ, for example at d = 4 with
+    lambda = (-1/9, 1/6, 1/6, 1/6, 1/6).  Weak additivity of the lower bound
+    pins the regularized value where they meet.
     """
     lams = _checked_rows(lams)
     d = lams.shape[1] - 1
@@ -207,7 +213,6 @@ def bounds_batch(lams) -> BatchBounds:
     total = lam.sum(axis=1)[:, None]
     a, b, c = _block_coefficients(d)
     plain, shifted, straddle = (1.0 + a * lam[:, :d] + b * lam[:, 1:] - c * total) / d
-    merged = (1.0 + (d - 1.0) * lam) / d
     region = 1 + (lam[:, 1:d] > total).sum(axis=1)
     zeta = _assemble_zeta(d, region, plain, shifted, straddle)
     chi_up = np.log(d) + _xlogx(zeta).sum(axis=1)
@@ -229,12 +234,47 @@ def bounds_batch(lams) -> BatchBounds:
         plain_blocks=plain,
         shifted_blocks=shifted,
         straddle_blocks=straddle,
-        merged_blocks=merged,
         coincide=coincide,
         exact_capacity=exact,
     )
 
 
+def zeta_components_p_form(c: GeneralizedPauliChannel) -> ZetaComponents:
+    """The same block sums computed from the probability view.
+
+    With basis weights sorted so p_1 >= ... >= p_{d+1} and p_0 the identity
+    weight, block values are (1-based k):
+
+    plain_k    = [(d-k) p_k + k p_{k+1}] / (d-1)
+    shifted_k  = [(d+1-k) p_k + (k-1) p_{k+1}] / (d-1)
+    straddle_k = [(d-k) p_k + (k-1) p_{k+1}] / (d-1) + p_0
+
+    and the identity weight sits in block
+    r = 1 + #{m in 2..d : p_m/(d-1) > p_0}.
+    """
+    d = c.dimension
+    p0 = c.probabilities[0]
+    rest = c.probabilities[1:]
+    ps = -np.sort(-rest)
+    k = np.arange(1, d + 1, dtype=float)
+    head, tail = ps[:d], ps[1:]
+    plain = ((d - k) * head + k * tail) / (d - 1.0)
+    shifted = ((d + 1 - k) * head + (k - 1) * tail) / (d - 1.0)
+    straddle = ((d - k) * head + (k - 1) * tail) / (d - 1.0) + p0
+    region = 1 + int(np.count_nonzero(ps[1:d] / (d - 1.0) > p0))
+    return ZetaComponents(
+        dimension=d,
+        region=region,
+        zeta=_assemble_zeta(d, region, plain, shifted, straddle),
+        plain_blocks=plain,
+        shifted_blocks=shifted,
+        straddle_blocks=straddle,
+    )
+
+
+# One-row wrappers of bounds_batch: nothing in the package calls them, but
+# perfbench calls or traces each of them, so they stay until it moves to
+# bounds_batch.
 def _one(e: EigenvalueVector) -> BatchBounds:
     return bounds_batch(e.values[None, :])
 
@@ -249,42 +289,6 @@ def holevo_upper_bound(e: EigenvalueVector) -> Tuple[float, ZetaComponents]:
     """Closed-form upper bound from the eigenvalue view, with its block sums."""
     b = _one(e)
     return float(b.chi_up[0]), b.components(0)
-
-
-def zeta_components_p_form(c: GeneralizedPauliChannel) -> ZetaComponents:
-    """The same block sums computed from the probability view.
-
-    With basis weights sorted so p_1 >= ... >= p_{d+1} and p_0 the identity
-    weight, block values are (1-based k):
-
-    plain_k    = [(d-k) p_k + k p_{k+1}] / (d-1)
-    shifted_k  = [(d+1-k) p_k + (k-1) p_{k+1}] / (d-1)
-    straddle_k = [(d-k) p_k + (k-1) p_{k+1}] / (d-1) + p_0
-    merged_k   = p_0 + p_k
-
-    and the identity weight sits in block
-    r = 1 + #{m in 2..d : p_m/(d-1) > p_0}.
-    """
-    d = c.dimension
-    p0 = c.probabilities[0]
-    rest = c.probabilities[1:]
-    ps = -np.sort(-rest)
-    k = np.arange(1, d + 1, dtype=float)
-    head, tail = ps[:d], ps[1:]
-    plain = ((d - k) * head + k * tail) / (d - 1.0)
-    shifted = ((d + 1 - k) * head + (k - 1) * tail) / (d - 1.0)
-    straddle = ((d - k) * head + (k - 1) * tail) / (d - 1.0) + p0
-    merged = p0 + ps
-    region = 1 + int(np.count_nonzero(ps[1:d] / (d - 1.0) > p0))
-    return ZetaComponents(
-        dimension=d,
-        region=region,
-        zeta=_assemble_zeta(d, region, plain, shifted, straddle),
-        plain_blocks=plain,
-        shifted_blocks=shifted,
-        straddle_blocks=straddle,
-        merged_blocks=merged,
-    )
 
 
 @dataclass(frozen=True)
@@ -306,33 +310,15 @@ def pauli_classical_capacity(e: EigenvalueVector) -> float:
     return float(_one(e).exact_capacity[0])
 
 
-def _exact_or_none(b: BatchBounds) -> Optional[float]:
-    exact = float(b.exact_capacity[0])
-    return None if math.isnan(exact) else exact
-
-
-def classical_capacity_exact(e: EigenvalueVector) -> Optional[float]:
-    """The capacity when it is known: coinciding bounds, else None.
-
-    The bounds meet for every qubit channel.  For d >= 3 they meet, among
-    others, on two sub-regions of the families with all eigenvalues equal
-    except one: the odd eigenvalue is the largest and the others are >= 0,
-    or it is the most negative and the others are <= 0.  Elsewhere in those
-    families they can differ, for example at d = 4 with
-    lambda = (-1/9, 1/6, 1/6, 1/6, 1/6).  Weak additivity of the lower bound
-    pins the regularized value where they meet.
-    """
-    return _exact_or_none(_one(e))
-
-
 def capacity_bounds(e: EigenvalueVector) -> CapacityBounds:
     b = _one(e)
+    exact = float(b.exact_capacity[0])
     return CapacityBounds(
         dimension=e.dimension,
         chi_low=float(b.chi_low[0]),
         chi_up=float(b.chi_up[0]),
         coincide=bool(b.coincide[0]),
-        exact_capacity=_exact_or_none(b),
+        exact_capacity=None if math.isnan(exact) else exact,
         maximizing_alpha=int(b.maximizing_alpha[0]),
     )
 
@@ -346,13 +332,6 @@ def channel_fidelity_extremes_rows(lams) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"fidelity extremes need d=2, got d={lams.shape[1] - 1}")
     lams = _checked_rows(lams)
     return (1.0 + lams.min(axis=1)) / 2.0, (1.0 + lams.max(axis=1)) / 2.0
-
-
-def channel_fidelity_extremes(e: EigenvalueVector) -> Tuple[float, float]:
-    """Extreme input-output fidelities of a qubit channel: (1 + L)/2 at the
-    smallest and largest eigenvalue."""
-    f_min, f_max = channel_fidelity_extremes_rows(e.values[None, :])
-    return float(f_min[0]), float(f_max[0])
 
 
 def capacity_from_fidelity(f):

@@ -11,7 +11,10 @@ For a prime power d = p^n the same channel has displacement-product Kraus
 operators (gpc_to_weyl): the d-1 products in weyl_labels(d)[alpha-1] share
 the weight of basis alpha.
 
-Dimension policy: the lambda/p parametrization (EigenvalueVector,
+Dimension policy: numerics._require_dimension is the one check that d is an
+integer >= 2; every class and function below that takes d runs it, directly
+or through mub.require_prime_power, and it raises UnsupportedDimensionError
+naming the value.  The lambda/p parametrization (EigenvalueVector,
 GeneralizedPauliChannel, channel_from_json and the maps between the two
 forms), the Fujiwara-Algoet margin and the CP decision are dimension-free and
 accept any d >= 2.  Everything that needs a basis set, or displacement
@@ -35,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotCompletelyPositiveError, UnsupportedDimensionError
+from .errors import NotCompletelyPositiveError
 from .mub import (
     MubSet,
     build_mubs,
@@ -46,7 +49,13 @@ from .mub import (
     verify_mub,
     weyl_labels,
 )
-from .numerics import CLAMP_TOL, VALIDATION_TOL, _require_integer, as_distribution
+from .numerics import (
+    CLAMP_TOL,
+    VALIDATION_TOL,
+    _require_dimension,
+    _require_integer,
+    as_distribution,
+)
 
 
 @dataclass(frozen=True)
@@ -57,10 +66,7 @@ class GeneralizedPauliChannel:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        _require_integer("dimension", self.dimension, UnsupportedDimensionError)
-        if self.dimension < 2:
-            raise UnsupportedDimensionError(f"dimension must be >= 2, got {self.dimension}")
-        object.__setattr__(self, "dimension", int(self.dimension))
+        object.__setattr__(self, "dimension", _require_dimension(self.dimension))
         probs = as_distribution(self.probabilities)
         if probs.size != self.dimension + 2:
             raise ValueError(
@@ -82,10 +88,7 @@ class EigenvalueVector:
     values: np.ndarray
 
     def __post_init__(self):
-        _require_integer("dimension", self.dimension, UnsupportedDimensionError)
-        if self.dimension < 2:
-            raise UnsupportedDimensionError(f"dimension must be >= 2, got {self.dimension}")
-        object.__setattr__(self, "dimension", int(self.dimension))
+        object.__setattr__(self, "dimension", _require_dimension(self.dimension))
         vals = np.array(self.values, dtype=float).ravel()
         if vals.size != self.dimension + 1:
             raise ValueError(
@@ -109,15 +112,11 @@ class WeylChannel:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        _require_integer("local_dimension", self.local_dimension, UnsupportedDimensionError)
-        if self.local_dimension < 2:
-            raise UnsupportedDimensionError(
-                f"local dimension must be >= 2, got {self.local_dimension}"
-            )
+        object.__setattr__(self, "local_dimension",
+                           _require_dimension(self.local_dimension, "local_dimension"))
         _require_integer("parts", self.parts)
         if self.parts < 1:
             raise ValueError(f"parts must be >= 1, got {self.parts}")
-        object.__setattr__(self, "local_dimension", int(self.local_dimension))
         object.__setattr__(self, "parts", int(self.parts))
         probs = as_distribution(self.probabilities)
         expect = self.local_dimension ** (2 * self.parts)
@@ -418,9 +417,7 @@ def channel_from_json(obj: dict) -> GeneralizedPauliChannel:
     """Build a channel from {"d", "probabilities"} or {"d", "lambdas"}, d an integer."""
     if not isinstance(obj, dict):
         raise ValueError(f"channel JSON must be an object, got {type(obj).__name__}")
-    d = obj.get("d")
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-        raise ValueError(f"channel JSON needs an integer 'd', got {d!r}")
+    d = _require_dimension(obj.get("d"), "channel JSON 'd'")
     if "probabilities" in obj:
         return GeneralizedPauliChannel(d, np.asarray(obj["probabilities"], dtype=float))
     if "lambdas" in obj:
@@ -429,7 +426,8 @@ def channel_from_json(obj: dict) -> GeneralizedPauliChannel:
     raise ValueError("channel JSON needs 'probabilities' or 'lambdas'")
 
 
-@lru_cache(maxsize=None)
+# typed, so that d=4.0 misses the entry of d=4 and is refused
+@lru_cache(maxsize=None, typed=True)
 def canonical_mub(d: int) -> MubSet:
     """The package's reference basis set for a prime power d: build_mubs, cached."""
     return build_mubs(d)

@@ -11,7 +11,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .capacity import bounds_batch, capacity_bounds, holevo_upper_bound
+from .capacity import bounds_batch
 from .channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
@@ -26,6 +26,7 @@ from .dynamics import (
     eigenvalue_rises,
     eigenvalue_trajectory,
 )
+from .mub import require_prime_power
 from .selfcheck import run_formula_suite, sample_cp_eigenvalues
 
 LN2 = float(np.log(2.0))
@@ -67,17 +68,17 @@ def _emit(payload: dict) -> None:
 
 def _cmd_bounds(args) -> int:
     eigs = _channel_from_args(args)
-    bounds = capacity_bounds(eigs)
+    b = bounds_batch(eigs.values[None, :])
     scale = LN2 if args.bits else 1.0
+    exact = float(b.exact_capacity[0])
     _emit({
         "d": args.d,
         "lambdas": [float(v) for v in eigs.values],
-        "chi_low": bounds.chi_low / scale,
-        "chi_up": bounds.chi_up / scale,
-        "coincide": bounds.coincide,
-        "capacity": (None if bounds.exact_capacity is None
-                     else bounds.exact_capacity / scale),
-        "alpha_star": bounds.maximizing_alpha,
+        "chi_low": float(b.chi_low[0]) / scale,
+        "chi_up": float(b.chi_up[0]) / scale,
+        "coincide": bool(b.coincide[0]),
+        "capacity": None if np.isnan(exact) else exact / scale,
+        "alpha_star": int(b.maximizing_alpha[0]),
         "units": "bits" if args.bits else "nats",
     })
     return 0
@@ -101,12 +102,13 @@ def _cmd_cp_check(args) -> int:
 
 def _cmd_zeta(args) -> int:
     eigs = _channel_from_args(args)
-    value, comps = holevo_upper_bound(eigs)
+    b = bounds_batch(eigs.values[None, :])
+    value = float(b.chi_up[0])
     scale = LN2 if args.bits else 1.0
     _emit({
         "d": args.d,
-        "region": comps.region,
-        "zeta": [float(v) for v in comps.zeta],
+        "region": int(b.region[0]),
+        "zeta": [float(v) for v in b.zeta[0]],
         "entropy": (float(np.log(args.d)) - value) / scale,
         "chi_up": value / scale,
         "units": "bits" if args.bits else "nats",
@@ -168,6 +170,7 @@ def _cmd_random_sweep(args) -> int:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    require_prime_power(d)
     rng = np.random.default_rng(args.seed)
     samples = sample_cp_eigenvalues(d, args.count, rng)
     bounds = bounds_batch(samples)
@@ -217,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("random-sweep", help="bounds for random channels as CSV")
-    p.add_argument("--d", type=int, choices=[2, 3, 4, 5], required=True)
+    p.add_argument("--d", type=int, required=True,
+                   help="subsystem dimension, a prime power")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=_cmd_random_sweep)

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import UnsupportedDimensionError
-from .numerics import VALIDATION_TOL
+from .numerics import VALIDATION_TOL, _require_dimension
 
 
 def prime_power(d: int) -> Optional[Tuple[int, int]]:
@@ -34,8 +34,8 @@ def prime_power(d: int) -> Optional[Tuple[int, int]]:
 
 def require_prime_power(d: int) -> Tuple[int, int]:
     """prime_power(d), or UnsupportedDimensionError naming d: the basis layers
-    exist only for prime powers."""
-    pn = prime_power(d)
+    exist only for prime powers, and d must first pass _require_dimension."""
+    pn = prime_power(_require_dimension(d))
     if pn is None:
         raise UnsupportedDimensionError(
             f"no basis construction for d={d} (prime power required)")
@@ -98,7 +98,8 @@ def _labels_for_polynomial(p: int, n: int, digits: np.ndarray,
     return np.concatenate([(a * p + b) @ place, (a @ place)[None, :]])
 
 
-@lru_cache(maxsize=None)
+# typed, so that d=4.0 misses the entry of d=4 and is refused
+@lru_cache(maxsize=None, typed=True)
 def weyl_labels(d: int) -> np.ndarray:
     """Read-only (d+1, d-1) flat labels of the displacement set behind each basis.
 
@@ -127,8 +128,7 @@ def weyl_labels(d: int) -> np.ndarray:
 
 def weyl_operator(d: int, k: int, l: int) -> np.ndarray:
     """The displacement operator with phase index k and shift index l (mod d)."""
-    if d < 2:
-        raise UnsupportedDimensionError(f"dimension must be >= 2, got {d}")
+    d = _require_dimension(d)
     return _weyl_matrix(d, k % d, l % d)
 
 

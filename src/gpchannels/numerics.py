@@ -6,7 +6,7 @@ layer (see the CLI), never here.
 
 import numpy as np
 
-from .errors import InvalidDistributionError, InvalidStateError
+from .errors import InvalidDistributionError, InvalidStateError, UnsupportedDimensionError
 
 # Slack table; a constant with one user stays beside it.  CLAMP_TOL is in units
 # of the Fujiwara-Algoet margin, where channels.cp_rows makes the one CP decision:
@@ -20,6 +20,15 @@ def _require_integer(name: str, value, error=ValueError) -> None:
     a numpy integer is."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _require_dimension(value, name: str = "dimension") -> int:
+    """value as an int; UnsupportedDimensionError naming the field unless it
+    is an integer (as in _require_integer) of at least 2."""
+    _require_integer(name, value, UnsupportedDimensionError)
+    if value < 2:
+        raise UnsupportedDimensionError(f"{name} must be >= 2, got {value}")
+    return int(value)
 
 
 def as_distribution(p) -> np.ndarray:

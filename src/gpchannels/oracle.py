@@ -3,7 +3,7 @@ positivity, and additivity probes for the closed-form capacity bounds.
 
 The search and the Choi oracle use only the channel's unitary Kraus
 operators.  The search takes them from kraus_terms, through weighted_gram
-(kraus_superoperator).  The Choi oracle diagonalizes the Choi matrix's
+(superoperator).  The Choi oracle diagonalizes the Choi matrix's
 shift blocks, choi_blocks.
 The search evaluates grid, Kraus-eigenvector and random pure states and
 polishes the best with conditional-gradient steps, which certify a
@@ -28,8 +28,7 @@ from .channels import (
     choi_blocks,
     eigenvalues_from_probabilities,
     gpc_to_weyl,
-    kraus_superoperator,
-    kraus_terms,
+    superoperator,
     tensor,
 )
 # choi_matrix, require_cp and weyl_kraus_terms stay importable here: perfbench
@@ -85,12 +84,6 @@ def cp_oracle_choi(ch) -> bool:
     return bool(np.linalg.eigvalsh(choi_blocks(ch)).min() >= -CHOI_PSD_TOL)
 
 
-def _projector_rows(states: np.ndarray) -> np.ndarray:
-    """Row-major vec(psi psi^dagger) of each pure state (rows)."""
-    n, dim = states.shape
-    return (states[:, :, None] * states.conj()[:, None, :]).reshape(n, dim * dim)
-
-
 def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """rows @ mat, with a single row doubled: BLAS takes one row through gemv,
     whose rounding differs from gemm's, so this keeps each row's result the
@@ -101,12 +94,19 @@ def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (rows @ mat)[:n]
 
 
-def _output_entropies(states: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Entropy of the channel output for each pure input state (rows), all
-    rows in one GEMM; each state's entropy is the same bits whatever batch it
-    arrives in."""
+def _outputs(states: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Phi(psi psi^dagger) for each pure state (rows), (n, dim, dim): the
+    row-major vec(psi psi^dagger) rows times sup.T, all in one GEMM; each
+    output is the same bits whatever batch it arrives in."""
     n, dim = states.shape
-    out = _rows_times(_projector_rows(states), sup.T).reshape(n, dim, dim)
+    rows = (states[:, :, None] * states.conj()[:, None, :]).reshape(n, dim * dim)
+    return _rows_times(rows, sup.T).reshape(n, dim, dim)
+
+
+def _output_entropies(states: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Entropy of the channel output for each pure input state (rows), through
+    _outputs, so each state's entropy is the same bits in any batch."""
+    out = _outputs(states, sup)
     # one row per eigenvalue index, so that each sum over a spectrum adds whole
     # rows; summing many short rows is several times slower
     evs = np.linalg.eigvalsh(out).T.copy()
@@ -160,11 +160,10 @@ def _gradient_matrices(states: np.ndarray, sup: np.ndarray) -> np.ndarray:
     """A = Phi^dagger(log Phi(psi psi^dagger)) for each pure state (rows).
 
     The gradient of -S(Phi(P)) at P = psi psi^dagger is A + I.  On row-major
-    vec rows Phi is rows @ sup.T and its adjoint rows @ sup.conj().
+    vec rows Phi is rows @ sup.T (_outputs) and its adjoint rows @ sup.conj().
     """
     n, dim = states.shape
-    out = _rows_times(_projector_rows(states), sup.T).reshape(n, dim, dim)
-    w, v = np.linalg.eigh(out)
+    w, v = np.linalg.eigh(_outputs(states, sup))
     logs = (v * np.log(np.maximum(w, _EIG_FLOOR))[:, None, :]) @ v.conj().transpose(0, 2, 1)
     return _rows_times(logs.reshape(n, dim * dim), sup.conj()).reshape(n, dim, dim)
 
@@ -266,7 +265,7 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
     cfg = cfg or SearchConfig()
     if m is None and isinstance(channel, GeneralizedPauliChannel):
         channel = gpc_to_weyl(channel)
-    sup = kraus_superoperator(*kraus_terms(channel, m))
+    sup = superoperator(channel, m)
     dim = channel.dimension
 
     if dim == 2:

@@ -179,7 +179,6 @@ def test_criterion_07_block_forms_agree_and_are_continuous():
                 np.max(np.abs(a.plain_blocks - b.plain_blocks)),
                 np.max(np.abs(a.shifted_blocks - b.shifted_blocks)),
                 np.max(np.abs(a.straddle_blocks - b.straddle_blocks)),
-                np.max(np.abs(a.merged_blocks - b.merged_blocks)),
             )
     boundary = 0.0
     # dyadic entries keep the boundary sums exact in floating point

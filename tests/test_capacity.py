@@ -6,9 +6,7 @@ from gpchannels.capacity import (
     bounds_batch,
     capacity_bounds,
     capacity_from_fidelity,
-    channel_fidelity_extremes,
     channel_fidelity_extremes_rows,
-    classical_capacity_exact,
     holevo_lower_bound,
     holevo_lower_via_classical,
     holevo_upper_bound,
@@ -110,7 +108,6 @@ def test_p_form_and_lambda_form_agree(cp_sampler, rng):
             assert np.allclose(a.plain_blocks, b.plain_blocks, atol=1e-12)
             assert np.allclose(a.shifted_blocks, b.shifted_blocks, atol=1e-12)
             assert np.allclose(a.straddle_blocks, b.straddle_blocks, atol=1e-12)
-            assert np.allclose(a.merged_blocks, b.merged_blocks, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5, 7))
@@ -198,7 +195,7 @@ def test_depolarizing_capacity_exact():
     # all eigenvalues equal: both bounds collapse to the same expression
     d, lam = 3, 0.4
     e = EigenvalueVector(d, [lam] * (d + 1))
-    cap = classical_capacity_exact(e)
+    cap = capacity_bounds(e).exact_capacity
     a = (1 + (d - 1) * lam) / d
     expect = a * np.log(d * a) + (1 - a) * np.log(d * (1 - a) / (d - 1))
     assert cap == pytest.approx(expect, abs=1e-12)
@@ -206,7 +203,6 @@ def test_depolarizing_capacity_exact():
 
 def test_exact_capacity_none_when_gap():
     e = EigenvalueVector(3, [0.5, 0.2, 0.1, 0.1])
-    assert classical_capacity_exact(e) is None
     b = capacity_bounds(e)
     assert not b.coincide and b.exact_capacity is None
 
@@ -217,7 +213,7 @@ def test_pauli_closed_form_qubit_only():
 
 
 def test_fidelity_extremes_and_capacity():
-    f_min, f_max = channel_fidelity_extremes(REF_EIGS)
+    (f_min,), (f_max,) = channel_fidelity_extremes_rows(REF_EIGS.values[None, :])
     assert f_min == pytest.approx(0.25)
     assert f_max == pytest.approx(0.75)
     # here |min| = max so both fidelities give the same capacity
@@ -305,7 +301,7 @@ def test_bounds_batch_matches_scalar_wrappers(batch):
         assert b.region[i] == comps.region
         assert bool(b.coincide[i]) == single.coincide
         assert np.max(np.abs(b.zeta[i] - comps.zeta)) <= 1e-15
-        exact = classical_capacity_exact(e)
+        exact = single.exact_capacity
         if exact is None:
             assert d > 2 and np.isnan(b.exact_capacity[i])
         else:
@@ -385,7 +381,7 @@ def test_fidelity_rows_form_matches_scalar_forms(cp_sampler, rng):
     caps = capacity_from_fidelity(np.stack([f_min, f_max]))
     assert caps.shape == (2, 50)
     for i, lam in enumerate(lams):
-        lo, hi = channel_fidelity_extremes(EigenvalueVector(2, lam))
+        (lo,), (hi,) = channel_fidelity_extremes_rows(lam[None, :])
         assert (lo, hi) == (f_min[i], f_max[i])
         assert (capacity_from_fidelity(lo), capacity_from_fidelity(hi)) == tuple(caps[:, i])
     assert type(capacity_from_fidelity(0.3)) is float
@@ -393,11 +389,11 @@ def test_fidelity_rows_form_matches_scalar_forms(cp_sampler, rng):
 
 def test_fidelity_forms_keep_their_errors():
     with pytest.raises(ValueError, match=r"^fidelity extremes need d=2, got d=3$"):
-        channel_fidelity_extremes(EigenvalueVector(3, [0.1] * 4))
+        channel_fidelity_extremes_rows(np.full((1, 4), 0.1))
     with pytest.raises(ValueError, match=r"^fidelity extremes need d=2, got d=3$"):
         channel_fidelity_extremes_rows(np.zeros((2, 4)))
     with pytest.raises(NotCompletelyPositiveError, match=r"^eigenvalues \["):
-        channel_fidelity_extremes(EigenvalueVector(2, [0.9, 0.9, -0.9]))
+        channel_fidelity_extremes_rows([[0.9, 0.9, -0.9]])
     with pytest.raises(NotCompletelyPositiveError, match=r"^row 1: "):
         channel_fidelity_extremes_rows([[0.5, 0.0, -0.5], [0.9, 0.9, -0.9]])
     with pytest.raises(ValueError, match=r"^fidelity 1.2 outside \[0, 1\]$"):
@@ -416,4 +412,4 @@ def test_one_value_families_outside_the_checked_subregions_keep_a_gap(lam, low, 
     b = bounds_batch(np.array([lam]))
     assert abs(b.chi_low[0] - low) <= 1e-5 and abs(b.chi_up[0] - up) <= 1e-5
     assert not b.coincide[0] and np.isnan(b.exact_capacity[0])
-    assert classical_capacity_exact(EigenvalueVector(len(lam) - 1, lam)) is None
+    assert capacity_bounds(EigenvalueVector(len(lam) - 1, lam)).exact_capacity is None

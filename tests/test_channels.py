@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -41,7 +42,14 @@ from gpchannels.errors import (
     UnsupportedDimensionError,
 )
 from gpchannels.cli import main
-from gpchannels.mub import MubSet, prime_power, unitary_u, weyl_labels
+from gpchannels.mub import (
+    MubSet,
+    build_mubs,
+    prime_power,
+    unitary_u,
+    weyl_labels,
+    weyl_operator,
+)
 from gpchannels.numerics import CLAMP_TOL, VALIDATION_TOL
 from gpchannels.oracle import cp_oracle_choi
 from gpchannels.selfcheck import sample_cp_eigenvalues
@@ -151,6 +159,36 @@ def test_sampler_matches_rejection_reference(d):
     exact = (d - 2) / ((d + 2) * (d - 1))
     assert np.all(np.abs(mean - exact) <= 5 * mean_se)
     assert np.all(np.abs(ref_mean - exact) <= 5 * ref_mean_se)
+
+
+# every public entry point that takes a dimension, called with it
+DIMENSION_ENTRY_POINTS = {
+    "GeneralizedPauliChannel": lambda d: GeneralizedPauliChannel(d, REF_PROBS),
+    "EigenvalueVector": lambda d: EigenvalueVector(d, [0.1] * 4),
+    "WeylChannel": lambda d: WeylChannel(d, 1, [0.25] * 4),
+    "channel_from_json": lambda d: channel_from_json({"d": d, "probabilities": REF_PROBS}),
+    "sample_cp_eigenvalues": lambda d: sample_cp_eigenvalues(d, 3, np.random.default_rng(0)),
+    "weyl_operator": lambda d: weyl_operator(d, 0, 0),
+    # by keyword: an untyped cache would serve d=4.0 the entry of d=4
+    "canonical_mub": lambda d: canonical_mub(d=d),
+    "build_mubs": lambda d: build_mubs(d=d),
+    "weyl_labels": lambda d: weyl_labels(d=d),
+}
+
+
+@pytest.mark.parametrize("value, message", [
+    (2.5, "must be an integer, got 2.5"),
+    ("3", "must be an integer, got '3'"),
+    (np.float64(4.0), f"must be an integer, got {np.float64(4.0)!r}"),
+    (True, "must be an integer, got True"),
+    (1, "must be >= 2, got 1"),
+], ids=["float", "string", "numpy-float", "bool", "one"])
+@pytest.mark.parametrize("entry", list(DIMENSION_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_bad_dimension(entry, value, message):
+    # d = 4 is cached first, so that 4.0 cannot pass through a cache hit
+    assert canonical_mub(d=4).dimension == weyl_labels(d=4).shape[0] - 1 == 4
+    with pytest.raises(UnsupportedDimensionError, match=re.escape(message) + "$"):
+        DIMENSION_ENTRY_POINTS[entry](value)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
@@ -588,7 +626,7 @@ def test_channel_json_round_trip():
 @pytest.mark.parametrize("obj", [{}, {"d": 2.7}, {"d": "x"}, {"d": True}],
                          ids=["missing", "float", "string", "bool"])
 def test_channel_from_json_needs_an_integer_d(obj):
-    with pytest.raises(ValueError, match="integer 'd'"):
+    with pytest.raises(UnsupportedDimensionError, match="^channel JSON 'd' must be an integer, got "):
         channel_from_json({**obj, "probabilities": [0.25, 0.5, 0.25, 0.0]})
 
 
@@ -606,7 +644,7 @@ def test_channel_from_json_needs_an_object_with_weights(obj, message):
 def test_weyl_channel_validates_size():
     with pytest.raises(ValueError):
         WeylChannel(2, 1, [0.5, 0.5])
-    with pytest.raises(UnsupportedDimensionError, match="local dimension must be >= 2, got 1$"):
+    with pytest.raises(UnsupportedDimensionError, match="local_dimension must be >= 2, got 1$"):
         WeylChannel(1, 1, [1.0])
     with pytest.raises(ValueError, match="parts must be >= 1, got 0$"):
         WeylChannel(2, 0, [1.0])

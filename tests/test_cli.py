@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from gpchannels.capacity import bounds_batch
 from gpchannels.cli import build_parser, main
+from gpchannels.selfcheck import sample_cp_eigenvalues
 
 LN2 = np.log(2.0)
 
@@ -241,10 +243,25 @@ def test_random_sweep_zero_count_prints_header_only(capsys):
     assert out == "index,lambda1,lambda2,lambda3,lambda4,chi_low,chi_up,coincide\n"
 
 
-def test_random_sweep_rejects_unsupported_dimension():
-    with pytest.raises(SystemExit) as exc:
-        main(["random-sweep", "--d", "7", "--count", "1"])
-    assert exc.value.code == 2
+def test_random_sweep_rejects_unsupported_dimension(capsys):
+    code, out, err = run(capsys, "random-sweep", "--d", "6", "--count", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: no basis construction for d=6 (prime power required)\n"
+
+
+def test_random_sweep_at_d7_prints_bounds_batch(capsys):
+    code, out, _ = run(capsys, "random-sweep", "--d", "7", "--count", "20", "--seed", "7")
+    lams = sample_cp_eigenvalues(7, 20, np.random.default_rng(7))
+    b = bounds_batch(lams)
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0] == ",".join(["index"] + [f"lambda{a}" for a in range(1, 9)]
+                                + ["chi_low", "chi_up", "coincide"])
+    assert lines[1:] == [
+        ",".join([str(i)] + ["%.12g" % v for v in (*lam, b.chi_low[i], b.chi_up[i])]
+                 + [str(int(b.coincide[i]))])
+        for i, lam in enumerate(lams)
+    ]
 
 
 def test_parser_prog_name():

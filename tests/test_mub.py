@@ -52,10 +52,12 @@ def test_prime_set_unbiased(d):
 
 
 def test_build_mubs_rejects_non_prime_powers():
+    # d = 1 fails the dimension check before the prime-power rule
     for d in (1, 6, 10, 12):
-        with pytest.raises(UnsupportedDimensionError, match=rf"d={d} "):
+        message = "^dimension must be >= 2, got 1$" if d == 1 else rf"d={d} "
+        with pytest.raises(UnsupportedDimensionError, match=message):
             build_mubs(d)
-        with pytest.raises(UnsupportedDimensionError, match=rf"d={d} "):
+        with pytest.raises(UnsupportedDimensionError, match=message):
             weyl_labels(d)
 
 

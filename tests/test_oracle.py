@@ -634,7 +634,6 @@ def test_search_builds_the_kraus_set_once(monkeypatch):
         return kraus_terms(channel, m)
 
     monkeypatch.setattr(gpchannels.channels, "kraus_terms", counted)
-    monkeypatch.setattr(gpchannels.oracle, "kraus_terms", counted)
     for m in (None, canonical_mub(3)):
         search_output_entropy(_hard_channel(0), m, SearchConfig(samples=4,
                                                                 refinement_iterations=2))
