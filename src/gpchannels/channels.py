@@ -23,7 +23,8 @@ UnsupportedDimensionError naming d otherwise: canonical_mub, gpc_to_weyl,
 tensor, both Kraus routes of kraus_terms and so superoperator, apply,
 choi_blocks, choi_matrix and the oracle, and the capacity bounds.  The
 basis-set route also refuses a set that fails verify_mub.  A WeylChannel
-carries its own displacement products, of any local dimension.
+carries its own displacement products, of any local dimension; the oracle's
+search still takes its warm starts from canonical_mub of its dimension.
 
 Every channel action takes one route: kraus_terms -> weighted_gram, which,
 reshuffled, is the superoperator behind apply and the oracle's

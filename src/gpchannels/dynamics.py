@@ -9,6 +9,13 @@ with the embedded Dormand-Prince 5(4) pair (Dormand & Prince 1980) and its
 quartic dense output (Shampine 1986), under the step-size rules of scipy's
 RK45, except that its steps end on the knots of every rate table, so no step
 straddles a kink in the rates; it is plain numpy.
+
+Axis order: lambda_1, lambda_2, lambda_3 here belong to the X, Y and Z axes,
+the reverse of the channel layer's.  weyl_labels(2) is [[2], [3], [1]], so
+EigenvalueVector(2, lambda) puts lambda_1 on the Z basis and lambda_3 on X:
+the channel with this module's map is EigenvalueVector(2, lambda[::-1]).  The
+bounds and the CP decision are symmetric in the eigenvalues, so the
+trajectories' capacities do not depend on the order.
 """
 
 from dataclasses import dataclass, replace

@@ -18,11 +18,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import UnsupportedDimensionError
-from .numerics import VALIDATION_TOL, _require_dimension
+from .numerics import VALIDATION_TOL, _require_dimension, _require_integer
 
 
 def prime_power(d: int) -> Optional[Tuple[int, int]]:
-    """(p, n) with d = p^n and p prime, or None if d is not a prime power."""
+    """(p, n) with d = p^n and p prime, or None if the integer d is not a
+    prime power; UnsupportedDimensionError naming d unless it is an integer."""
+    _require_integer("dimension", d, UnsupportedDimensionError)
+    d = int(d)
     if d < 2:
         return None
     p = next((f for f in range(2, math.isqrt(d) + 1) if d % f == 0), d)

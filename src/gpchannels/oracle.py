@@ -5,12 +5,15 @@ The search and the Choi oracle use only the channel's unitary Kraus
 operators.  The search takes them from kraus_terms, through weighted_gram
 (superoperator).  The Choi oracle diagonalizes the Choi matrix's
 shift blocks, choi_blocks.
-The search evaluates grid, Kraus-eigenvector and random pure states and
+The search evaluates grid, basis-vector and random pure states and
 polishes the best with conditional-gradient steps, which certify a
-stationary point through their Frank-Wolfe gap.  It ranks the qubit grid by
-output purity, not entropy: a qubit output with Bloch vector r' has
-eigenvalues (1 +- |r'|)/2, so its entropy falls strictly as |r'| grows, and
-the purest output on the grid is its entropy minimum.
+stationary point through their Frank-Wolfe gap.  For d >= 3 the vectors of
+the basis set are its warm starts on both Kraus routes: basis alpha is the
+common eigenbasis of its own unitaries and of the displacement products in
+weyl_labels(d)[alpha-1], so they hold an eigenbasis of every Kraus operator.
+It ranks the qubit grid by output purity, not entropy: a qubit output with
+Bloch vector r' has eigenvalues (1 +- |r'|)/2, so its entropy falls strictly
+as |r'| grows, and the purest output on the grid is its entropy minimum.
 """
 
 import logging
@@ -25,17 +28,17 @@ from .channels import (
     _PAULI_VECS,
     _SIGMA,
     GeneralizedPauliChannel,
+    canonical_mub,
     choi_blocks,
     eigenvalues_from_probabilities,
-    gpc_to_weyl,
     superoperator,
     tensor,
 )
-# choi_matrix, require_cp and weyl_kraus_terms stay importable here: perfbench
-# traces these names in this module
-from .channels import choi_matrix, require_cp, weyl_kraus_terms  # noqa: F401
+# choi_matrix, gpc_to_weyl, require_cp and weyl_kraus_terms stay importable
+# here: perfbench traces these names in this module
+from .channels import choi_matrix, gpc_to_weyl, require_cp, weyl_kraus_terms  # noqa: F401
 from .capacity import bounds_batch, holevo_upper_bound_weyl, transition_row_entropies
-from .mub import MubSet, displacement_products
+from .mub import MubSet
 from .numerics import _require_integer, _xlogx
 
 CHOI_PSD_TOL = 1e-9
@@ -200,23 +203,6 @@ def _polish(states: np.ndarray, sup: np.ndarray, max_iterations: int):
     return states, iterations, converged, gaps
 
 
-# bounded: a two-copy d = 5 entry is 6 MB
-@lru_cache(maxsize=32)
-def _displacement_eigenvectors(p: int, n: int, labels: tuple) -> np.ndarray:
-    """Read-only normalized eigenvectors (rows) of the displacement products
-    with these labels; they do not depend on the weights, so they are cached.
-
-    One batched eig.  A degenerate spectrum (the identity, two-copy products,
-    prime-power displacement products) gives an arbitrary eigenbasis of each
-    eigenspace.
-    """
-    ops = displacement_products(p, n, np.array(labels, dtype=np.intp))
-    vecs = np.linalg.eig(ops)[1].transpose(0, 2, 1).reshape(-1, ops.shape[1])
-    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-    vecs.setflags(write=False)
-    return vecs
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Where the minimum-output-entropy search found its minimum.
@@ -251,20 +237,23 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
     grows.  So the row of largest |T r|^2 is the grid's entropy minimum, and
     only its entropy is computed.
 
-    Higher dimensions evaluate the eigenvectors of every Kraus operator as
-    warm starts plus seeded random states, and polish the best three random
-    states (the best three starts when samples is 0).  On the basis-set route
-    those eigenvectors are the basis vectors; on the displacement route they
-    depend only on the nonzero labels and are cached.  The warm starts of a
-    generalized Pauli channel are basis vectors, which are stationary points
+    Higher dimensions evaluate warm starts plus seeded random states, and
+    polish the best three random states (the best three starts when samples
+    is 0).  The warm starts are the vectors of m, or of canonical_mub(dim)
+    when m is None, for every channel on either Kraus route; so a dimension
+    that is not a prime power is refused.  Basis alpha diagonalizes its own
+    unitaries and the displacement products in weyl_labels(dim)[alpha-1],
+    which hold every nonzero label of a WeylChannel(p, n), p prime, in the
+    same digit order.  So the warm starts hold an eigenbasis of every Kraus
+    operator, with each degenerate eigenspace resolved the same way on both
+    routes, and a vector of the best basis attains the lower bound chi_low.
+    The warm starts of a generalized Pauli channel are stationary points
     already, so polishing them would change nothing.  The polish is a batched
     conditional-gradient step on pure states (_polish), run when
     refinement_iterations > 0; a warning is logged when the returned state is
     a polished start that is not certified stationary.
     """
     cfg = cfg or SearchConfig()
-    if m is None and isinstance(channel, GeneralizedPauliChannel):
-        channel = gpc_to_weyl(channel)
     sup = superoperator(channel, m)
     dim = channel.dimension
 
@@ -275,13 +264,8 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
         grid_entropy = float(_output_entropies(states[idx:idx + 1], sup)[0])
         polish = [idx]
     else:
-        if m is None:
-            labels = tuple(np.flatnonzero(channel.probabilities).tolist())
-            warm = _displacement_eigenvectors(channel.local_dimension, channel.parts, labels)
-        else:
-            warm = m.bases.reshape(-1, dim)
-            warm = warm / np.linalg.norm(warm, axis=1, keepdims=True)
-        starts = [warm]
+        warm = (m or canonical_mub(dim)).bases.reshape(-1, dim)
+        starts = [warm / np.linalg.norm(warm, axis=1, keepdims=True)]
         if cfg.samples > 0:
             rng = np.random.default_rng(cfg.seed)
             raw = rng.standard_normal((cfg.samples, dim)) + 1j * rng.standard_normal(

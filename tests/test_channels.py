@@ -173,6 +173,7 @@ DIMENSION_ENTRY_POINTS = {
     "canonical_mub": lambda d: canonical_mub(d=d),
     "build_mubs": lambda d: build_mubs(d=d),
     "weyl_labels": lambda d: weyl_labels(d=d),
+    "prime_power": lambda d: prime_power(d=d),
 }
 
 
@@ -187,6 +188,10 @@ DIMENSION_ENTRY_POINTS = {
 def test_every_entry_point_refuses_a_bad_dimension(entry, value, message):
     # d = 4 is cached first, so that 4.0 cannot pass through a cache hit
     assert canonical_mub(d=4).dimension == weyl_labels(d=4).shape[0] - 1 == 4
+    if entry == "prime_power" and message.startswith("must be >= 2"):
+        # a predicate: an integer below 2 is no prime power
+        assert prime_power(d=value) is None
+        return
     with pytest.raises(UnsupportedDimensionError, match=re.escape(message) + "$"):
         DIMENSION_ENTRY_POINTS[entry](value)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gpchannels import dynamics
+from gpchannels.channels import EigenvalueVector, probabilities_from_eigenvalues, superoperator
 from gpchannels.dynamics import (
     PauliTrajectory,
     RateSpec,
@@ -15,6 +16,7 @@ from gpchannels.dynamics import (
     p_divisibility_check,
 )
 from gpchannels.errors import NotCompletelyPositiveError
+from gpchannels.mub import weyl_labels
 
 LN2 = np.log(2.0)
 
@@ -281,3 +283,18 @@ def test_large_finite_backflow_is_accepted_on_both_routes():
     assert np.all(np.isfinite(traj.lambdas)) and not traj.cp_everywhere
     assert np.all(np.isfinite(lam))
     assert np.allclose(lam, traj.lambdas, rtol=1e-6, atol=0.0)
+
+
+def test_qubit_axis_order_is_the_reverse_of_the_channel_layers():
+    # weyl_labels(2) is [[2], [3], [1]]: basis 1 holds Z and basis 3 holds X,
+    # while the dynamics' lambda_1 is the X axis
+    r = RateSpec.constant(0.4, 0.2, 0.1)
+    lam = ode_eigenvalue_oracle(r, 1.0, 2)[-1]
+    evolved = dynamics._dormand_prince(r, np.array([0.0, 1.0]))[-1].reshape(4, 4)
+
+    def channel_map(row):
+        return superoperator(probabilities_from_eigenvalues(EigenvalueVector(2, row)))
+
+    assert weyl_labels(2).tolist() == [[2], [3], [1]]
+    assert np.abs(channel_map(lam[::-1]) - evolved).max() <= 1e-14
+    assert np.abs(channel_map(lam) - evolved).max() > 0.09

@@ -174,6 +174,8 @@ def test_unitary_u_rejects_bad_power():
 
 @pytest.mark.parametrize("d", PRIME_POWERS)
 def test_prime_power_set_is_unbiased_and_diagonalizes_its_labels(d):
+    # 16 and 25 are the two-copy dimensions of d = 4 and 5: the search takes
+    # the warm starts of tensor(c, c) from these sets (canonical_mub caches them)
     m = build_mubs(d)
     assert m.n_bases == d + 1
     assert verify_mub(m)

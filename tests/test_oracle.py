@@ -8,7 +8,7 @@ import pytest
 
 import gpchannels
 
-from gpchannels.capacity import holevo_lower_bound, holevo_upper_bound
+from gpchannels.capacity import bounds_batch, holevo_lower_bound, holevo_upper_bound
 from gpchannels.channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
@@ -32,7 +32,6 @@ from gpchannels.numerics import CLAMP_TOL, von_neumann_entropy
 from gpchannels.oracle import (
     SearchConfig,
     SearchResult,
-    _displacement_eigenvectors,
     _gradient_matrices,
     _output_entropies,
     _pauli_transfer,
@@ -588,27 +587,27 @@ def test_search_does_not_warn_when_a_warm_start_holds_the_minimum(d, caplog):
     assert caplog.records == []
 
 
-@pytest.mark.parametrize("d", [3, 4, 5])
-def test_displacement_warm_starts_are_cached_eig_rows(d):
-    # the cache returns the uncached batched eig's rows bit for bit: they
-    # depend on the labels of the nonzero weights only
-    lam = sample_cp_eigenvalues(d, 1, np.random.default_rng([20261118, d]))[0]
-    c = probabilities_from_eigenvalues(EigenvalueVector(d, lam))
-    p = c.probabilities.copy()
-    p[1] = 0.0
-    p[0] += c.probabilities[1]
-    channels = [gpc_to_weyl(c), gpc_to_weyl(GeneralizedPauliChannel(d, p))]
-    if d == 3:
-        channels.append(tensor(c, c))
-    for w in channels:
-        ops = kraus_terms(w)[1]
-        vecs = np.linalg.eig(ops)[1].transpose(0, 2, 1).reshape(-1, w.dimension)
-        expect = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-        labels = tuple(np.flatnonzero(w.probabilities).tolist())
-        got = _displacement_eigenvectors(w.local_dimension, w.parts, labels)
-        assert np.array_equal(got, expect)
-        assert _displacement_eigenvectors(w.local_dimension, w.parts, labels) is got
-        assert not got.flags.writeable
+@pytest.mark.parametrize("d", [3, 4, 5, 7, 8, 9])
+def test_both_routes_share_their_warm_starts(d):
+    # the vectors of canonical_mub(d) on both routes: degenerate eigenspaces
+    # of prime-power displacement products get the basis vectors, not the
+    # arbitrary eigenbasis of an eig, and the best of them attains chi_low
+    m = canonical_mub(d)
+    cfg = SearchConfig(samples=0, refinement_iterations=0)
+    lams = sample_cp_eigenvalues(d, 20, np.random.default_rng([17, d]))
+    for lam, low in zip(lams, bounds_batch(lams).chi_low):
+        c = probabilities_from_eigenvalues(EigenvalueVector(d, lam))
+        weyl = search_output_entropy(c, None, cfg).grid_entropy
+        assert abs(weyl - search_output_entropy(c, m, cfg).grid_entropy) <= 1e-12
+        assert abs(np.log(d) - weyl - low) <= 1e-12
+
+
+def test_displacement_route_reaches_chi_low_at_d9():
+    # a vector of the best basis attains chi_low, and it is a warm start
+    lams = sample_cp_eigenvalues(9, 8, np.random.default_rng([7, 9]))
+    est = [holevo_estimate(probabilities_from_eigenvalues(EigenvalueVector(9, lam)))
+           for lam in lams]
+    assert np.min(est - bounds_batch(lams).chi_low) >= -1e-12
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 8, 9])
