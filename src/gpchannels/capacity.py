@@ -30,7 +30,7 @@ from .channels import (
     require_cp_rows,
 )
 from .mub import require_prime_power
-from .numerics import CLAMP_TOL, _entropy, _xlogx, as_distribution
+from .numerics import CLAMP_TOL, _entropy, _require_in_range, _xlogx, as_distribution
 
 COINCIDENCE_TOL = 1e-9
 
@@ -101,8 +101,7 @@ class ZetaComponents:
         Used to check continuity: at a boundary the assemblies for the two
         adjacent regions coincide.
         """
-        if not 1 <= region <= self.dimension:
-            raise ValueError(f"region {region} out of range 1..{self.dimension}")
+        _require_in_range("region", region, 1, self.dimension)
         return _assemble_zeta(
             self.dimension, region, self.plain_blocks, self.shifted_blocks,
             self.straddle_blocks,
@@ -192,9 +191,12 @@ def bounds_batch(lams) -> BatchBounds:
     shifted_k  = [1 + (d+1-k) L_k + (k-1) L_{k+1} - S] / d
     straddle_k = [1 + (d-k) L_k + (k-1) L_{k+1}] / d
 
-    The exact capacity is known for every qubit, where it is driven by the
-    largest-magnitude eigenvalue, and wherever the bounds coincide.  For
-    d >= 3 they meet, among others, on two sub-regions of the families with
+    The exact capacity is chi_low wherever the bounds coincide, NaN
+    elsewhere; one rule for every d.  Every qubit row coincides: its capacity
+    is driven by the largest-magnitude eigenvalue, and at d = 2 the per-basis
+    term [(1+L) ln(1+L) + (1-L) ln(1-L)] / 2 is even in L, bit for bit, and
+    grows with |L|, so chi_low is the term of the largest |L|.  For d >= 3
+    they meet, among others, on two sub-regions of the families with
     all eigenvalues equal except one: the odd eigenvalue is the largest and
     the others are >= 0, or it is the most negative and the others are <= 0.
     Elsewhere in those families they can differ, for example at d = 4 with
@@ -203,11 +205,10 @@ def bounds_batch(lams) -> BatchBounds:
     """
     lams = _checked_rows(lams)
     d = lams.shape[1] - 1
-    rows = np.arange(lams.shape[0])
 
     terms = _xlogx(1.0 + (d - 1.0) * lams) / d + (d - 1.0) / d * _xlogx(1.0 - lams)
     best = np.argmax(terms, axis=1)
-    chi_low = terms[rows, best]
+    chi_low = terms[np.arange(len(terms)), best]
 
     lam = -np.sort(-lams, axis=1)
     total = lam.sum(axis=1)[:, None]
@@ -218,12 +219,6 @@ def bounds_batch(lams) -> BatchBounds:
     chi_up = np.log(d) + _xlogx(zeta).sum(axis=1)
 
     coincide = np.abs(chi_up - chi_low) <= COINCIDENCE_TOL
-    if d == 2:
-        # the basis of the largest-magnitude eigenvalue: its term is the
-        # qubit closed form [(1+L*) ln(1+L*) + (1-L*) ln(1-L*)] / 2
-        exact = terms[rows, np.abs(lams).argmax(axis=1)]
-    else:
-        exact = np.where(coincide, chi_low, np.nan)
     return BatchBounds(
         dimension=d,
         chi_low=chi_low,
@@ -235,7 +230,7 @@ def bounds_batch(lams) -> BatchBounds:
         shifted_blocks=shifted,
         straddle_blocks=straddle,
         coincide=coincide,
-        exact_capacity=exact,
+        exact_capacity=np.where(coincide, chi_low, np.nan),
     )
 
 

@@ -26,6 +26,10 @@ basis-set route also refuses a set that fails verify_mub.  A WeylChannel
 carries its own displacement products, of any local dimension; the oracle's
 search still takes its warm starts from canonical_mub of its dimension.
 
+The layer writes out no Pauli matrix: at d = 2 the displacement products
+are the Paulis, up to the phase of ZX = iY.  The Hermitian Paulis live in
+the oracle, whose qubit grid ranking is their one user.
+
 Every channel action takes one route: kraus_terms -> weighted_gram, which,
 reshuffled, is the superoperator behind apply and the oracle's
 output-entropy search, and over D is choi_matrix.  choi_blocks builds the
@@ -54,7 +58,7 @@ from .numerics import (
     CLAMP_TOL,
     VALIDATION_TOL,
     _require_dimension,
-    _require_integer,
+    _require_in_range,
     as_distribution,
 )
 
@@ -115,10 +119,7 @@ class WeylChannel:
     def __post_init__(self):
         object.__setattr__(self, "local_dimension",
                            _require_dimension(self.local_dimension, "local_dimension"))
-        _require_integer("parts", self.parts)
-        if self.parts < 1:
-            raise ValueError(f"parts must be >= 1, got {self.parts}")
-        object.__setattr__(self, "parts", int(self.parts))
+        object.__setattr__(self, "parts", _require_in_range("parts", self.parts, 1))
         probs = as_distribution(self.probabilities)
         expect = self.local_dimension ** (2 * self.parts)
         if probs.size != expect:
@@ -334,15 +335,6 @@ def superoperator(channel, m: Optional[MubSet] = None) -> np.ndarray:
     return kraus_superoperator(*kraus_terms(channel, m))
 
 
-# The Pauli matrices I, X, Y, Z, their row-major vecs and the vecs of their
-# transposes.  Tr(A B) = vec(A^T) . vec(B), so a qubit superoperator S has the
-# Pauli transfer matrix T_ij = 1/2 vec(S_i^T) . S vec(S_j).
-_SIGMA = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
-                   [[1, 0], [0, -1]]], dtype=complex)
-_PAULI_VECS = _SIGMA.reshape(4, 4)
-_PAULI_T_VECS = _SIGMA.transpose(0, 2, 1).reshape(4, 4)
-
-
 def kraus_superoperator(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """S = sum_k w_k U_k (x) conj(U_k), acting on row-major vec(rho): the
     weighted_gram of the Kraus set, reshuffled."""
@@ -408,9 +400,7 @@ def classical_map_rows(lams: np.ndarray) -> np.ndarray:
 
 def classical_map_t(e: EigenvalueVector, alpha: int) -> np.ndarray:
     """Transition matrix induced on the vectors of basis alpha (classical_map_rows)."""
-    d = e.dimension
-    if not 1 <= alpha <= d + 1:
-        raise ValueError(f"basis label {alpha} out of range 1..{d + 1}")
+    _require_in_range("basis label", alpha, 1, e.dimension + 1)
     return classical_map_rows(e.values[None, :])[0, alpha - 1]
 
 

@@ -27,6 +27,7 @@ from .dynamics import (
     eigenvalue_trajectory,
 )
 from .mub import require_prime_power
+from .numerics import _require_in_range
 from .selfcheck import run_formula_suite, sample_cp_eigenvalues
 
 LN2 = float(np.log(2.0))
@@ -166,8 +167,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_random_sweep(args) -> int:
     d = args.d
-    if args.count < 0:
-        raise ValueError(f"--count must be >= 0, got {args.count}")
+    _require_in_range("--count", args.count, 0)
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     require_prime_power(d)
@@ -234,7 +234,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    # OSError: an --output path that cannot be written; its message names it
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

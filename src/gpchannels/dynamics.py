@@ -10,12 +10,20 @@ quartic dense output (Shampine 1986), under the step-size rules of scipy's
 RK45, except that its steps end on the knots of every rate table, so no step
 straddles a kink in the rates; it is plain numpy.
 
+The qubit operators are the channel layer's: the generator and the oracle's
+read-out take the displacement products of the label sets of weyl_labels(2),
+in reverse set order, so no Pauli matrix is written out here.  The part of
+set a is the generalized Pauli generator at d = 2 (Chruscinski & Siudzinska
+2016), L_a = kraus_superoperator(1/d, W_a) - (d-1)/d, and lambda_a is read off
+as 1/2 vec(W_a)^H M vec(W_a).
+
 Axis order: lambda_1, lambda_2, lambda_3 here belong to the X, Y and Z axes,
-the reverse of the channel layer's.  weyl_labels(2) is [[2], [3], [1]], so
-EigenvalueVector(2, lambda) puts lambda_1 on the Z basis and lambda_3 on X:
-the channel with this module's map is EigenvalueVector(2, lambda[::-1]).  The
-bounds and the CP decision are symmetric in the eigenvalues, so the
-trajectories' capacities do not depend on the order.
+the reverse of the channel layer's.  weyl_labels(2) is [[2], [3], [1]], the
+labels of Z, ZX = iY and X, so EigenvalueVector(2, lambda) puts lambda_1 on
+the Z basis and lambda_3 on X: the channel with this module's map is
+EigenvalueVector(2, lambda[::-1]).  The bounds and the CP decision are
+symmetric in the eigenvalues, so the trajectories' capacities do not depend
+on the order.
 """
 
 from dataclasses import dataclass, replace
@@ -26,18 +34,22 @@ import numpy as np
 # pauli_classical_capacity stays importable here: perfbench traces the
 # per-step qubit closed form through this name
 from .capacity import bounds_batch, pauli_classical_capacity  # noqa: F401
-from .channels import _PAULI_T_VECS, _PAULI_VECS, _SIGMA, cp_rows
+from .channels import cp_rows, kraus_superoperator
 from .errors import NotCompletelyPositiveError
+from .mub import displacement_products, weyl_labels
 from .numerics import _require_integer
 
 P_DIVISIBILITY_TOL = 1e-10
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
 
-# 1/2 (S_a (x) S_a^T - 1) for a = x, y, z on row-major vec: the generator is
-# their sum weighted by the rates.  Each S_a (x) S_a^T is real.
-_GENERATOR_PARTS = np.stack(
-    [0.5 * (np.kron(s, s.T).real - np.eye(4)) for s in _SIGMA[1:]])
+# The label sets of weyl_labels(2) in reverse order hold X, ZX = iY and Z, one
+# displacement product W_a each, the operators of this module's three axes.
+_AXIS_VECS = displacement_products(2, 1, weyl_labels(2)[::-1, 0]).reshape(3, 4)
+# L_a = 1/2 W_a (x) conj(W_a) - 1/2 on row-major vec, the generator part of
+# label set a at d = 2: the generator is their sum weighted by the rates.
+_GENERATOR_PARTS = np.stack([kraus_superoperator(np.full(1, 0.5), w.reshape(1, 2, 2)).real
+                             - 0.5 * np.eye(4) for w in _AXIS_VECS])
 
 # Dormand-Prince 5(4): stage times, stage rows (row 6 is the 5th-order
 # solution, whose rate is the first stage of the next step), the embedded
@@ -92,6 +104,9 @@ class RateSpec:
                 if not np.isfinite(value):
                     raise ValueError(f"rate {i + 1} is not finite")
                 norm.append(("const", value))
+            elif not (isinstance(entry, (tuple, list, np.ndarray)) and len(entry) == 2):
+                raise ValueError(f"rate {i + 1}: expected a number or a (times, "
+                                 f"values) pair, got {entry!r}")
             else:
                 times, values = entry
                 times = np.asarray(times, dtype=float)
@@ -150,7 +165,11 @@ def _time_grid(t_max: float, steps: int) -> np.ndarray:
     _require_integer("steps", steps)
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
-    return np.linspace(0.0, float(t_max), steps)
+    times = np.linspace(0.0, float(t_max), steps)
+    # a t_max near the smallest subnormal rounds some increments to 0
+    if not (np.diff(times) > 0.0).all():
+        raise ValueError(f"t_max={t_max}, steps={steps}: times not strictly increasing")
+    return times
 
 
 def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTrajectory:
@@ -164,23 +183,22 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
     h = times[1] - times[0]
     g_nodes = r.evaluate(times)
     g_mids = r.evaluate((times[:-1] + times[1:]) / 2.0)
-    increments = h / 6.0 * (g_nodes[:, :-1] + 4.0 * g_mids + g_nodes[:, 1:])
-    gamma_cum = np.concatenate(
-        [np.zeros((3, 1)), np.cumsum(increments, axis=1)], axis=1
-    )
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        increments = h / 6.0 * (g_nodes[:, :-1] + 4.0 * g_mids + g_nodes[:, 1:])
+        gamma_cum = np.concatenate(
+            [np.zeros((3, 1)), np.cumsum(increments, axis=1)], axis=1
+        )
         lambdas = np.exp(gamma_cum - gamma_cum.sum(axis=0)).T
     finite = np.isfinite(lambdas).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ValueError(f"map eigenvalues are not finite at t={times[bad]:.6g}")
-    traj = PauliTrajectory(
+    return PauliTrajectory(
         times=times,
         lambdas=lambdas,
         cp_everywhere=bool(cp_rows(lambdas).all()),
         p_divisible=not eigenvalue_rises(lambdas).any(),
     )
-    return traj
 
 
 def _generators(r: RateSpec, t) -> np.ndarray:
@@ -202,21 +220,24 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
     rejection, and its initial step.  Unlike RK45, steps end on the interior
     knots of every rate table, where the rates have kinks; the step size and
     the first-same-as-last rate carry across a knot, since the rates are
-    continuous there.  Raises RuntimeError when the step underflows or the
-    state stops being finite.
+    continuous there.  Raises RuntimeError when the rates overflow the error
+    norm, the step underflows or the state stops being finite.
     """
     knots = [k for entry in r.rates if entry[0] == "table" for k in entry[1]]
     stops = np.unique([k for k in knots if t < k < t_end] + [t_end])
     y = np.eye(4).ravel()
-    f = (_generators(r, [t])[0] @ y.reshape(4, 4)).ravel()
-
-    # initial step (Hairer, Norsett & Wanner, Sec. II.4, as scipy selects it)
     scale = ODE_ATOL + np.abs(y) * ODE_RTOL
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t)
-    f1 = (_generators(r, [t + h0])[0] @ (y + h0 * f).reshape(4, 4)).ravel()
-    d2 = _rms((f1 - f) / scale) / h0
+    # initial step (Hairer, Norsett & Wanner, Sec. II.4, as scipy selects it);
+    # only rates that overflow the error norm make h0 0 or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = (_generators(r, [t])[0] @ y.reshape(4, 4)).ravel()
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, t_end - t)
+        if not h0 > 0.0:
+            raise RuntimeError(f"map integration failed: rates overflow at t={t:.6g}")
+        f1 = (_generators(r, [t + h0])[0] @ (y + h0 * f).reshape(4, 4)).ravel()
+        d2 = _rms((f1 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -278,17 +299,17 @@ def ode_eigenvalue_oracle(r: RateSpec, t_max: float, steps: int) -> np.ndarray:
     """Eigenvalues from direct integration of the generator on the full map.
 
     Evolves the 4x4 superoperator (row-major vectorization) under
-    dM/dt = L(t) M with L = 1/2 sum_a g_a(t) (S_a (x) S_a^T - 1), from the
-    identity, and reads each eigenvalue off the evolved Pauli operator,
-    lambda_a = 1/2 Tr(S_a M(S_a)).  The integrator is Dormand-Prince 5(4)
+    dM/dt = L(t) M with L = 1/2 sum_a g_a(t) (W_a (x) conj(W_a) - 1), from
+    the identity, and reads each eigenvalue off the evolved axis operator,
+    lambda_a = 1/2 Tr(W_a^dagger M(W_a)).  The integrator is Dormand-Prince 5(4)
     with dense output and scipy's RK45 step rules, at rtol ODE_RTOL and atol
     ODE_ATOL; it uses neither the factorized closed form nor the quadrature.
     Raises RuntimeError when the integration fails.
     """
     times = _time_grid(t_max, steps)
     maps = _dormand_prince(r, times).reshape(-1, 4, 4)
-    # lambda_a = 1/2 vec(S_a^T) . M vec(S_a), the Pauli transfer diagonal
-    return 0.5 * np.einsum("ak,nkl,al->na", _PAULI_T_VECS[1:], maps, _PAULI_VECS[1:]).real
+    # lambda_a = 1/2 vec(W_a)^H M vec(W_a), the Pauli transfer diagonal
+    return 0.5 * np.einsum("ak,nkl,al->na", _AXIS_VECS.conj(), maps, _AXIS_VECS).real
 
 
 def p_divisibility_check(traj: PauliTrajectory) -> bool:

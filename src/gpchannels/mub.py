@@ -18,7 +18,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import UnsupportedDimensionError
-from .numerics import VALIDATION_TOL, _require_dimension, _require_integer
+from .numerics import (
+    VALIDATION_TOL,
+    _require_dimension,
+    _require_in_range,
+    _require_integer,
+)
 
 
 def prime_power(d: int) -> Optional[Tuple[int, int]]:
@@ -157,13 +162,11 @@ class MubSet:
         return self.bases.shape[0]
 
     def basis(self, alpha: int) -> np.ndarray:
-        if not 1 <= alpha <= self.n_bases:
-            raise ValueError(f"basis label {alpha} out of range 1..{self.n_bases}")
-        return self.bases[alpha - 1]
+        return self.bases[_require_in_range("basis label", alpha, 1, self.n_bases) - 1]
 
     def projector(self, alpha: int, k: int) -> np.ndarray:
         """Rank-1 projector onto vector k (0-based) of basis alpha (1-based)."""
-        v = self.basis(alpha)[k]
+        v = self.basis(alpha)[_require_in_range("vector index", k, 0, self.dimension - 1)]
         return np.outer(v, v.conj())
 
 
@@ -239,8 +242,7 @@ def verify_mub(m: MubSet) -> bool:
 def unitary_u(m: MubSet, alpha: int, k: int) -> np.ndarray:
     """U_alpha^k = sum_l omega^{kl} P_l for basis alpha (1-based), k in 1..d-1."""
     d = m.dimension
-    if not 1 <= k <= d - 1:
-        raise ValueError(f"power index {k} out of range 1..{d - 1}")
+    _require_in_range("power index", k, 1, d - 1)
     vecs = m.basis(alpha)
     phases = np.exp(2j * np.pi * k * np.arange(d) / d)
     return (vecs.T * phases) @ vecs.conj()

@@ -22,13 +22,21 @@ def _require_integer(name: str, value, error=ValueError) -> None:
         raise error(f"{name} must be an integer, got {value!r}")
 
 
+def _require_in_range(name: str, value, lo: int, hi=None, error=ValueError) -> int:
+    """value as an int; error naming the field unless it is an integer (as in
+    _require_integer) of at least lo, and at most hi when hi is given."""
+    _require_integer(name, value, error)
+    if hi is not None and not lo <= value <= hi:
+        raise error(f"{name} {value} out of range {lo}..{hi}")
+    if value < lo:
+        raise error(f"{name} must be >= {lo}, got {value}")
+    return int(value)
+
+
 def _require_dimension(value, name: str = "dimension") -> int:
     """value as an int; UnsupportedDimensionError naming the field unless it
-    is an integer (as in _require_integer) of at least 2."""
-    _require_integer(name, value, UnsupportedDimensionError)
-    if value < 2:
-        raise UnsupportedDimensionError(f"{name} must be >= 2, got {value}")
-    return int(value)
+    is an integer of at least 2 (_require_in_range)."""
+    return _require_in_range(name, value, 2, error=UnsupportedDimensionError)
 
 
 def as_distribution(p) -> np.ndarray:
@@ -67,10 +75,14 @@ def shannon_entropy(p) -> float:
 
 
 def check_density_matrix(rho) -> np.ndarray:
-    """Validate a density matrix: Hermitian, trace 1, spectrum >= -VALIDATION_TOL."""
+    """Validate a density matrix: finite, Hermitian, trace 1, spectrum >=
+    -VALIDATION_TOL."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
+    # NaN fails every comparison below, so it would pass them all
+    if not np.isfinite(rho).all():
+        raise InvalidStateError("matrix has non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > VALIDATION_TOL:
         raise InvalidStateError("matrix is not Hermitian")
     trace = np.trace(rho)

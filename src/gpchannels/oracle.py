@@ -24,9 +24,6 @@ from typing import Optional
 import numpy as np
 
 from .channels import (
-    _PAULI_T_VECS,
-    _PAULI_VECS,
-    _SIGMA,
     GeneralizedPauliChannel,
     canonical_mub,
     choi_blocks,
@@ -39,9 +36,20 @@ from .channels import (
 from .channels import choi_matrix, gpc_to_weyl, require_cp, weyl_kraus_terms  # noqa: F401
 from .capacity import bounds_batch, holevo_upper_bound_weyl, transition_row_entropies
 from .mub import MubSet
-from .numerics import _require_integer, _xlogx
+from .numerics import _require_in_range, _require_integer, _xlogx
 
 CHOI_PSD_TOL = 1e-9
+
+# The Hermitian Pauli matrices I, X, Y, Z, their row-major vecs and the vecs
+# of their transposes.  Tr(A B) = vec(A^T) . vec(B), so a qubit superoperator
+# S has the Pauli transfer matrix T_ij = 1/2 vec(S_i^T) . S vec(S_j).  The
+# qubit grid's ranking reads Bloch vectors off these, not off the displacement
+# products: their ZX = iY carries a 1.2e-16 imaginary part from exp(i pi),
+# which could flip ties in the ranking.
+_SIGMA = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                   [[1, 0], [0, -1]]], dtype=complex)
+_PAULI_VECS = _SIGMA.reshape(4, 4)
+_PAULI_T_VECS = _SIGMA.transpose(0, 2, 1).reshape(4, 4)
 
 _log = logging.getLogger(__name__)
 
@@ -63,16 +71,10 @@ class SearchConfig:
     refinement_iterations: int = 200
 
     def __post_init__(self):
-        for name in ("grid_resolution", "samples", "seed", "refinement_iterations"):
-            _require_integer(name, getattr(self, name))
-        if self.grid_resolution < 8:
-            raise ValueError(f"grid_resolution must be >= 8, got {self.grid_resolution}")
-        if self.samples < 0:
-            raise ValueError(f"samples must be >= 0, got {self.samples}")
-        if self.refinement_iterations < 0:
-            raise ValueError(
-                f"refinement_iterations must be >= 0, got {self.refinement_iterations}"
-            )
+        _require_integer("seed", self.seed)
+        for name, lo in (("grid_resolution", 8), ("samples", 0),
+                         ("refinement_iterations", 0)):
+            _require_in_range(name, getattr(self, name), lo)
 
 
 def cp_oracle_choi(ch) -> bool:

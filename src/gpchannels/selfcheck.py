@@ -52,7 +52,7 @@ from .mub import (
     verify_mub,
     weyl_labels,
 )
-from .numerics import _require_dimension
+from .numerics import _require_dimension, _require_in_range
 
 LN2 = float(np.log(2.0))
 LN3 = float(np.log(3.0))
@@ -79,6 +79,7 @@ def sample_cp_eigenvalues(d: int, count: int, rng) -> np.ndarray:
     eigenvalue_rows maps the simplex affinely onto the CP region.
     """
     d = _require_dimension(d)
+    _require_in_range("count", count, 0)
     return eigenvalue_rows(rng.dirichlet(np.ones(d + 2), count))
 
 

@@ -36,6 +36,7 @@ from gpchannels.channels import (
     weighted_gram,
     weyl_kraus_terms,
 )
+from gpchannels.dynamics import RateSpec
 from gpchannels.errors import (
     InvalidDistributionError,
     NotCompletelyPositiveError,
@@ -194,6 +195,30 @@ def test_every_entry_point_refuses_a_bad_dimension(entry, value, message):
         return
     with pytest.raises(UnsupportedDimensionError, match=re.escape(message) + "$"):
         DIMENSION_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: classical_map_t(EigenvalueVector(3, [0.1] * 4), 1.5),
+     "basis label must be an integer, got 1.5"),
+    (lambda: canonical_mub(3).projector(1.0, 0), "basis label must be an integer, got 1.0"),
+    (lambda: canonical_mub(3).projector(1, 5), "vector index 5 out of range 0..2"),
+    (lambda: canonical_mub(3).projector(1, -1), "vector index -1 out of range 0..2"),
+    (lambda: canonical_mub(3).projector(1, 0.5), "vector index must be an integer, got 0.5"),
+    (lambda: unitary_u(canonical_mub(3), 1, 1.5), "power index must be an integer, got 1.5"),
+    (lambda: RateSpec((None, 0.1, 0.2)),
+     "rate 1: expected a number or a (times, values) pair, got None"),
+    (lambda: RateSpec((0.1, (0, 1, 2), 0.2)),
+     "rate 2: expected a number or a (times, values) pair, got (0, 1, 2)"),
+    (lambda: sample_cp_eigenvalues(2, -1, np.random.default_rng(0)),
+     "count must be >= 0, got -1"),
+    (lambda: sample_cp_eigenvalues(2, 2.0, np.random.default_rng(0)),
+     "count must be an integer, got 2.0"),
+], ids=["map-label", "projector-label", "projector-index", "projector-negative",
+        "projector-float", "unitary-power", "rate-none", "rate-triple",
+        "sampler-negative", "sampler-float"])
+def test_bad_indices_and_entries_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])

@@ -182,6 +182,28 @@ def test_dynamics_writes_file(tmp_path, capsys):
     assert "\r" not in text
 
 
+def test_dynamics_output_to_a_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "traj.csv"
+    code, out, err = run(capsys, "dynamics", "--gamma1", "1", "--gamma2", "1",
+                         "--gamma3", "1", "--t-max", "1", "--steps", "3",
+                         "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--gamma1", "1e308", "--gamma2", "1e308", "--gamma3", "0"),
+     "map eigenvalues are not finite at t=0.01"),
+    (("--gamma1", "0.1", "--gamma2", "0.1", "--gamma3", "0.1", "--t-max", "1e-320"),
+     "t_max=1e-320, steps=301: times not strictly increasing"),
+])
+def test_dynamics_refuses_inputs_that_overflow_or_collapse_the_grid(capsys, args, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "dynamics", *args)
+    assert (code, out, caught, err) == (2, "", [], f"error: {message}\n")
+
+
 def test_dynamics_rejects_cp_violation(capsys):
     code, _, err = run(capsys, "dynamics", "--gamma1", "-1", "--gamma2", "0",
                        "--gamma3", "0.2", "--t-max", "1", "--steps", "11")

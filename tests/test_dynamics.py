@@ -182,12 +182,17 @@ _REFERENCE_RATES = [non_p_divisible_capacity_witness(),
                     RateSpec.constant(0.4, 0.2, 0.1)]
 
 
+# X, Y and Z, written out here so that the reference read-out shares nothing
+# with the module's, which takes its axes from the displacement products
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
 def _pauli_lambdas(states):
     """lambda_a = 1/2 Tr(S_a M(S_a)) for row-major vec states M, one Pauli at a time."""
     maps = np.asarray(states).reshape(-1, 4, 4)
     return np.stack([
         0.5 * np.einsum("ij,nji->n", s, (maps @ s.ravel()).reshape(-1, 2, 2)).real
-        for s in dynamics._SIGMA[1:]], axis=1)
+        for s in _PAULIS], axis=1)
 
 
 def _scipy_rk45_lambdas(r, times):
@@ -274,6 +279,34 @@ def test_ode_oracle_fails_fast_on_overflow():
         with pytest.raises(RuntimeError, match=r"^map integration failed: .*t=.*"):
             ode_eigenvalue_oracle(RateSpec.constant(-400, -400, -400), 3.0, 11)
     assert time.perf_counter() - start < 30.0
+
+
+@pytest.mark.parametrize("g", [(1e308, 1e308, 0), (1e308, 1e308, 1e308), (-1e308, 0, 0)])
+def test_quadrature_refuses_huge_finite_rates_by_time(g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^map eigenvalues are not finite at t=0\.01$"):
+            eigenvalue_trajectory(RateSpec.constant(*g), 3.0, 301)
+
+
+@pytest.mark.parametrize("g", [(1e308, 1e308, 0), (1e308, 1e308, 1e308), (-1e308, 0, 0),
+                               (2e296, 2e296, 0)])
+def test_ode_oracle_refuses_huge_finite_rates(g):
+    # from about 1.8e296 on, the rates overflow the initial-step norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="^map integration failed: rates overflow at t=0$"):
+            ode_eigenvalue_oracle(RateSpec.constant(*g), 3.0, 301)
+
+
+@pytest.mark.parametrize("route", [eigenvalue_trajectory, ode_eigenvalue_oracle])
+def test_collapsed_time_grid_is_refused(route):
+    # linspace(0, 1e-320, 301) repeats subnormal times
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"^t_max=1e-320, steps=301: times not strictly increasing$"):
+            route(RateSpec.constant(0.1, 0.1, 0.1), 1e-320, 301)
 
 
 def test_large_finite_backflow_is_accepted_on_both_routes():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,19 @@ from gpchannels.numerics import (
     shannon_entropy,
     von_neumann_entropy,
 )
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+def test_check_density_matrix_refuses_non_finite_entries(entry):
+    rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+    rho[0, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (check_density_matrix, von_neumann_entropy):
+            with pytest.raises(InvalidStateError, match="^matrix has non-finite entries$"):
+                check(rho)
+    with pytest.raises(InvalidStateError, match="^matrix has non-finite entries$"):
+        von_neumann_entropy(np.full((2, 2), np.nan))
 
 
 def test_as_distribution_accepts_valid():

@@ -15,6 +15,7 @@ from gpchannels.channels import (
     WeylChannel,
     canonical_mub,
     choi_matrix,
+    cp_rows,
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
     gpc_to_weyl,
@@ -608,6 +609,35 @@ def test_displacement_route_reaches_chi_low_at_d9():
     est = [holevo_estimate(probabilities_from_eigenvalues(EigenvalueVector(9, lam)))
            for lam in lams]
     assert np.min(est - bounds_batch(lams).chi_low) >= -1e-12
+
+
+def _coinciding_rows(d, count):
+    # one eigenvalue the largest, the others equal and >= 0: the bounds meet
+    rng = np.random.default_rng([5, d])
+    rows = []
+    while len(rows) < count:
+        b = rng.uniform(0.0, 0.4)
+        lam = np.full(d + 1, b)
+        lam[rng.integers(d + 1)] = rng.uniform(b, 1.0)
+        if cp_rows(lam[None])[0]:
+            rows.append(lam)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d, lams", [
+    (2, sample_cp_eigenvalues(2, 12, np.random.default_rng(5))),
+    (3, _coinciding_rows(3, 6)),
+    (4, _coinciding_rows(4, 6)),
+], ids=["d2", "d3", "d4"])
+def test_two_copy_search_is_twice_the_capacity(d, lams):
+    # chi(Phi (x) Phi) = 2 chi(Phi): King's additivity for unital qubit
+    # channels, and weak additivity of chi_low where the bounds meet
+    b = bounds_batch(lams)
+    assert b.coincide.all()
+    cfg = SearchConfig(samples=1000, refinement_iterations=500, seed=3)
+    for lam, chi in zip(lams, b.exact_capacity):
+        c = probabilities_from_eigenvalues(EigenvalueVector(d, lam))
+        assert abs(holevo_estimate(tensor(c, c), cfg=cfg) - 2.0 * chi) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 8, 9])
