@@ -1,7 +1,8 @@
 """Command line front end.
 
-Entropic quantities are reported in nats unless --bits is given; the
-dynamics CSV always stores nats (the column name says so).
+Entropic quantities are reported in nats unless --bits is given, which
+bounds and zeta take; cp-check's margin has no unit, and the dynamics CSV
+always stores nats (the column name says so).
 """
 
 import argparse
@@ -23,8 +24,8 @@ from .channels import (
 from .dynamics import (
     RateSpec,
     capacity_trajectory,
-    eigenvalue_rises,
     eigenvalue_trajectory,
+    p_divisible_so_far,
 )
 from .mub import require_prime_power
 from .numerics import _require_in_range
@@ -51,7 +52,7 @@ def _channel_from_args(args) -> EigenvalueVector:
     return eigenvalues_from_probabilities(GeneralizedPauliChannel(args.d, probs))
 
 
-def _add_channel_arguments(parser) -> None:
+def _add_channel_arguments(parser, bits: bool) -> None:
     parser.add_argument("--d", type=int, required=True,
                         help="subsystem dimension")
     group = parser.add_mutually_exclusive_group(required=True)
@@ -59,8 +60,9 @@ def _add_channel_arguments(parser) -> None:
                        help="d+1 channel eigenvalues, comma separated")
     group.add_argument("--probs",
                        help="d+2 mixing probabilities, comma separated")
-    parser.add_argument("--bits", action="store_true",
-                        help="report entropic quantities in bits")
+    if bits:
+        parser.add_argument("--bits", action="store_true",
+                            help="report entropic quantities in bits")
 
 
 def _emit(payload: dict) -> None:
@@ -131,18 +133,11 @@ def _parse_rate(text: str):
 
 
 def _cmd_dynamics(args) -> int:
-    rates = RateSpec((
-        _parse_rate(args.gamma1),
-        _parse_rate(args.gamma2),
-        _parse_rate(args.gamma3),
-    ))
+    rates = RateSpec(tuple(map(_parse_rate, (args.gamma1, args.gamma2, args.gamma3))))
     traj = capacity_trajectory(eigenvalue_trajectory(rates, args.t_max, args.steps))
-    divisible = np.logical_and.accumulate(
-        np.concatenate([[True], ~eigenvalue_rises(traj.lambdas)])
-    )
     lines = ["t,lambda1,lambda2,lambda3,capacity_nats,p_divisible_so_far"]
-    for t, lam, capacity, flag in zip(traj.times, traj.lambdas, traj.capacity, divisible):
-        row = [t, *lam, capacity]
+    table = np.column_stack([traj.times, traj.lambdas, traj.capacity])
+    for row, flag in zip(table, p_divisible_so_far(traj.lambdas)):
         lines.append(",".join(_fmt(v) for v in row) + f",{int(flag)}")
     text = "\n".join(lines) + "\n"
     if args.output:
@@ -194,15 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="Holevo capacity bounds of one channel")
-    _add_channel_arguments(p)
+    _add_channel_arguments(p, bits=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("cp-check", help="complete positivity test")
-    _add_channel_arguments(p)
+    _add_channel_arguments(p, bits=False)
     p.set_defaults(func=_cmd_cp_check)
 
     p = sub.add_parser("zeta", help="grouped weight vector behind the upper bound")
-    _add_channel_arguments(p)
+    _add_channel_arguments(p, bits=True)
     p.set_defaults(func=_cmd_zeta)
 
     p = sub.add_parser("dynamics", help="qubit eigenvalue and capacity trajectory")

@@ -8,7 +8,16 @@ the generator acting on the full map (the oracle).  The oracle integrates
 with the embedded Dormand-Prince 5(4) pair (Dormand & Prince 1980) and its
 quartic dense output (Shampine 1986), under the step-size rules of scipy's
 RK45, except that its steps end on the knots of every rate table, so no step
-straddles a kink in the rates; it is plain numpy.
+straddles a kink in the rates, and that it refuses an integration that needs
+more than ODE_MAX_STEPS steps; it is plain numpy.
+
+Each per-step decision on a trajectory has one rule, made here once.  The
+capacity is bounds_batch's d = 2 rule, driven by lambda*, the eigenvalue of
+largest magnitude, and capacity_trajectory's rate formula is the chain rule
+on it.  The CP verdict is eigenvalue_trajectory's cp_everywhere, which
+capacity_trajectory reads.  P divisibility is p_divisible_so_far, the running
+flag behind PauliTrajectory.p_divisible, p_divisibility_check and the CLI's
+p_divisible_so_far column.
 
 The qubit operators are the channel layer's: the generator and the oracle's
 read-out take the displacement products of the label sets of weyl_labels(2),
@@ -42,6 +51,10 @@ from .numerics import _require_integer
 P_DIVISIBILITY_TOL = 1e-10
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
+# Accepted Dormand-Prince steps per integration.  Stability caps an explicit
+# step near 3/rate, so the count grows with rate * t_max: 134 steps for the
+# witness, 14,384 for the backflow rates (-100, -100, -100) on [0, 3].
+ODE_MAX_STEPS = 50_000
 
 # The label sets of weyl_labels(2) in reverse order hold X, ZX = iY and Z, one
 # displacement product W_a each, the operators of this module's three axes.
@@ -150,12 +163,15 @@ class PauliTrajectory:
     cdot_formula_valid: Optional[np.ndarray] = None
 
 
-def eigenvalue_rises(lambdas: np.ndarray) -> np.ndarray:
-    """Per grid interval: does some eigenvalue grow by more than P_DIVISIBILITY_TOL.
+def p_divisible_so_far(lambdas: np.ndarray) -> np.ndarray:
+    """Per grid time: has no eigenvalue grown by more than P_DIVISIBILITY_TOL
+    over any grid interval up to it.  True at the first time, False from the
+    first rise on.
 
     A qubit Pauli map is P-divisible iff no eigenvalue ever grows.
     """
-    return np.any(np.diff(lambdas, axis=0) > P_DIVISIBILITY_TOL, axis=1)
+    rises = np.any(np.diff(lambdas, axis=0) > P_DIVISIBILITY_TOL, axis=1)
+    return np.logical_and.accumulate(np.concatenate([[True], ~rises]))
 
 
 def _time_grid(t_max: float, steps: int) -> np.ndarray:
@@ -182,7 +198,8 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
     times = _time_grid(t_max, steps)
     h = times[1] - times[0]
     g_nodes = r.evaluate(times)
-    g_mids = r.evaluate((times[:-1] + times[1:]) / 2.0)
+    # halves first: the sum of two times near the largest float overflows
+    g_mids = r.evaluate(times[:-1] / 2.0 + times[1:] / 2.0)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         increments = h / 6.0 * (g_nodes[:, :-1] + 4.0 * g_mids + g_nodes[:, 1:])
         gamma_cum = np.concatenate(
@@ -197,7 +214,7 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
         times=times,
         lambdas=lambdas,
         cp_everywhere=bool(cp_rows(lambdas).all()),
-        p_divisible=not eigenvalue_rises(lambdas).any(),
+        p_divisible=bool(p_divisible_so_far(lambdas)[-1]),
     )
 
 
@@ -221,7 +238,8 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
     knots of every rate table, where the rates have kinks; the step size and
     the first-same-as-last rate carry across a knot, since the rates are
     continuous there.  Raises RuntimeError when the rates overflow the error
-    norm, the step underflows or the state stops being finite.
+    norm, the step underflows, the state stops being finite or ODE_MAX_STEPS
+    steps are spent.
     """
     knots = [k for entry in r.rates if entry[0] == "table" for k in entry[1]]
     stops = np.unique([k for k in knots if t < k < t_end] + [t_end])
@@ -246,7 +264,11 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
 
     stages = np.empty((7, 16))
     stage_mats = stages.reshape(7, 4, 4)
+    taken = 0
     while t < t_end:
+        if taken == ODE_MAX_STEPS:
+            raise RuntimeError(f"map integration failed: {taken} steps spent at t={t:.6g}")
+        taken += 1
         stop = stops[np.searchsorted(stops, t, side="right")]
         min_step = 10.0 * (np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -314,43 +336,51 @@ def ode_eigenvalue_oracle(r: RateSpec, t_max: float, steps: int) -> np.ndarray:
 
 def p_divisibility_check(traj: PauliTrajectory) -> bool:
     """True iff every eigenvalue trace is non-increasing on the grid."""
-    return not eigenvalue_rises(traj.lambdas).any()
+    return bool(p_divisible_so_far(traj.lambdas)[-1])
+
+
+def _time_derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """np.gradient(values, times), taken against times / s and divided by s,
+    s the largest power of two not above the spacing: the scaling is exact,
+    and it keeps the products of two spacings in np.gradient from overflowing
+    on huge grids and from underflowing to 0 on tiny ones."""
+    s = 2.0 ** np.floor(np.log2(times[1] - times[0]))
+    return np.gradient(values, times / s) / s
 
 
 def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
     """Attach the qubit capacity and its derivative diagnostics to a trajectory.
 
-    The closed-form rate expression
-    dC/dt = (dL_max/dt / 2) ln[(1 + L_max)/(1 - L_max)]
-    only governs where the largest eigenvalue dominates in magnitude; its
-    values are reported together with a validity mask (largest eigenvalue
-    governs and is either unique or fully degenerate) instead of being
-    asserted against the finite-difference derivative elsewhere.
+    The capacity is bounds_batch's exact capacity, the d = 2 term of lambda*,
+    the eigenvalue of largest magnitude.  That term is even in lambda, so the
+    chain rule gives one rate for either sign of lambda*,
+    dC/dt = (dlambda*/dt / 2) ln[(1 + lambda*)/(1 - lambda*)],
+    reported as cdot_formula next to the finite-difference cdot_fd.  It holds
+    where lambda* is one function of t: rows where the largest magnitude is
+    unique or all magnitudes are equal, and that are not saturated (|lambda*|
+    at 1) while moving; cdot_formula_valid marks them.
+
+    The CP verdict is the trajectory's cp_everywhere; when it is False, the
+    NotCompletelyPositiveError names the first grid time outside the region.
     """
-    ok = cp_rows(traj.lambdas)
-    if not np.all(ok):
-        bad = int(np.argmin(ok))
+    if not traj.cp_everywhere:
+        bad = int(np.argmin(cp_rows(traj.lambdas)))
         raise NotCompletelyPositiveError(
             f"trajectory leaves the CP region at t={traj.times[bad]:.6g}"
         )
     capacity = bounds_batch(traj.lambdas).exact_capacity
-    cdot_fd = np.gradient(capacity, traj.times)
-
-    lam_sorted = np.sort(traj.lambdas, axis=1)[:, ::-1]
-    lmax = lam_sorted[:, 0]
-    lstar = np.abs(traj.lambdas).max(axis=1)
-    dmax = np.gradient(lmax, traj.times)
-    formula = np.zeros_like(lmax)
-    interior = lmax < 1.0 - 1e-12
-    formula[interior] = 0.5 * dmax[interior] * np.log(
-        (1.0 + lmax[interior]) / (1.0 - lmax[interior])
+    mags = np.abs(traj.lambdas)
+    lam_star = traj.lambdas[np.arange(mags.shape[0]), np.argmax(mags, axis=1)]
+    mags.sort(axis=1)
+    cdot_fd = _time_derivative(capacity, traj.times)
+    dlam_star = _time_derivative(lam_star, traj.times)
+    formula = np.zeros_like(lam_star)
+    interior = mags[:, 2] < 1.0 - 1e-12
+    formula[interior] = 0.5 * dlam_star[interior] * np.log(
+        (1.0 + lam_star[interior]) / (1.0 - lam_star[interior])
     )
-    saturated_moving = ~interior & (np.abs(dmax) > 1e-8)
-    governs = np.abs(lmax - lstar) <= 1e-12
-    unique_max = (lam_sorted[:, 0] - lam_sorted[:, 1] > 1e-9) | (
-        np.ptp(traj.lambdas, axis=1) <= 1e-12
-    )
-    valid = governs & unique_max & ~saturated_moving
+    one_max = (mags[:, 2] - mags[:, 1] > 1e-9) | (mags[:, 2] - mags[:, 0] <= 1e-12)
+    valid = one_max & (interior | (np.abs(dlam_star) <= 1e-8))
     return replace(
         traj,
         capacity=capacity,

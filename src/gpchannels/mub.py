@@ -137,6 +137,8 @@ def weyl_labels(d: int) -> np.ndarray:
 def weyl_operator(d: int, k: int, l: int) -> np.ndarray:
     """The displacement operator with phase index k and shift index l (mod d)."""
     d = _require_dimension(d)
+    _require_integer("phase index k", k)
+    _require_integer("shift index l", l)
     return _weyl_matrix(d, k % d, l % d)
 
 

@@ -36,7 +36,7 @@ from .channels import (
 from .channels import choi_matrix, gpc_to_weyl, require_cp, weyl_kraus_terms  # noqa: F401
 from .capacity import bounds_batch, holevo_upper_bound_weyl, transition_row_entropies
 from .mub import MubSet
-from .numerics import _require_in_range, _require_integer, _xlogx
+from .numerics import _require_in_range, _xlogx
 
 CHOI_PSD_TOL = 1e-9
 
@@ -71,8 +71,7 @@ class SearchConfig:
     refinement_iterations: int = 200
 
     def __post_init__(self):
-        _require_integer("seed", self.seed)
-        for name, lo in (("grid_resolution", 8), ("samples", 0),
+        for name, lo in (("grid_resolution", 8), ("samples", 0), ("seed", 0),
                          ("refinement_iterations", 0)):
             _require_in_range(name, getattr(self, name), lo)
 

@@ -205,6 +205,9 @@ def test_every_entry_point_refuses_a_bad_dimension(entry, value, message):
     (lambda: canonical_mub(3).projector(1, -1), "vector index -1 out of range 0..2"),
     (lambda: canonical_mub(3).projector(1, 0.5), "vector index must be an integer, got 0.5"),
     (lambda: unitary_u(canonical_mub(3), 1, 1.5), "power index must be an integer, got 1.5"),
+    (lambda: weyl_operator(2, 1.5, 0), "phase index k must be an integer, got 1.5"),
+    (lambda: weyl_operator(2, 0, 1.5), "shift index l must be an integer, got 1.5"),
+    (lambda: weyl_operator(2, 0, True), "shift index l must be an integer, got True"),
     (lambda: RateSpec((None, 0.1, 0.2)),
      "rate 1: expected a number or a (times, values) pair, got None"),
     (lambda: RateSpec((0.1, (0, 1, 2), 0.2)),
@@ -214,8 +217,8 @@ def test_every_entry_point_refuses_a_bad_dimension(entry, value, message):
     (lambda: sample_cp_eigenvalues(2, 2.0, np.random.default_rng(0)),
      "count must be an integer, got 2.0"),
 ], ids=["map-label", "projector-label", "projector-index", "projector-negative",
-        "projector-float", "unitary-power", "rate-none", "rate-triple",
-        "sampler-negative", "sampler-float"])
+        "projector-float", "unitary-power", "weyl-phase", "weyl-shift", "weyl-bool",
+        "rate-none", "rate-triple", "sampler-negative", "sampler-float"])
 def test_bad_indices_and_entries_are_refused_by_name(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()

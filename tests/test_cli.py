@@ -129,6 +129,14 @@ def test_cp_check_reports_probabilities_when_cp(capsys):
     assert payload["probabilities"] == pytest.approx([0.25, 0.5, 0.25, 0.0])
 
 
+def test_cp_check_has_no_bits_option(capsys):
+    # the margin has no unit
+    with pytest.raises(SystemExit) as exc:
+        main(["cp-check", "--d", "2", "--lambdas", "0.5,0,-0.5", "--bits"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bits" in capsys.readouterr().err
+
+
 def test_zeta_output(capsys):
     code, out, _ = run(capsys, "zeta", "--d", "2", "--lambdas", "0.5,0,-0.5")
     assert code == 0
@@ -202,6 +210,15 @@ def test_dynamics_refuses_inputs_that_overflow_or_collapse_the_grid(capsys, args
         warnings.simplefilter("always")
         code, out, err = run(capsys, "dynamics", *args)
     assert (code, out, caught, err) == (2, "", [], f"error: {message}\n")
+
+
+@pytest.mark.parametrize("t_max", ["1e200", "1e308"])
+def test_dynamics_runs_up_to_the_largest_t_max(capsys, t_max):
+    # numpy RuntimeWarnings are errors under this suite's filterwarnings
+    code, out, err = run(capsys, "dynamics", "--gamma1", "0.1", "--gamma2", "0.1",
+                         "--gamma3", "0.1", "--t-max", t_max)
+    assert (code, err) == (0, "")
+    assert out.strip().split("\n")[-1] == f"{float(t_max):.12g},0,0,0,0,1"
 
 
 def test_dynamics_rejects_cp_violation(capsys):

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from gpchannels import dynamics
-from gpchannels.channels import EigenvalueVector, probabilities_from_eigenvalues, superoperator
+from gpchannels.channels import (
+    EigenvalueVector,
+    cp_rows,
+    probabilities_from_eigenvalues,
+    superoperator,
+)
 from gpchannels.dynamics import (
     PauliTrajectory,
     RateSpec,
@@ -14,6 +19,7 @@ from gpchannels.dynamics import (
     non_p_divisible_capacity_witness,
     ode_eigenvalue_oracle,
     p_divisibility_check,
+    p_divisible_so_far,
 )
 from gpchannels.errors import NotCompletelyPositiveError
 from gpchannels.mub import weyl_labels
@@ -130,6 +136,43 @@ def test_derivative_formula_where_valid():
     assert mask.any()
     assert np.max(np.abs(traj.cdot_formula[mask] - traj.cdot_fd[mask])) < 1e-4
     assert np.all(traj.cdot_formula[mask] <= 1e-12)
+
+
+def test_derivative_formula_follows_a_negative_dominant_eigenvalue():
+    # lambda* = -0.6 + 0.15 t has the largest magnitude throughout; the d = 2
+    # capacity term is even, so the rate formula holds on its signed value
+    times = np.linspace(0.0, 2.0, 401)
+    lams = np.stack([-0.6 + 0.15 * times, np.full(401, 0.1), np.full(401, 0.1)], axis=1)
+    assert cp_rows(lams).all()
+    traj = capacity_trajectory(PauliTrajectory(times, lams, cp_everywhere=True,
+                                               p_divisible=False))
+    inner = slice(1, -1)
+    assert traj.cdot_formula_valid[inner].all()
+    assert np.all(traj.cdot_formula[inner] < 0.0)
+    assert np.max(np.abs(traj.cdot_formula[inner] - traj.cdot_fd[inner])) <= 1e-4
+
+
+def test_capacity_trajectory_reads_the_trajectorys_cp_verdict(monkeypatch):
+    traj = eigenvalue_trajectory(non_p_divisible_capacity_witness(), 3.0, 61)
+
+    def no_second_verdict(lams):
+        raise AssertionError("cp_rows called on the success path")
+
+    monkeypatch.setattr(dynamics, "cp_rows", no_second_verdict)
+    assert capacity_trajectory(traj).capacity.shape == (61,)
+
+
+def test_p_divisible_so_far_falls_at_the_first_rise_and_stays_down():
+    traj = eigenvalue_trajectory(non_p_divisible_capacity_witness(), 3.0, 301)
+    flags = p_divisible_so_far(traj.lambdas)
+    rises = np.any(np.diff(traj.lambdas, axis=0) > dynamics.P_DIVISIBILITY_TOL, axis=1)
+    first = int(np.argmax(rises)) + 1
+    assert flags.dtype == bool and flags.shape == (301,)
+    assert flags[:first].all() and not flags[first:].any()
+    assert flags[-1] == traj.p_divisible == p_divisibility_check(traj)
+    constant = eigenvalue_trajectory(RateSpec.constant(0.4, 0.2, 0.1), 3.0, 31)
+    assert p_divisible_so_far(constant.lambdas).all() and constant.p_divisible
+    assert p_divisible_so_far(constant.lambdas[:1]).tolist() == [True]
 
 
 def test_witness_breaks_p_divisibility_not_monotonicity():
@@ -307,6 +350,39 @@ def test_collapsed_time_grid_is_refused(route):
         with pytest.raises(ValueError,
                            match=r"^t_max=1e-320, steps=301: times not strictly increasing$"):
             route(RateSpec.constant(0.1, 0.1, 0.1), 1e-320, 301)
+
+
+@pytest.mark.parametrize("t_max", [1e160, 1e200, 1e308, np.finfo(float).max, 1e-300, 1e-310])
+def test_extreme_t_max_gives_finite_derivatives_without_warnings(t_max):
+    # midpoints of times near the largest float, and products of two spacings
+    # in np.gradient, used to overflow (or underflow to a division by zero)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = capacity_trajectory(eigenvalue_trajectory(
+            RateSpec((([0.0, 1.0], [0.1, 0.3]), 0.1, 0.1)), t_max, 301))
+    for values in (traj.lambdas, traj.capacity, traj.cdot_fd, traj.cdot_formula):
+        assert np.isfinite(values).all()
+
+
+def test_time_derivative_is_np_gradient_on_ordinary_grids():
+    for spec, t_max, steps in [(non_p_divisible_capacity_witness(), 3.0, 301),
+                               (RateSpec.constant(0.3, 0.1, 0.0), 4.0, 801),
+                               (RateSpec.constant(0.5, 0.2, 0.1), 1e3, 31)]:
+        traj = capacity_trajectory(eigenvalue_trajectory(spec, t_max, steps))
+        assert np.array_equal(traj.cdot_fd, np.gradient(traj.capacity, traj.times))
+
+
+def test_ode_oracle_refuses_inputs_beyond_its_step_budget(monkeypatch):
+    # the budget is patched down so that the refusal comes within a second
+    monkeypatch.setattr(dynamics, "ODE_MAX_STEPS", 200)
+    witness = non_p_divisible_capacity_witness()  # 134 steps
+    lam = ode_eigenvalue_oracle(witness, 3.0, 301)
+    assert np.max(np.abs(lam - eigenvalue_trajectory(witness, 3.0, 301).lambdas)) < 1e-6
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError,
+                       match=r"^map integration failed: 200 steps spent at t=\S+$"):
+        ode_eigenvalue_oracle(RateSpec.constant(1e100, 1e100, 0), 3.0, 11)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_large_finite_backflow_is_accepted_on_both_routes():

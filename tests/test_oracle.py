@@ -57,6 +57,8 @@ def test_search_config_validation():
         SearchConfig(samples=-1)
     with pytest.raises(ValueError):
         SearchConfig(refinement_iterations=-5)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        SearchConfig(seed=-1)
 
 
 @pytest.mark.parametrize("field, value", [
