@@ -6,8 +6,10 @@ weight vector majorizes every output spectrum, so its entropy lower-bounds
 the minimal output entropy).  Both are in nats.
 
 bounds_batch is the one entry point: it checks (N, d+1) eigenvalue rows and
-evaluates both closed forms on all of them at once; the CLI, the dynamics,
-the self-checks and the oracle read it directly.  The second routes, through
+evaluates both closed forms on all of them at once; the CLI, the self-checks
+and the oracle read it directly.  The qubit dynamics take the maximum of its
+per-basis terms (_basis_terms), which is its exact capacity at d = 2, where
+the bounds always meet; a test pins that equality.  The second routes, through
 the transition matrices (transition_row_entropies) and through the sorted
 weights (zeta_vector, zeta_components_p_form), are kept apart on purpose as
 cross-checks.
@@ -162,6 +164,13 @@ def _checked_rows(lams) -> np.ndarray:
     return lams
 
 
+def _basis_terms(lams: np.ndarray) -> np.ndarray:
+    # per basis of checked (N, d+1) rows, the capacity of the symmetric
+    # classical channel it induces: chi_low is the row maximum
+    d = lams.shape[1] - 1
+    return _xlogx(1.0 + (d - 1.0) * lams) / d + (d - 1.0) / d * _xlogx(1.0 - lams)
+
+
 @lru_cache(maxsize=None)
 def _block_coefficients(d: int):
     # rows plain, shifted, straddle of [1 + a_k L_k + b_k L_{k+1} - c S] / d
@@ -206,7 +215,7 @@ def bounds_batch(lams) -> BatchBounds:
     lams = _checked_rows(lams)
     d = lams.shape[1] - 1
 
-    terms = _xlogx(1.0 + (d - 1.0) * lams) / d + (d - 1.0) / d * _xlogx(1.0 - lams)
+    terms = _basis_terms(lams)
     best = np.argmax(terms, axis=1)
     chi_low = terms[np.arange(len(terms)), best]
 

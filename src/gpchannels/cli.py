@@ -163,8 +163,7 @@ def _cmd_verify(args) -> int:
 def _cmd_random_sweep(args) -> int:
     d = args.d
     _require_in_range("--count", args.count, 0)
-    if args.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    _require_in_range("--seed", args.seed, 0)
     require_prime_power(d)
     rng = np.random.default_rng(args.seed)
     samples = sample_cp_eigenvalues(d, args.count, rng)

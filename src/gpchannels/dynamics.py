@@ -12,12 +12,13 @@ straddles a kink in the rates, and that it refuses an integration that needs
 more than ODE_MAX_STEPS steps; it is plain numpy.
 
 Each per-step decision on a trajectory has one rule, made here once.  The
-capacity is bounds_batch's d = 2 rule, driven by lambda*, the eigenvalue of
-largest magnitude, and capacity_trajectory's rate formula is the chain rule
-on it.  The CP verdict is eigenvalue_trajectory's cp_everywhere, which
-capacity_trajectory reads.  P divisibility is p_divisible_so_far, the running
-flag behind PauliTrajectory.p_divisible, p_divisibility_check and the CLI's
-p_divisible_so_far column.
+capacity is the maximum of bounds_batch's per-basis terms, driven by lambda*,
+the eigenvalue of largest magnitude; at d = 2 that maximum is bounds_batch's
+exact capacity, so the upper bound is not built.  capacity_trajectory's rate
+formula is the chain rule on it.  The CP verdict is eigenvalue_trajectory's
+cp_everywhere, which capacity_trajectory reads.  P divisibility is
+p_divisible_so_far, the running flag behind PauliTrajectory.p_divisible,
+p_divisibility_check and the CLI's p_divisible_so_far column.
 
 The qubit operators are the channel layer's: the generator and the oracle's
 read-out take the displacement products of the label sets of weyl_labels(2),
@@ -42,8 +43,8 @@ import numpy as np
 
 # pauli_classical_capacity stays importable here: perfbench traces the
 # per-step qubit closed form through this name
-from .capacity import bounds_batch, pauli_classical_capacity  # noqa: F401
-from .channels import cp_rows, kraus_superoperator
+from .capacity import _basis_terms, pauli_classical_capacity  # noqa: F401
+from .channels import clip_eigenvalue_rows, cp_rows, kraus_superoperator
 from .errors import NotCompletelyPositiveError
 from .mub import displacement_products, weyl_labels
 from .numerics import _require_integer
@@ -348,12 +349,23 @@ def _time_derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.gradient(values, times / s) / s
 
 
+def _sorted_columns(rows: np.ndarray):
+    """The largest, middle and smallest entry of each (n, 3) row, each (n,):
+    the columns of np.sort(rows, axis=1) in reverse, selected exactly."""
+    a, b, c = rows.T
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    return (np.maximum(high, c), np.maximum(low, np.minimum(high, c)),
+            np.minimum(low, c))
+
+
 def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
     """Attach the qubit capacity and its derivative diagnostics to a trajectory.
 
-    The capacity is bounds_batch's exact capacity, the d = 2 term of lambda*,
-    the eigenvalue of largest magnitude.  That term is even in lambda, so the
-    chain rule gives one rate for either sign of lambda*,
+    The capacity is the largest of bounds_batch's per-basis terms, the d = 2
+    term of lambda*, the eigenvalue of largest magnitude; it is bounds_batch's
+    exact capacity, since the qubit bounds always meet, and no upper bound is
+    assembled here.  That term is even in lambda, so the chain rule gives one
+    rate for either sign of lambda*,
     dC/dt = (dlambda*/dt / 2) ln[(1 + lambda*)/(1 - lambda*)],
     reported as cdot_formula next to the finite-difference cdot_fd.  It holds
     where lambda* is one function of t: rows where the largest magnitude is
@@ -368,18 +380,19 @@ def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
         raise NotCompletelyPositiveError(
             f"trajectory leaves the CP region at t={traj.times[bad]:.6g}"
         )
-    capacity = bounds_batch(traj.lambdas).exact_capacity
+    # the qubit bounds meet on every CP row, so chi_low is the capacity
+    capacity = _basis_terms(clip_eigenvalue_rows(traj.lambdas)).max(axis=1)
     mags = np.abs(traj.lambdas)
     lam_star = traj.lambdas[np.arange(mags.shape[0]), np.argmax(mags, axis=1)]
-    mags.sort(axis=1)
+    top, middle, bottom = _sorted_columns(mags)
     cdot_fd = _time_derivative(capacity, traj.times)
     dlam_star = _time_derivative(lam_star, traj.times)
     formula = np.zeros_like(lam_star)
-    interior = mags[:, 2] < 1.0 - 1e-12
+    interior = top < 1.0 - 1e-12
     formula[interior] = 0.5 * dlam_star[interior] * np.log(
         (1.0 + lam_star[interior]) / (1.0 - lam_star[interior])
     )
-    one_max = (mags[:, 2] - mags[:, 1] > 1e-9) | (mags[:, 2] - mags[:, 0] <= 1e-12)
+    one_max = (top - middle > 1e-9) | (top - bottom <= 1e-12)
     valid = one_max & (interior | (np.abs(dlam_star) <= 1e-8))
     return replace(
         traj,

@@ -28,6 +28,8 @@ from gpchannels.channels import (
     tensor,
 )
 from gpchannels.dynamics import (
+    PauliTrajectory,
+    RateSpec,
     capacity_trajectory,
     eigenvalue_trajectory,
     non_p_divisible_capacity_witness,
@@ -353,6 +355,46 @@ def test_capacity_trajectory_matches_per_step_closed_form():
         eigenvalue_trajectory(non_p_divisible_capacity_witness(), 3.0, 301))
     per_step = [pauli_classical_capacity(EigenvalueVector(2, lam)) for lam in traj.lambdas]
     assert np.array_equal(traj.capacity, per_step)
+
+
+_DIP = RateSpec((0.25, ((0.0, 0.8, 1.0, 1.4, 1.6, 3.0), (2.5, 2.5, -0.8, -0.8, 2.5, 2.5)),
+                 0.15))
+
+
+def _negative_dominant():
+    times = np.linspace(0.0, 2.0, 401)
+    lams = np.stack([-0.6 + 0.15 * times, np.full(401, 0.1), np.full(401, 0.1)], axis=1)
+    return PauliTrajectory(times, lams, cp_everywhere=True, p_divisible=False)
+
+
+def _saturated():
+    # unitary rows, |lambda| = 1 everywhere, then the identity and a plateau
+    lams = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
+                     [-1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.2, 0.2], [1.0, 0.0, 0.0]])
+    return PauliTrajectory(np.arange(7.0), lams, cp_everywhere=True, p_divisible=False)
+
+
+_RATES = {"witness": non_p_divisible_capacity_witness(),
+          "constant": RateSpec.constant(0.5, 0.3, 0.2),
+          "plateau": RateSpec.constant(0.9, 0.0, 0.0),
+          "dip": _DIP}
+
+
+_HAND_BUILT = {"negative-dominant": _negative_dominant, "saturated": _saturated}
+
+
+@pytest.mark.parametrize("kind, steps", [
+    pytest.param(kind, steps, id=f"{kind}-{steps}") for kind in _RATES for steps in (301, 15001)
+] + [pytest.param(kind, None, id=kind) for kind in _HAND_BUILT])
+def test_capacity_trajectory_is_bounds_batch_exact_capacity(kind, steps):
+    # the trajectory reads the per-basis terms alone; the full bounds agree
+    if steps is None:
+        traj = _HAND_BUILT[kind]()
+    else:
+        traj = eigenvalue_trajectory(_RATES[kind], 3.0, steps)
+    bounds = bounds_batch(traj.lambdas)
+    assert bounds.coincide.all()
+    assert np.array_equal(capacity_trajectory(traj).capacity, bounds.exact_capacity)
 
 
 @given(cp_batches(), st.sampled_from([1, 2]))

@@ -260,7 +260,7 @@ def test_random_sweep_deterministic(capsys):
 def test_random_sweep_rejects_negative_seed(capsys):
     code, out, err = run(capsys, "random-sweep", "--d", "3", "--count", "4", "--seed", "-1")
     assert (code, out) == (2, "")
-    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    assert err == "error: --seed must be >= 0, got -1\n"
 
 
 def test_random_sweep_default_seed_is_zero(capsys):

@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from gpchannels import dynamics
+from gpchannels import capacity, dynamics
 from gpchannels.channels import (
     EigenvalueVector,
     cp_rows,
@@ -160,6 +161,30 @@ def test_capacity_trajectory_reads_the_trajectorys_cp_verdict(monkeypatch):
 
     monkeypatch.setattr(dynamics, "cp_rows", no_second_verdict)
     assert capacity_trajectory(traj).capacity.shape == (61,)
+
+
+def test_capacity_trajectory_assembles_no_upper_bound(monkeypatch):
+    traj = eigenvalue_trajectory(non_p_divisible_capacity_witness(), 3.0, 61)
+
+    def no_upper_bound(*args):
+        raise AssertionError("upper bound assembled on the success path")
+
+    monkeypatch.setattr(capacity, "_assemble_zeta", no_upper_bound)
+    monkeypatch.setattr(capacity, "_block_coefficients", no_upper_bound)
+    assert capacity_trajectory(traj).capacity.shape == (61,)
+
+
+# magnitudes with exact ties, +-lambda pairs of equal magnitude and zeros
+_TIED = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1e-300, -1e-300])
+
+
+@given(st.lists(st.lists(_TIED | st.floats(-1.0, 1.0), min_size=3, max_size=3),
+                min_size=1, max_size=20))
+@example([[0.5, -0.5, 0.5], [0.0, -0.0, 0.0], [1.0, 1.0, 1.0], [-0.25, 0.25, 0.0]])
+def test_sorted_columns_select_np_sort_exactly(rows):
+    mags = np.abs(np.array(rows))
+    got = np.stack(dynamics._sorted_columns(mags), axis=1)
+    assert got.tobytes() == np.sort(mags, axis=1)[:, ::-1].tobytes()
 
 
 def test_p_divisible_so_far_falls_at_the_first_rise_and_stays_down():
