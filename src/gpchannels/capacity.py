@@ -44,8 +44,7 @@ def transition_row_entropies(lams: np.ndarray, copies: int = 1) -> np.ndarray:
     Built from classical_map_rows, independently of bounds_batch's closed
     forms; the first row of T (x) T is the outer product of first rows.
     """
-    if copies not in (1, 2):
-        raise ValueError(f"copies must be 1 or 2, got {copies}")
+    copies = _require_in_range("copies", copies, 1, 2)
     rows = classical_map_rows(lams)[:, :, 0, :]
     if copies == 2:
         rows = (rows[..., :, None] * rows[..., None, :]).reshape(rows.shape[:2] + (-1,))

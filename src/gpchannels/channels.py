@@ -32,9 +32,10 @@ the oracle, whose qubit grid ranking is their one user.
 
 Every channel action takes one route: kraus_terms -> weighted_gram, which,
 reshuffled, is the superoperator behind apply and the oracle's
-output-entropy search, and over D is choi_matrix.  choi_blocks builds the
-same Choi matrix as D shift blocks of D x D, read off the displacement
-products.
+output-entropy search, and over D is choi_matrix.  The basis-set route's
+unitaries come from one batched product, mub._basis_unitaries.  choi_blocks
+builds the same Choi matrix as D shift blocks of D x D from one character
+table, the diagonals of the D unshifted displacement products.
 """
 
 from dataclasses import dataclass
@@ -46,11 +47,11 @@ import numpy as np
 from .errors import NotCompletelyPositiveError
 from .mub import (
     MubSet,
+    _basis_unitaries,
     build_mubs,
     displacement_products,
     prime_power,
     require_prime_power,
-    unitary_u,
     verify_mub,
     weyl_labels,
 )
@@ -325,9 +326,8 @@ def kraus_terms(channel, m: Optional[MubSet] = None):
     require_prime_power(d)
     if not verify_mub(m):
         raise ValueError(f"basis set (d={d}) is not mutually unbiased")
-    ops = [np.eye(d, dtype=complex)]
-    ops += [unitary_u(m, alpha, k) for alpha in range(1, d + 2) for k in range(1, d)]
-    return kraus_probability_multiset(channel), np.asarray(ops)
+    ops = _basis_unitaries(m.bases, np.arange(1, d)).reshape(-1, d, d)
+    return kraus_probability_multiset(channel), np.concatenate([np.eye(d)[None], ops])
 
 
 def superoperator(channel, m: Optional[MubSet] = None) -> np.ndarray:
@@ -364,18 +364,22 @@ def choi_blocks(ch) -> np.ndarray:
     permutation the Choi matrix is block diagonal over the shifts: its
     spectrum is the union of the block spectra.  Block b, indexed by i, is
     sum_k w_k u_k u_k^dagger / D over the D products of shift b, u_k the
-    entries U_k[i, i + b]: the row sums of U_k, exact since each row holds
-    one nonzero.  The (p,)*2n grid of all D^2 labels, zero weights included,
-    is transposed so that the shift digits lead, and the D blocks come from
-    one batched matmul.
+    entries U_k[i, i + b].  That entry depends only on the phase digits of
+    k, not on its shift, so every block reads one character table: chars[j]
+    is the diagonal of the shift-0 product with phase digits j (the row sums
+    of any product with those digits, exactly, since each row holds one
+    nonzero).  Block b is chars^T diag(w_b) conj(chars) / D, w_b the weights
+    of shift b in phase order: chars / sqrt(D) is unitary, so each block is
+    a unitary similarity of its shift's weights.  The (p,)*2n grid of all
+    D^2 labels, zero weights included, is transposed so that the shift
+    digits lead; its row 0 holds the shift-0 labels.
     """
     w = _as_weyl(ch)
     p, n, dim = w.local_dimension, w.parts, w.dimension
     labels = np.arange(dim * dim).reshape((p,) * (2 * n))
     labels = labels.transpose(*range(1, 2 * n, 2), *range(0, 2 * n, 2)).reshape(dim, dim)
-    rows = displacement_products(p, n, labels.ravel()).sum(axis=2).reshape(dim, dim, dim)
-    weighted = rows.transpose(0, 2, 1) * w.probabilities[labels][:, None, :]
-    return weighted @ rows.conj() / dim
+    chars = displacement_products(p, n, labels[0]).sum(axis=2)
+    return (chars.T * w.probabilities[labels][:, None, :]) @ chars.conj() / dim
 
 
 def choi_matrix(ch) -> np.ndarray:

@@ -6,7 +6,8 @@ Bandyopadhyay, Boykin, Roychowdhury & Vatan 2002).  Basis alpha is the
 common eigenbasis of set alpha, and the d+1 bases are pairwise unbiased.
 Each basis alpha carries d-1 traceless unitaries
 U_alpha^k = sum_l omega^{kl} |v_l><v_l| that, together with the identity,
-form an orthogonal operator basis.
+form an orthogonal operator basis; _basis_unitaries builds them for every
+basis and power at once, and unitary_u reads it for one.
 """
 
 import itertools
@@ -241,13 +242,20 @@ def verify_mub(m: MubSet) -> bool:
                 and across.max(initial=0.0) <= VALIDATION_TOL)
 
 
+def _basis_unitaries(bases: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """(n, K, d, d) stack U^k = sum_l omega^{kl} |v_l><v_l| of (n, d, d) bases
+    (rows v_l) and K powers k: one broadcast multiply, one batched matmul."""
+    d = bases.shape[-1]
+    phases = np.exp(2j * np.pi * powers[:, None] * np.arange(d) / d)
+    cols = bases.transpose(0, 2, 1)[:, None] * phases[:, None, :]
+    return cols @ bases.conj()[:, None]
+
+
 def unitary_u(m: MubSet, alpha: int, k: int) -> np.ndarray:
-    """U_alpha^k = sum_l omega^{kl} P_l for basis alpha (1-based), k in 1..d-1."""
-    d = m.dimension
-    _require_in_range("power index", k, 1, d - 1)
-    vecs = m.basis(alpha)
-    phases = np.exp(2j * np.pi * k * np.arange(d) / d)
-    return (vecs.T * phases) @ vecs.conj()
+    """U_alpha^k = sum_l omega^{kl} P_l for basis alpha (1-based), k in 1..d-1:
+    the one-basis, one-power case of _basis_unitaries."""
+    _require_in_range("power index", k, 1, m.dimension - 1)
+    return _basis_unitaries(m.basis(alpha)[None], np.array([k]))[0, 0]
 
 
 def check_weyl_correspondence(m: MubSet) -> bool:

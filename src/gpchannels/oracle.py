@@ -36,9 +36,7 @@ from .channels import (
 from .channels import choi_matrix, gpc_to_weyl, require_cp, weyl_kraus_terms  # noqa: F401
 from .capacity import bounds_batch, holevo_upper_bound_weyl, transition_row_entropies
 from .mub import MubSet
-from .numerics import _require_in_range, _xlogx
-
-CHOI_PSD_TOL = 1e-9
+from .numerics import CLAMP_TOL, _require_in_range, _xlogx
 
 # The Hermitian Pauli matrices I, X, Y, Z, their row-major vecs and the vecs
 # of their transposes.  Tr(A B) = vec(A^T) . vec(B), so a qubit superoperator
@@ -78,14 +76,16 @@ class SearchConfig:
 
 def cp_oracle_choi(ch) -> bool:
     """Complete positivity from the spectra of the Choi matrix's shift
-    blocks, choi_blocks.
+    blocks, choi_blocks: True when the smallest eigenvalue is at least
+    -CLAMP_TOL, the slack as_distribution grants each weight.
 
-    True on every channel the package can construct: the spectrum is the
-    Kraus weight multiset, which as_distribution has clamped to be
-    non-negative.  So it is not yet an independent CP test (ROADMAP.md,
-    open item 2); cp_rows decides CP.
+    True on every channel the package can construct: each block is a
+    unitary similarity of its shift's weights, so the spectrum is the Kraus
+    weight multiset, which as_distribution has clamped to be non-negative,
+    up to rounding of order 1e-16.  So it is not yet an independent CP test
+    (ROADMAP.md, open item 2); cp_rows decides CP.
     """
-    return bool(np.linalg.eigvalsh(choi_blocks(ch)).min() >= -CHOI_PSD_TOL)
+    return bool(np.linalg.eigvalsh(choi_blocks(ch)).min() >= -CLAMP_TOL)
 
 
 def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:

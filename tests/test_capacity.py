@@ -209,6 +209,17 @@ def test_exact_capacity_none_when_gap():
     assert not b.coincide and b.exact_capacity is None
 
 
+@pytest.mark.parametrize("lam, gap", [
+    ([1 / 6 - 2e-4] + [1 / 6] * 4, 3.6e-8),
+    ([0.1998] + [0.2] * 3, 1.7e-8),
+])
+def test_bound_gap_between_the_tolerances_does_not_coincide(lam, gap):
+    # a gap of a few 1e-8 lies inside 1e-6 but outside COINCIDENCE_TOL
+    b = bounds_batch(np.array([lam]))
+    assert abs((b.chi_up[0] - b.chi_low[0]) / gap - 1.0) <= 0.05
+    assert not b.coincide[0] and np.isnan(b.exact_capacity[0])
+
+
 def test_pauli_closed_form_qubit_only():
     with pytest.raises(ValueError):
         pauli_classical_capacity(EigenvalueVector(3, [0.1, 0.1, 0.1, 0.1]))
@@ -413,8 +424,11 @@ def test_transition_row_entropies_match_kron_loops(batch, copies):
 
 
 def test_transition_row_entropies_checks_copies():
-    with pytest.raises(ValueError, match="copies must be 1 or 2, got 3"):
-        transition_row_entropies(np.zeros((1, 3)), 3)
+    for copies, message in ((3, r"^copies 3 out of range 1\.\.2$"),
+                            (True, r"^copies must be an integer, got True$"),
+                            (2.0, r"^copies must be an integer, got 2\.0$")):
+        with pytest.raises(ValueError, match=message):
+            transition_row_entropies(np.zeros((1, 3)), copies)
 
 
 def test_fidelity_rows_form_matches_scalar_forms(cp_sampler, rng):

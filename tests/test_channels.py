@@ -46,6 +46,7 @@ from gpchannels.cli import main
 from gpchannels.mub import (
     MubSet,
     build_mubs,
+    displacement_products,
     prime_power,
     unitary_u,
     weyl_labels,
@@ -436,6 +437,21 @@ def test_kraus_terms_basis_route_weights_are_the_multiset():
     assert np.array_equal(ops[1 + 4 * 2 + 3], unitary_u(m, 3, 4))  # alpha 3, k 4
 
 
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 7, 8, 9))
+def test_kraus_terms_basis_route_order_is_alpha_then_k(d):
+    rng = np.random.default_rng([20261019, d])
+    c = GeneralizedPauliChannel(d, rng.dirichlet(np.ones(d + 2)))
+    m = canonical_mub(d)
+    ops = kraus_terms(c, m)[1]
+    omega = np.exp(2j * np.pi / d)
+    for alpha in range(1, d + 2):
+        vecs = m.basis(alpha)
+        for k in range(1, d):
+            expect = sum(omega ** (k * l) * np.outer(vecs[l], vecs[l].conj())
+                         for l in range(d))
+            assert np.abs(ops[1 + (alpha - 1) * (d - 1) + (k - 1)] - expect).max() <= 1e-14
+
+
 def test_gpc_to_weyl_dim4_round_trip(rng):
     p = rng.dirichlet(np.ones(6))
     c = GeneralizedPauliChannel(4, p)
@@ -491,6 +507,17 @@ def test_tensor_weights_are_kron():
     pair = tensor(a, a)
     assert pair.dimension == 4
     assert np.allclose(pair.probabilities, np.kron(a.probabilities, a.probabilities))
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_tensor_acts_factor_by_factor(d):
+    # unequal factors, so swapping them inside tensor changes the channel
+    rng = np.random.default_rng([20261020, d])
+    a, b = (GeneralizedPauliChannel(d, rng.dirichlet(np.ones(d + 2))) for _ in range(2))
+    rho, sigma = random_density(rng, d), random_density(rng, d)
+    got = apply(tensor(a, b), None, np.kron(rho, sigma))
+    expect = np.kron(apply(a, None, rho), apply(b, None, sigma))
+    assert np.abs(got - expect).max() <= 1e-14
 
 
 def test_tensor_accepts_gpc_inputs():
@@ -611,6 +638,14 @@ def test_choi_block_spectra_are_the_choi_spectrum(kind, d, zeros):
     ch = _choi_case(kind, d, zeros)
     blocks = choi_blocks(ch)
     assert blocks.shape == (ch.dimension,) * 3
+    # reference: every block from the row sums of all D^2 products
+    w = gpc_to_weyl(ch) if isinstance(ch, GeneralizedPauliChannel) else ch
+    p, n, dim = w.local_dimension, w.parts, w.dimension
+    labels = np.arange(dim * dim).reshape((p,) * (2 * n))
+    labels = labels.transpose(*range(1, 2 * n, 2), *range(0, 2 * n, 2)).reshape(dim, dim)
+    rows = displacement_products(p, n, labels.ravel()).sum(axis=2).reshape(dim, dim, dim)
+    weighted = rows.transpose(0, 2, 1) * w.probabilities[labels][:, None, :]
+    assert np.array_equal(blocks, weighted @ rows.conj() / dim)
     choi = choi_matrix(ch)
     shifts = _vec_shifts(ch)
     for b, block in enumerate(blocks):

@@ -153,6 +153,20 @@ def test_derivative_formula_follows_a_negative_dominant_eigenvalue():
     assert np.max(np.abs(traj.cdot_formula[inner] - traj.cdot_fd[inner])) <= 1e-4
 
 
+def test_derivative_formula_holds_when_the_top_two_magnitudes_nearly_tie():
+    # the top two |lambda| differ by 1e-6 throughout: lambda* is still one
+    # function of t, so every row is valid
+    times = np.linspace(0.0, 1.0, 101)
+    lams = np.stack([0.6 - 0.1 * times, 0.6 - 0.1 * times - 1e-6, np.full(101, 0.3)],
+                    axis=1)
+    assert cp_rows(lams).all()
+    traj = capacity_trajectory(PauliTrajectory(times, lams, cp_everywhere=True,
+                                               p_divisible=True))
+    assert traj.cdot_formula_valid.all()
+    inner = slice(1, -1)
+    assert np.max(np.abs(traj.cdot_formula[inner] - traj.cdot_fd[inner])) <= 1e-7
+
+
 def test_capacity_trajectory_reads_the_trajectorys_cp_verdict(monkeypatch):
     traj = eigenvalue_trajectory(non_p_divisible_capacity_witness(), 3.0, 61)
 

@@ -100,6 +100,19 @@ def test_displacement_products_match_kron_loop(p, n):
     assert np.array_equal(displacement_products(p, n, labels[::-3]), ops[::-3])
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3),
+                                 (2, 4), (5, 2)])
+def test_row_sums_are_the_diagonal_of_the_shift_zero_product(p, n):
+    # each row holds one nonzero, whose value depends on the phase digits only
+    labels = np.arange(p ** (2 * n))
+    digits = np.stack(np.unravel_index(labels, (p,) * (2 * n)))
+    digits[1::2] = 0
+    phase_only = np.ravel_multi_index(tuple(digits), (p,) * (2 * n))
+    sums = displacement_products(p, n, labels).sum(axis=2)
+    diagonals = np.diagonal(displacement_products(p, n, phase_only), axis1=1, axis2=2)
+    assert np.array_equal(sums, diagonals)
+
+
 def test_weyl_labels_cached_and_read_only():
     labels = weyl_labels(8)
     assert weyl_labels(8) is labels
