@@ -68,7 +68,13 @@ def zeta_vector(multiset, block_size: int) -> np.ndarray:
 
 
 def holevo_upper_bound_weyl(w: WeylChannel) -> float:
-    """Upper bound straight from the channel's weight multiset."""
+    """Upper bound straight from the channel's weight multiset.
+
+    Only a WeylChannel holds its Kraus weights (pass gpc_to_weyl(c)); any
+    other input is refused with a TypeError naming its type.
+    """
+    if not isinstance(w, WeylChannel):
+        raise TypeError(f"expected a WeylChannel, got {type(w).__name__}")
     return float(np.log(w.dimension) - _entropy(zeta_vector(w.probabilities, w.dimension)))
 
 

@@ -21,8 +21,9 @@ accept any d >= 2.  Everything that needs a basis set, or displacement
 products for a GeneralizedPauliChannel, requires a prime power d and raises
 UnsupportedDimensionError naming d otherwise: canonical_mub, gpc_to_weyl,
 tensor, both Kraus routes of kraus_terms and so superoperator, apply,
-choi_blocks, choi_matrix and the oracle, and the capacity bounds.  The
-basis-set route also refuses a set that fails verify_mub.  A WeylChannel
+choi_blocks, choi_matrix and the oracle, and the capacity bounds.  A
+MubSet is checked when it is made (a prime power d, d+1 bases, verify_mub),
+so the basis-set route only matches its dimension.  A WeylChannel
 carries its own displacement products, of any local dimension; the oracle's
 search still takes its warm starts from canonical_mub of its dimension.
 
@@ -51,8 +52,6 @@ from .mub import (
     build_mubs,
     displacement_products,
     prime_power,
-    require_prime_power,
-    verify_mub,
     weyl_labels,
 )
 from .numerics import (
@@ -307,9 +306,9 @@ def kraus_terms(channel, m: Optional[MubSet] = None):
 
     m None: the displacement products (weyl_kraus_terms).  A basis set: the
     identity and each basis's unitaries U_alpha^k, weighted by
-    kraus_probability_multiset; the set must be d + 1 mutually unbiased bases
-    (verify_mub) of a prime power d.  The two sets are kept apart on purpose, as
-    a cross-check of the bases.
+    kraus_probability_multiset; a MubSet was checked when it was made, so only
+    its dimension is matched to the channel's here.  The two sets are kept
+    apart on purpose, as a cross-check of the bases.
     """
     if m is None:
         return weyl_kraus_terms(_as_weyl(channel))
@@ -319,13 +318,10 @@ def kraus_terms(channel, m: Optional[MubSet] = None):
             "operators are displacement products; pass m=None"
         )
     d = _require_channel(channel).dimension
-    if m.dimension != d or m.n_bases != d + 1:
+    if m.dimension != d:
         raise ValueError(
             f"basis set (d={m.dimension}, n={m.n_bases}) does not match channel d={d}"
         )
-    require_prime_power(d)
-    if not verify_mub(m):
-        raise ValueError(f"basis set (d={d}) is not mutually unbiased")
     ops = _basis_unitaries(m.bases, np.arange(1, d)).reshape(-1, d, d)
     return kraus_probability_multiset(channel), np.concatenate([np.eye(d)[None], ops])
 

@@ -119,21 +119,20 @@ def _cmd_zeta(args) -> int:
     return 0
 
 
-def _parse_rate(text: str):
+def _parse_rate(flag: str, text: str):
     # either a plain float or a sampled table "t:v,t:v,..."
-    if ":" not in text:
-        return float(text)
-    times = []
-    values = []
-    for part in text.split(","):
-        t_str, _, v_str = part.partition(":")
-        times.append(float(t_str))
-        values.append(float(v_str))
-    return (times, values)
+    try:
+        if ":" not in text:
+            return float(text)
+        pairs = [part.partition(":")[::2] for part in text.split(",")]
+        return [float(t) for t, _ in pairs], [float(v) for _, v in pairs]
+    except ValueError:
+        raise ValueError(f"{flag} expects a float or a table t:v,t:v,..., got {text!r}")
 
 
 def _cmd_dynamics(args) -> int:
-    rates = RateSpec(tuple(map(_parse_rate, (args.gamma1, args.gamma2, args.gamma3))))
+    rates = RateSpec(tuple(_parse_rate(f"--gamma{j}", getattr(args, f"gamma{j}"))
+                           for j in (1, 2, 3)))
     traj = capacity_trajectory(eigenvalue_trajectory(rates, args.t_max, args.steps))
     lines = ["t,lambda1,lambda2,lambda3,capacity_nats,p_divisible_so_far"]
     table = np.column_stack([traj.times, traj.lambdas, traj.capacity])

@@ -47,7 +47,7 @@ from .capacity import _basis_terms, pauli_classical_capacity  # noqa: F401
 from .channels import clip_eigenvalue_rows, cp_rows, kraus_superoperator
 from .errors import NotCompletelyPositiveError
 from .mub import displacement_products, weyl_labels
-from .numerics import _require_integer
+from .numerics import _is_real, _require_integer
 
 P_DIVISIBILITY_TOL = 1e-10
 ODE_RTOL = 1e-10
@@ -100,10 +100,13 @@ _DP_POWERS = np.arange(1, 5)
 class RateSpec:
     """Three decay rates, each a constant or a sampled table.
 
-    A table is a pair (times, values); evaluation interpolates linearly and
+    A constant is a real number; a bool is not one, nor a string, a complex
+    or an array.  A table is a pair (times, values) of 1-d sequences of real
+    numbers, 2 or more points each; evaluation interpolates linearly and
     holds the end values outside the sampled range.  Table times must be
     strictly increasing and everything finite.  Negative rate values are
-    allowed (they model information backflow).
+    allowed (they model information backflow).  Any other entry is refused
+    with a ValueError naming the rate.
     """
 
     rates: tuple
@@ -113,20 +116,27 @@ class RateSpec:
             raise ValueError(f"need exactly 3 rates, got {len(self.rates)}")
         norm = []
         for i, entry in enumerate(self.rates):
-            if np.isscalar(entry):
+            if _is_real(entry):
                 value = float(entry)
                 if not np.isfinite(value):
                     raise ValueError(f"rate {i + 1} is not finite")
                 norm.append(("const", value))
-            elif not (isinstance(entry, (tuple, list, np.ndarray)) and len(entry) == 2):
+            elif not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                      or isinstance(entry, np.ndarray) and entry.shape[:1] == (2,)):
                 raise ValueError(f"rate {i + 1}: expected a number or a (times, "
                                  f"values) pair, got {entry!r}")
             else:
-                times, values = entry
-                times = np.asarray(times, dtype=float)
-                values = np.asarray(values, dtype=float)
-                if times.ndim != 1 or times.size < 2 or times.shape != values.shape:
+                # as objects first: a float array would hide a bool or a string
+                times, values = (np.asarray(part, dtype=object) for part in entry)
+                if times.ndim != 1 or times.shape != values.shape:
                     raise ValueError(f"rate {i + 1}: table needs matching 1-d arrays")
+                if times.size < 2:
+                    raise ValueError(f"rate {i + 1}: table needs 2 or more points, "
+                                     f"got {times.size}")
+                if not all(map(_is_real, (*times, *values))):
+                    raise ValueError(f"rate {i + 1}: table entries must be real "
+                                     f"numbers, got {entry!r}")
+                times, values = (np.asarray(part, dtype=float) for part in entry)
                 if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
                     raise ValueError(f"rate {i + 1}: table entries must be finite")
                 if np.any(np.diff(times) <= 0.0):
@@ -176,6 +186,8 @@ def p_divisible_so_far(lambdas: np.ndarray) -> np.ndarray:
 
 
 def _time_grid(t_max: float, steps: int) -> np.ndarray:
+    if not _is_real(t_max):
+        raise ValueError(f"t_max must be a real number, got {t_max!r}")
     # NaN fails both comparisons
     if not 0.0 < t_max < np.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")

@@ -8,6 +8,10 @@ Each basis alpha carries d-1 traceless unitaries
 U_alpha^k = sum_l omega^{kl} |v_l><v_l| that, together with the identity,
 form an orthogonal operator basis; _basis_unitaries builds them for every
 basis and power at once, and unitary_u reads it for one.
+
+A MubSet is checked once, when it is made: a prime-power d, d+1 bases and
+verify_mub, the predicate on any (n, d, d) stack of bases.  Its bases are
+read-only, so every later user may take the check as done.
 """
 
 import itertools
@@ -145,19 +149,30 @@ def weyl_operator(d: int, k: int, l: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MubSet:
-    """A collection of orthonormal bases of C^d.
+    """A complete set of d+1 mutually unbiased bases of C^d, d a prime power,
+    checked once, when it is made.
 
     `bases[a, k]` is the k-th vector of basis a (0-based storage; the public
-    basis label alpha is 1-based).
+    basis label alpha is 1-based), a read-only copy of the array given, so the
+    check cannot go stale.  The constructor refuses, in this order, a dimension
+    that is not an integer >= 2 and one that is not a prime power
+    (UnsupportedDimensionError naming it), bases not of shape (d+1, d, d) and
+    bases that fail verify_mub (ValueError).
     """
 
     dimension: int
     bases: np.ndarray
 
     def __post_init__(self):
-        bases = np.asarray(self.bases, dtype=complex)
-        if bases.ndim != 3 or bases.shape[1:] != (self.dimension, self.dimension):
-            raise ValueError(f"bases must have shape (n, d, d), got {bases.shape}")
+        d = _require_dimension(self.dimension)
+        require_prime_power(d)
+        bases = np.array(self.bases, dtype=complex)
+        if bases.shape != (d + 1, d, d):
+            raise ValueError(f"bases must have shape {(d + 1, d, d)}, got {bases.shape}")
+        if not verify_mub(bases):
+            raise ValueError(f"basis set (d={d}) is not mutually unbiased")
+        bases.setflags(write=False)
+        object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "bases", bases)
 
     @property
@@ -225,21 +240,25 @@ def build_mubs(d: int) -> MubSet:
     return MubSet(d, bases)
 
 
-def verify_mub(m: MubSet) -> bool:
-    """Check orthonormality within each basis and |<u|v>|^2 = 1/d across bases.
+def verify_mub(bases: np.ndarray) -> bool:
+    """Whether an (n, d, d) stack of bases (rows the vectors) is orthonormal
+    within each basis and has |<u|v>|^2 = 1/d across bases.
 
-    One Gram matrix of all n*d vectors: its diagonal d x d blocks must be the
-    identity and the moduli squared off them 1/d, each within VALIDATION_TOL.
+    One row block of the Gram matrix per basis a, its vectors against those of
+    bases a..n-1: the first d x d block must be the identity and the moduli
+    squared in the rest 1/d, each within VALIDATION_TOL.  Memory stays
+    O(n d^2), not the (n d)^2 of the whole Gram matrix.  MubSet runs it once,
+    when a set is made; it also checks a partial set.
     """
-    n, d = m.n_bases, m.dimension
-    vecs = m.bases.reshape(n * d, d)
-    gram = (vecs @ vecs.conj().T).reshape(n, d, n, d)
-    same = np.arange(n)
-    within = np.abs(gram[same, :, same] - np.eye(d))
-    across = np.abs(np.abs(gram) ** 2 - 1.0 / d)
-    across[same, :, same] = 0.0
-    return bool(within.max(initial=0.0) <= VALIDATION_TOL
-                and across.max(initial=0.0) <= VALIDATION_TOL)
+    n, d = bases.shape[:2]
+    vecs = bases.reshape(n * d, d).conj().T
+    for a in range(n):
+        block = (bases[a] @ vecs[:, a * d:]).reshape(d, n - a, d)
+        within = np.abs(block[:, 0] - np.eye(d)).max()
+        across = np.abs(np.abs(block[:, 1:]) ** 2 - 1.0 / d).max(initial=0.0)
+        if within > VALIDATION_TOL or across > VALIDATION_TOL:
+            return False
+    return True
 
 
 def _basis_unitaries(bases: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -263,11 +282,11 @@ def check_weyl_correspondence(m: MubSet) -> bool:
     weyl_labels(d)[alpha-1], the property gpc_to_weyl relies on: the d-1
     unitaries of basis alpha and the d-1 products of its label set then give
     the same channel term, d times the dephasing in basis alpha minus rho.
+    m was checked when it was made, so it holds d+1 bases of a prime power d;
+    relabelled bases pass that check and fail this one.
     """
     d = m.dimension
     pn = prime_power(d)
-    if pn is None or m.n_bases != d + 1:
-        return False
     off = 1.0 - np.eye(d)
     for basis, row in zip(m.bases, weyl_labels(d)):
         t = basis.conj() @ displacement_products(*pn, row) @ basis.T

@@ -4,6 +4,8 @@ All entropies are in nats.  Conversion to bits happens only at the output
 layer (see the CLI), never here.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import InvalidDistributionError, InvalidStateError, UnsupportedDimensionError
@@ -21,6 +23,12 @@ def _require_integer(name: str, value, error=ValueError) -> None:
     a numpy integer is."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    """Whether value is a real number (numbers.Real, numpy's integer and floating
+    scalars included); a bool is not, nor a string, a complex or an array."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _require_in_range(name: str, value, lo: int, hi=None, error=ValueError) -> int:

@@ -13,13 +13,16 @@ from gpchannels.capacity import (
 )
 from gpchannels.channels import (
     EigenvalueVector,
+    GeneralizedPauliChannel,
     canonical_mub,
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
+    kraus_terms,
     probabilities_from_eigenvalues,
+    weighted_gram,
 )
 from gpchannels.cli import main
-from gpchannels.mub import build_mubs, unitary_u
+from gpchannels.mub import build_mubs
 from gpchannels.oracle import SearchConfig, holevo_estimate
 from gpchannels.selfcheck import (
     CHECKS,
@@ -67,29 +70,35 @@ def test_criterion_03_bound_ordering_random_channels():
             f"max qubit gap {worst_qubit:.3e} <= 1e-9")
 
 
-def _raw_choi(d, lam, m):
-    # inverse probability map without any validation, then the Choi state
+def _raw_choi(lam, ops):
+    # inverse probability map without any validation, so the weights may be
+    # negative, on the basis-route Kraus operators, then the Choi state
+    d = lam.size - 1
     total = lam.sum()
-    weights = [(1 + (d - 1) * total) / d**2]
     share = (d - 1) * (1 + d * lam - total) / d**2 / (d - 1)
-    ops = [np.eye(d, dtype=complex)]
-    for alpha in range(1, d + 2):
-        for k in range(1, d):
-            weights.append(share[alpha - 1])
-            ops.append(unitary_u(m, alpha, k))
-    vecs = np.stack([op.reshape(-1) for op in ops]) / np.sqrt(d)
-    return np.einsum("k,ka,kb->ab", np.asarray(weights), vecs, vecs.conj())
+    weights = np.concatenate([[(1 + (d - 1) * total) / d**2], np.repeat(share, d - 1)])
+    return weighted_gram(weights, ops) / d
 
 
 def test_criterion_05_cp_criteria_equivalent():
     rng = _rng(5)
     checked = 0
     agree = True
-    for d in (2, 3):
-        m = build_mubs(d)
+    one_sided = []
+    for d in (2, 3, 4, 5, 7, 8, 9):
+        # the operators do not depend on the channel's weights
+        flat = GeneralizedPauliChannel(d, np.full(d + 2, 1.0 / (d + 2)))
+        ops = kraus_terms(flat, build_mubs(d))[1]
         lo = -1.0 / (d - 1)
-        box = rng.uniform(lo, 1.0, size=(1000, d + 1))
-        for lam in box:
+        if d <= 3:
+            rows = rng.uniform(lo, 1.0, size=(1000, d + 1))
+        else:
+            # box draws are almost never CP from d = 8 on, so half the rows
+            # are drawn from the CP region
+            rows = np.concatenate([rng.uniform(lo, 1.0, size=(150, d + 1)),
+                                   sample_cp_eigenvalues(d, 150, rng)])
+        verdicts = set()
+        for lam in rows:
             e = EigenvalueVector(d, lam)
             margin = fujiwara_algoet_margin(e)
             if abs(margin) <= 1e-9:
@@ -98,10 +107,15 @@ def test_criterion_05_cp_criteria_equivalent():
             total = lam.sum()
             p_min = min((1 + (d - 1) * total) / d**2,
                         ((d - 1) * (1 + d * lam - total) / d**2).min())
-            choi_min = float(np.linalg.eigvalsh(_raw_choi(d, lam, m)).min())
+            choi_min = float(np.linalg.eigvalsh(_raw_choi(lam, ops)).min())
             agree &= (margin > 0) == (p_min >= 0) == (choi_min >= -1e-9)
-    _report("criterion 05: CP conditions agree across all three criteria", agree,
-            f"{checked} off-boundary samples, all consistent")
+            verdicts.add(margin > 0)
+        if verdicts != {True, False}:
+            one_sided.append(d)
+    _report("criterion 05: CP conditions agree across all three criteria",
+            agree and not one_sided,
+            f"{checked} off-boundary samples at d = 2-9, all consistent; "
+            f"d with one verdict only: {one_sided}")
 
 
 def test_criterion_06_search_estimate_sandwich():

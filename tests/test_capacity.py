@@ -193,6 +193,18 @@ def test_two_copy_reference_values():
     assert up_pair > 2 * up_single + 1e-3  # strictly superadditive here
 
 
+@pytest.mark.parametrize("make", [
+    lambda: GeneralizedPauliChannel(2, [0.25, 0.5, 0.25, 0.0]),
+    lambda: GeneralizedPauliChannel(3, [0.2, 0.3, 0.25, 0.15, 0.1]),
+    lambda: EigenvalueVector(3, [0.1] * 4),
+], ids=["gpc-d2", "gpc-d3", "eigenvalues"])
+def test_weyl_upper_bound_takes_a_weyl_channel_only(make):
+    # a GeneralizedPauliChannel's mixing probabilities are not its Kraus weights
+    x = make()
+    with pytest.raises(TypeError, match=f"^expected a WeylChannel, got {type(x).__name__}$"):
+        holevo_upper_bound_weyl(x)
+
+
 def test_depolarizing_capacity_exact():
     # all eigenvalues equal: both bounds collapse to the same expression
     d, lam = 3, 0.4

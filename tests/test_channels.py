@@ -393,12 +393,15 @@ def test_kraus_terms_errors_reach_every_caller():
                  lambda: choi_matrix(not_a_channel)):
         with pytest.raises(TypeError, match="expected a channel, got EigenvalueVector"):
             call()
-    short = MubSet(3, canonical_mub(3).bases[:3])
-    for m, label in ((canonical_mub(5), "d=5, n=6"), (short, "d=3, n=3")):
-        for call in (lambda: kraus_terms(c3, m), lambda: apply(c3, m, rho)):
-            with pytest.raises(ValueError, match=rf"^basis set \({label}\) does not match "
-                                                 r"channel d=3$"):
-                call()
+    m = canonical_mub(5)
+    for call in (lambda: kraus_terms(c3, m), lambda: apply(c3, m, rho)):
+        with pytest.raises(ValueError, match=r"^basis set \(d=5, n=6\) does not match "
+                                             r"channel d=3$"):
+            call()
+    # a short set never reaches kraus_terms: it is refused when it is made
+    with pytest.raises(ValueError, match=r"^bases must have shape \(4, 3, 3\), got "
+                                         r"\(3, 3, 3\)$"):
+        MubSet(3, canonical_mub(3).bases[:3])
     w = gpc_to_weyl(c3)
     for call in (lambda: kraus_terms(w, canonical_mub(3)),
                  lambda: apply(w, canonical_mub(3), rho)):
@@ -409,23 +412,45 @@ def test_kraus_terms_errors_reach_every_caller():
 
 
 def test_kraus_terms_basis_route_requires_a_prime_power_set_of_mubs():
-    from gpchannels.oracle import holevo_estimate
-
+    # both sets are refused when they are made, so no Kraus route ever sees them:
     # seven copies of the standard basis look like a d = 6 set by shape alone
-    c6 = GeneralizedPauliChannel(6, [1.0 / 8.0] * 8)
-    copies = MubSet(6, np.stack([np.eye(6)] * 7))
-    for call in (lambda: kraus_terms(c6, copies), lambda: superoperator(c6, copies),
-                 lambda: holevo_estimate(c6, copies)):
-        with pytest.raises(UnsupportedDimensionError,
-                           match=r"^no basis construction for d=6 \(prime power required\)$"):
-            call()
-    c5 = GeneralizedPauliChannel(5, [1.0 / 7.0] * 7)
+    with pytest.raises(UnsupportedDimensionError,
+                       match=r"^no basis construction for d=6 \(prime power required\)$"):
+        MubSet(6, np.stack([np.eye(6)] * 7))
     repeated = canonical_mub(5).bases.copy()
     repeated[3] = repeated[2]
-    for call in (lambda: kraus_terms(c5, MubSet(5, repeated)),
-                 lambda: holevo_estimate(c5, MubSet(5, repeated))):
-        with pytest.raises(ValueError, match=r"^basis set \(d=5\) is not mutually unbiased$"):
-            call()
+    with pytest.raises(ValueError, match=r"^basis set \(d=5\) is not mutually unbiased$"):
+        MubSet(5, repeated)
+
+
+def test_basis_route_never_rechecks_a_made_set(monkeypatch):
+    import sys
+
+    from gpchannels.oracle import SearchConfig, holevo_estimate
+
+    # a set is checked once, when it is made; after that no Kraus route, the
+    # channel action or the search may run verify_mub again
+    m = MubSet(3, build_mubs(3).bases)
+    c = GeneralizedPauliChannel(3, [0.2, 0.3, 0.25, 0.15, 0.1])
+    rho = random_density(np.random.default_rng(4), 3)
+    cfg = SearchConfig(samples=8, seed=1, refinement_iterations=20)
+
+    def results():
+        return (*kraus_terms(c, m), superoperator(c, m), apply(c, m, rho),
+                holevo_estimate(c, m, cfg))
+
+    before = results()
+
+    def refuse(bases):
+        raise AssertionError("verify_mub ran on a set that was already made")
+
+    patched = [name for name, module in list(sys.modules.items())
+               if name.partition(".")[0] == "gpchannels" and hasattr(module, "verify_mub")]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "verify_mub", refuse)
+    assert "gpchannels.mub" in patched
+    after = results()
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def test_kraus_terms_basis_route_weights_are_the_multiset():

@@ -212,6 +212,17 @@ def test_dynamics_refuses_inputs_that_overflow_or_collapse_the_grid(capsys, args
     assert (code, out, caught, err) == (2, "", [], f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flag, text", [("--gamma1", "a:b"), ("--gamma2", "x"),
+                                        ("--gamma3", "0:1,2")])
+def test_dynamics_names_the_rate_it_cannot_read(capsys, flag, text):
+    rates = {"--gamma1": "0.1", "--gamma2": "0.1", "--gamma3": "0.1", flag: text}
+    code, out, err = run(capsys, "dynamics", *(part for item in rates.items()
+                                               for part in item))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {flag} expects a float or a table t:v,t:v,..., "
+                   f"got {text!r}\n")
+
+
 @pytest.mark.parametrize("t_max", ["1e200", "1e308"])
 def test_dynamics_runs_up_to_the_largest_t_max(capsys, t_max):
     # numpy RuntimeWarnings are errors under this suite's filterwarnings

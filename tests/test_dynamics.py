@@ -1,3 +1,4 @@
+import re
 import time
 import warnings
 
@@ -44,6 +45,40 @@ def test_rate_spec_rejects_bad_tables():
         RateSpec((0.1, ([0.0, 1.0], [0.5, np.nan]), 0.1))
 
 
+@pytest.mark.parametrize("rates, message", [
+    (("1", 0.1, 0.1), "rate 1: expected a number or a (times, values) pair, got '1'"),
+    ((0.1, True, 0.1), "rate 2: expected a number or a (times, values) pair, got True"),
+    ((0.1, 0.1, np.array(0.5)),
+     "rate 3: expected a number or a (times, values) pair, got array(0.5)"),
+    ((1j, 0.1, 0.1), "rate 1: expected a number or a (times, values) pair, got 1j"),
+    (("x", 0.1, 0.1), "rate 1: expected a number or a (times, values) pair, got 'x'"),
+    (((("0", "1"), ("1", "2")), 0.1, 0.1),
+     "rate 1: table entries must be real numbers, got (('0', '1'), ('1', '2'))"),
+    ((0.1, ((False, True), (1.0, 2.0)), 0.1),
+     "rate 2: table entries must be real numbers, got ((False, True), (1.0, 2.0))"),
+    ((0.1, 0.1, ([0.0, 1.0], [True, 2.0])),
+     "rate 3: table entries must be real numbers, got ([0.0, 1.0], [True, 2.0])"),
+    ((([0.0], [1.0]), 0.1, 0.1), "rate 1: table needs 2 or more points, got 1"),
+    ((([0.0, 1.0], [1.0]), 0.1, 0.1), "rate 1: table needs matching 1-d arrays"),
+], ids=["string", "bool", "0-d-array", "complex", "word", "string-table", "bool-times",
+        "bool-value", "one-point", "mismatched"])
+def test_rate_spec_takes_real_numbers_only(rates, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        RateSpec(rates)
+
+
+def test_rate_spec_normalizes_every_real_input_as_before():
+    times = np.array([0.0, 1.0, 2.0])
+    r = RateSpec((np.int64(2), ([0, 1, 2], (np.float32(0.5), 1, 1.5)), (times, times)))
+    assert repr(r.rates) == ("(('const', 2.0), ('table', array([0., 1., 2.]), "
+                             "array([0.5, 1. , 1.5])), ('table', array([0., 1., 2.]), "
+                             "array([0., 1., 2.])))")
+    assert type(r.rates[0][1]) is float
+    assert r.rates[2][1].dtype == float and r.rates[2][1] is times
+    assert RateSpec.constant(1, 0.5, 0).rates == (("const", 1.0), ("const", 0.5),
+                                                   ("const", 0.0))
+
+
 def test_rate_spec_evaluate_interpolates_and_clamps():
     r = RateSpec((([0.0, 1.0], [0.0, 2.0]), 0.5, 0.0))
     vals = r.evaluate(np.array([-1.0, 0.5, 2.0]))
@@ -86,6 +121,10 @@ def test_trajectory_validates_arguments():
         for t_max in (np.inf, np.nan):
             with pytest.raises(ValueError,
                                match=f"^t_max must be positive and finite, got {t_max}$"):
+                route(RateSpec.constant(1, 1, 1), t_max, 11)
+        for t_max in (True, "3", np.array(1.0), 1j):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"t_max must be a real number, got {t_max!r}") + "$"):
                 route(RateSpec.constant(1, 1, 1), t_max, 11)
 
 

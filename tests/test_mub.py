@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,7 +47,7 @@ def test_prime_set_has_d_plus_1_orthonormal_bases(d):
 @pytest.mark.parametrize("d", PRIMES)
 def test_prime_set_unbiased(d):
     m = build_mubs(d)
-    assert verify_mub(m)
+    assert verify_mub(m.bases)
     # spot check one cross overlap exactly
     v = m.basis(1)[0]
     w = m.basis(2)[1]
@@ -150,9 +153,11 @@ def test_correspondence_rejects_relabelled_bases():
     # still unbiased, but the Weyl form of a channel assumes the canonical labels
     for d, order in ((5, [0, 2, 1, 3, 4, 5]), (8, [1, 0] + list(range(2, 9)))):
         swapped = MubSet(d, build_mubs(d).bases[order])
-        assert verify_mub(swapped)
+        assert verify_mub(swapped.bases)
         assert not check_weyl_correspondence(swapped)
-    assert not check_weyl_correspondence(MubSet(3, build_mubs(3).bases[:3]))  # n_bases != d + 1
+    # a set of fewer than d + 1 bases is refused when it is made
+    with pytest.raises(ValueError, match=r"^bases must have shape \(4, 3, 3\), got \(3, 3, 3\)$"):
+        MubSet(3, build_mubs(3).bases[:3])
 
 
 @pytest.mark.parametrize("d", (3, 5))
@@ -191,14 +196,14 @@ def test_prime_power_set_is_unbiased_and_diagonalizes_its_labels(d):
     # the warm starts of tensor(c, c) from these sets (canonical_mub caches them)
     m = build_mubs(d)
     assert m.n_bases == d + 1
-    assert verify_mub(m)
+    assert verify_mub(m.bases)
     assert check_weyl_correspondence(m)
 
 
 def test_dim4_set_unbiased():
     m = build_mubs(4)
     assert m.n_bases == 5
-    assert verify_mub(m)
+    assert verify_mub(m.bases)
 
 
 def test_dim4_bases_diagonalize_their_triples():
@@ -218,6 +223,52 @@ def test_mubset_validates_shape():
         MubSet(2, np.zeros((3, 2, 3)))
 
 
+def _repeated_basis(d):
+    bases = build_mubs(d).bases.copy()
+    bases[3] = bases[2]
+    return bases
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: MubSet(True, build_mubs(2).bases), UnsupportedDimensionError,
+     "dimension must be an integer, got True"),
+    (lambda: MubSet(2.0, build_mubs(2).bases), UnsupportedDimensionError,
+     "dimension must be an integer, got 2.0"),
+    # the dimension rule comes before the shape
+    (lambda: MubSet(1, np.zeros((1, 1, 1))), UnsupportedDimensionError,
+     "dimension must be >= 2, got 1"),
+    (lambda: MubSet(6, np.stack([np.eye(6)] * 7)), UnsupportedDimensionError,
+     "no basis construction for d=6 (prime power required)"),
+    # the prime-power rule comes before the shape
+    (lambda: MubSet(6, np.zeros((2, 3, 3))), UnsupportedDimensionError,
+     "no basis construction for d=6 (prime power required)"),
+    (lambda: MubSet(3, build_mubs(3).bases[:3]), ValueError,
+     "bases must have shape (4, 3, 3), got (3, 3, 3)"),
+    # the shape comes before unbiasedness
+    (lambda: MubSet(4, np.zeros((5, 4, 3))), ValueError,
+     "bases must have shape (5, 4, 4), got (5, 4, 3)"),
+    (lambda: MubSet(5, _repeated_basis(5)), ValueError,
+     "basis set (d=5) is not mutually unbiased"),
+], ids=["bool", "float", "below-2", "identity-copies", "d6-wrong-shape", "truncated",
+        "wrong-shape", "repeated"])
+def test_mubset_refuses_a_bad_set_when_it_is_made(make, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        make()
+
+
+def test_mubset_stores_an_int_and_a_read_only_copy():
+    bases = build_mubs(3).bases.copy()
+    m = MubSet(np.int64(3), bases)
+    assert type(m.dimension) is int and m.dimension == 3
+    assert np.array_equal(m.bases, bases) and m.bases is not bases
+    with pytest.raises(ValueError, match="read-only"):
+        m.bases[0, 0, 0] = 1.0
+    # the caller's array stays writable, and writing to it leaves the set alone
+    bases[0, 0, 0] = 7.0
+    assert bases.flags.writeable and m.bases[0, 0, 0] != 7.0
+    assert verify_mub(m.bases)
+
+
 def test_basis_label_out_of_range():
     m = build_mubs(2)
     with pytest.raises(ValueError):
@@ -226,15 +277,15 @@ def test_basis_label_out_of_range():
         m.basis(4)
 
 
-def _verify_mub_pairwise(m):
+def _verify_mub_pairwise(bases):
     """verify_mub as one Gram product per basis and per pair of bases."""
-    d = m.dimension
-    for a in range(m.n_bases):
-        gram = m.bases[a] @ m.bases[a].conj().T
+    n, d = bases.shape[:2]
+    for a in range(n):
+        gram = bases[a] @ bases[a].conj().T
         if np.max(np.abs(gram - np.eye(d))) > VALIDATION_TOL:
             return False
-        for b in range(a + 1, m.n_bases):
-            overlaps = np.abs(m.bases[a] @ m.bases[b].conj().T) ** 2
+        for b in range(a + 1, n):
+            overlaps = np.abs(bases[a] @ bases[b].conj().T) ** 2
             if np.max(np.abs(overlaps - 1.0 / d)) > VALIDATION_TOL:
                 return False
     return True
@@ -261,8 +312,27 @@ def _mub_variants(d):
 def test_verify_mub_matches_pairwise_loop(d):
     verdicts = {}
     for name, bases in _mub_variants(d).items():
-        m = MubSet(d, bases)
-        verdicts[name] = verify_mub(m)
-        assert verdicts[name] == _verify_mub_pairwise(m), name
+        verdicts[name] = verify_mub(bases)
+        assert verdicts[name] == _verify_mub_pairwise(bases), name
+        # MubSet refuses exactly the sets that verify_mub rejects
+        if verdicts[name]:
+            assert np.array_equal(MubSet(d, bases).bases, bases), name
+        else:
+            with pytest.raises(ValueError, match=rf"^basis set \(d={d}\) is not mutually "
+                                                 r"unbiased$"):
+                MubSet(d, bases)
     assert verdicts == {"canonical": True, "repeated": False, "scaled": False,
                         "rotated": False, "swapped": False, "within": True}
+
+
+def test_verify_mub_memory_stays_a_few_copies_of_the_bases():
+    # one Gram row block per basis; the whole (n d)^2 Gram matrix at D = 25
+    # would take 26 times the bases' 0.26 MB, about 0.7 GB at D = 81
+    bases = np.array(build_mubs(25).bases)
+    tracemalloc.start()
+    try:
+        assert verify_mub(bases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * bases.nbytes

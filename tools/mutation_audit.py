@@ -1,0 +1,150 @@
+"""Mutation audit: every seeded single edit of src/ must make tier-1 fail.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tools/mutation_audit.py
+
+For each mutation the script copies src/, tests/ and pyproject.toml to a
+temporary directory, applies the edit there and runs tier-1 with -x -q, the
+copied src/ first on PYTHONPATH.  A mutant is killed when tier-1 fails and
+survives when it passes.  The script exits 1 when an old text does not occur
+exactly once in its file, when a mutant survives that KNOWN_SURVIVORS does
+not list, or when a listed survivor is killed: the list only shrinks, and
+since a known survivor lives only while the copy passes tier-1, its verdict
+also shows that the copy runs.  It uses the standard library only and never
+writes to the repository.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src", "gpchannels")
+# a hung mutant counts as killed after this many seconds
+TIMEOUT_S = 900
+
+# (name, file under src/gpchannels, old text, new text)
+MUTATIONS = [
+    ("FA margin 1 + d*min -> 1 + (d-1)*min", "channels.py",
+     "1.0 + d * lams.min(axis=1) - total", "1.0 + (d - 1) * lams.min(axis=1) - total"),
+    ("basis term 1 + (d-1)L -> 1 + dL", "capacity.py",
+     "_xlogx(1.0 + (d - 1.0) * lams) / d", "_xlogx(1.0 + d * lams) / d"),
+    ("region tie > -> >=", "capacity.py",
+     "(lam[:, 1:d] > total)", "(lam[:, 1:d] >= total)"),
+    ("P_DIVISIBILITY_TOL 1e-10 -> 1e-3", "dynamics.py",
+     "P_DIVISIBILITY_TOL = 1e-10", "P_DIVISIBILITY_TOL = 1e-3"),
+    ("Frank-Wolfe _GAP_TOL 1e-13 -> 1e-6", "oracle.py",
+     "_GAP_TOL = 1e-13", "_GAP_TOL = 1e-6"),
+    ("cp_oracle_choi threshold -> -1", "oracle.py",
+     ">= -CLAMP_TOL)", ">= -1.0)"),
+    ("tensor factor order swapped", "channels.py",
+     "np.kron(wa.probabilities, wb.probabilities)",
+     "np.kron(wb.probabilities, wa.probabilities)"),
+    ("COINCIDENCE_TOL 1e-9 -> 1e-6", "capacity.py",
+     "COINCIDENCE_TOL = 1e-9", "COINCIDENCE_TOL = 1e-6"),
+    ("cdot_formula_valid gap 1e-9 -> 1e-3", "dynamics.py",
+     "(top - middle > 1e-9)", "(top - middle > 1e-3)"),
+    ("MubSet skips verify_mub", "mub.py",
+     "if not verify_mub(bases):", "if False:"),
+    ("RateSpec accepts a bool", "dynamics.py",
+     "            if _is_real(entry):",
+     "            if _is_real(entry) or isinstance(entry, bool):"),
+]
+
+# mutants that survive today, each with the ROADMAP item that will mend it;
+# this list only shrinks
+KNOWN_SURVIVORS = {
+    "cp_oracle_choi threshold -> -1":
+        "ROADMAP item 2: the Choi oracle takes eigenvalue rows, CP or not",
+}
+
+
+def check_edits(mutations) -> list:
+    """The problems that stop the audit: an old text that does not occur
+    exactly once in its file."""
+    problems = []
+    for name, filename, old, _ in mutations:
+        count = (ROOT / PACKAGE / filename).read_text().count(old)
+        if count != 1:
+            problems.append(f"{name}: old text occurs {count} times in {filename}")
+    return problems
+
+
+def first_failure(output: str) -> str:
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" - ")[0]
+    return ""
+
+
+def run_mutant(filename: str, old: str, new: str):
+    """(killed, first failing test or reason) for one edit, in a fresh copy."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        target = copy / PACKAGE / filename
+        text = target.read_text()
+        if text.count(old) != 1:
+            raise RuntimeError(f"{filename} changed during the audit")
+        target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")])))
+        where = subprocess.run(
+            [sys.executable, "-c", "import gpchannels; print(gpchannels.__file__)"],
+            cwd=copy, env=env, capture_output=True, text=True)
+        if not where.stdout.startswith(str(copy)):
+            raise RuntimeError(f"the copy is not the package imported: {where.stdout!r} "
+                               f"{where.stderr[-500:]!r}")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return True, f"timed out after {TIMEOUT_S} s"
+        if proc.returncode == 0:
+            return False, ""
+        return True, first_failure(proc.stdout) or f"pytest exit code {proc.returncode}"
+
+
+def main() -> int:
+    problems = check_edits(MUTATIONS)
+    for problem in problems:
+        print(f"error: {problem}")
+    if problems:
+        return 1
+    start = time.perf_counter()
+    unexpected = []
+    for name, filename, old, new in MUTATIONS:
+        t0 = time.perf_counter()
+        killed, detail = run_mutant(filename, old, new)
+        took = time.perf_counter() - t0
+        if killed and name in KNOWN_SURVIVORS:
+            # also the baseline check: a known survivor lives only while the
+            # unmutated copy passes tier-1
+            print(f"KILLED    {name} ({detail}, {took:.1f} s): a known survivor, "
+                  "remove it from KNOWN_SURVIVORS", flush=True)
+            unexpected.append(name)
+        elif killed:
+            print(f"killed    {name} ({detail}, {took:.1f} s)", flush=True)
+        elif name in KNOWN_SURVIVORS:
+            print(f"survived  {name} (known: {KNOWN_SURVIVORS[name]}, {took:.1f} s)",
+                  flush=True)
+        else:
+            print(f"SURVIVED  {name} (not a known survivor, {took:.1f} s)", flush=True)
+            unexpected.append(name)
+    print(f"{len(MUTATIONS)} mutants, {len(unexpected)} unexpected verdicts, "
+          f"{time.perf_counter() - start:.0f} s")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
