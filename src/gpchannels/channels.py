@@ -304,14 +304,16 @@ def weighted_gram(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
 def kraus_terms(channel, m: Optional[MubSet] = None):
     """(weights, operators) of the channel's unitary Kraus operators.
 
-    m None: the displacement products (weyl_kraus_terms).  A basis set: the
+    m None: the displacement products (weyl_kraus_terms).  A MubSet: the
     identity and each basis's unitaries U_alpha^k, weighted by
-    kraus_probability_multiset; a MubSet was checked when it was made, so only
-    its dimension is matched to the channel's here.  The two sets are kept
-    apart on purpose, as a cross-check of the bases.
+    kraus_probability_multiset; it was checked when it was made, so only its
+    dimension is matched to the channel's here.  Any other m is a TypeError.
+    The two sets are kept apart on purpose, as a cross-check of the bases.
     """
     if m is None:
         return weyl_kraus_terms(_as_weyl(channel))
+    if not isinstance(m, MubSet):
+        raise TypeError(f"basis set must be a MubSet or None, got {type(m).__name__}")
     if isinstance(channel, WeylChannel):
         raise ValueError(
             f"basis set (d={m.dimension}) given for a WeylChannel, whose Kraus "
@@ -405,10 +407,14 @@ def classical_map_t(e: EigenvalueVector, alpha: int) -> np.ndarray:
 
 
 def channel_from_json(obj: dict) -> GeneralizedPauliChannel:
-    """Build a channel from {"d", "probabilities"} or {"d", "lambdas"}, d an integer."""
+    """Build a channel from {"d", "probabilities"} or {"d", "lambdas"}, d an
+    integer; an object with both keys is refused."""
     if not isinstance(obj, dict):
         raise ValueError(f"channel JSON must be an object, got {type(obj).__name__}")
     d = _require_dimension(obj.get("d"), "channel JSON 'd'")
+    if "probabilities" in obj and "lambdas" in obj:
+        raise ValueError("channel JSON gives both 'probabilities' and 'lambdas'; "
+                         "give one")
     if "probabilities" in obj:
         return GeneralizedPauliChannel(d, np.asarray(obj["probabilities"], dtype=float))
     if "lambdas" in obj:

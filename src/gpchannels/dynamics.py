@@ -98,7 +98,8 @@ _DP_POWERS = np.arange(1, 5)
 
 @dataclass(frozen=True)
 class RateSpec:
-    """Three decay rates, each a constant or a sampled table.
+    """Three decay rates, each a constant or a sampled table, given as a
+    tuple, list or 1-d array; any other container is refused by name.
 
     A constant is a real number; a bool is not one, nor a string, a complex
     or an array.  A table is a pair (times, values) of 1-d sequences of real
@@ -112,6 +113,9 @@ class RateSpec:
     rates: tuple
 
     def __post_init__(self):
+        if not (isinstance(self.rates, (tuple, list))
+                or isinstance(self.rates, np.ndarray) and self.rates.ndim == 1):
+            raise ValueError(f"rates must be a tuple, list or 1-d array, got {self.rates!r}")
         if len(self.rates) != 3:
             raise ValueError(f"need exactly 3 rates, got {len(self.rates)}")
         norm = []

@@ -53,7 +53,7 @@ from gpchannels.mub import (
     weyl_operator,
 )
 from gpchannels.numerics import CLAMP_TOL, VALIDATION_TOL
-from gpchannels.oracle import cp_oracle_choi
+from gpchannels.oracle import cp_oracle_choi, holevo_estimate
 from gpchannels.selfcheck import sample_cp_eigenvalues
 
 REF_PROBS = [0.25, 0.5, 0.25, 0.0]
@@ -409,6 +409,15 @@ def test_kraus_terms_errors_reach_every_caller():
             call()
     with pytest.raises(ValueError, match="state shape"):
         apply(c3, canonical_mub(3), np.eye(2))
+    # a raw stack of bases is not a checked set, and is refused by type
+    # before the channel or the dimension is looked at
+    bases = canonical_mub(3).bases
+    for call in (lambda: kraus_terms(c3, bases), lambda: superoperator(c3, bases),
+                 lambda: apply(c3, bases, rho), lambda: holevo_estimate(c3, bases),
+                 lambda: kraus_terms(w, bases)):
+        with pytest.raises(TypeError, match="^basis set must be a MubSet or None, "
+                                            "got ndarray$"):
+            call()
 
 
 def test_kraus_terms_basis_route_requires_a_prime_power_set_of_mubs():
@@ -728,7 +737,9 @@ def test_channel_from_json_needs_an_integer_d(obj):
     (None, "must be an object, got NoneType$"),
     ("x", "must be an object, got str$"),
     ({"d": 2}, "needs 'probabilities' or 'lambdas'$"),
-], ids=["list", "none", "string", "no-weights"])
+    ({"d": 2, "probabilities": [0.25, 0.5, 0.25, 0], "lambdas": [0.9, 0, 0]},
+     "gives both 'probabilities' and 'lambdas'; give one$"),
+], ids=["list", "none", "string", "no-weights", "both-weights"])
 def test_channel_from_json_needs_an_object_with_weights(obj, message):
     with pytest.raises(ValueError, match=message):
         channel_from_json(obj)

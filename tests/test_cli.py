@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import gpchannels
 from gpchannels.capacity import bounds_batch
 from gpchannels.cli import build_parser, main
 from gpchannels.selfcheck import sample_cp_eigenvalues
@@ -291,6 +295,21 @@ def test_random_sweep_zero_count_prints_header_only(capsys):
     code, out, _ = run(capsys, "random-sweep", "--d", "3", "--count", "0")
     assert code == 0
     assert out == "index,lambda1,lambda2,lambda3,lambda4,chi_low,chi_up,coincide\n"
+
+
+def test_random_sweep_is_byte_identical_across_processes():
+    # two fresh interpreters: nothing cached in this process can make the
+    # seeded sweep look reproducible
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gpchannels.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "gpchannels.cli", "random-sweep",
+            "--d", "5", "--count", "200", "--seed", "7"]
+    first, second = (subprocess.run(argv, env=env, capture_output=True, timeout=120)
+                     for _ in range(2))
+    assert (first.returncode, first.stderr) == (0, b""), first.stderr
+    assert len(first.stdout.splitlines()) == 201
+    assert (second.returncode, second.stdout) == (0, first.stdout)
 
 
 def test_random_sweep_rejects_unsupported_dimension(capsys):

@@ -30,7 +30,7 @@ LN2 = np.log(2.0)
 
 
 def test_rate_spec_requires_three_entries():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need exactly 3 rates, got 2$"):
         RateSpec((0.1, 0.2))
 
 
@@ -60,8 +60,12 @@ def test_rate_spec_rejects_bad_tables():
      "rate 3: table entries must be real numbers, got ([0.0, 1.0], [True, 2.0])"),
     ((([0.0], [1.0]), 0.1, 0.1), "rate 1: table needs 2 or more points, got 1"),
     ((([0.0, 1.0], [1.0]), 0.1, 0.1), "rate 1: table needs matching 1-d arrays"),
+    (0.5, "rates must be a tuple, list or 1-d array, got 0.5"),
+    (None, "rates must be a tuple, list or 1-d array, got None"),
+    ({0.1, 0.2, 0.3}, "rates must be a tuple, list or 1-d array, got {0.1, 0.2, 0.3}"),
+    ({1: 0, 2: 0, 3: 0}, "rates must be a tuple, list or 1-d array, got {1: 0, 2: 0, 3: 0}"),
 ], ids=["string", "bool", "0-d-array", "complex", "word", "string-table", "bool-times",
-        "bool-value", "one-point", "mismatched"])
+        "bool-value", "one-point", "mismatched", "float", "none", "set", "dict"])
 def test_rate_spec_takes_real_numbers_only(rates, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         RateSpec(rates)
@@ -343,6 +347,7 @@ def _scipy_rk45_lambdas(r, times):
     return _pauli_lambdas(states)
 
 
+@pytest.mark.scipy_reference
 @pytest.mark.parametrize("r", _REFERENCE_RATES)
 def test_dormand_prince_matches_scipy_rk45(r):
     times = np.linspace(0.0, 3.0, 301)
@@ -362,6 +367,7 @@ def _step_ends(r):
     return np.array([t_new for _, t_new, _, _ in dynamics._dp_steps(r, 0.0, 3.0)])
 
 
+@pytest.mark.scipy_reference
 def test_dormand_prince_output_on_step_ends_and_two_steps():
     g = np.array([0.4, 0.2, 0.1])
     r = RateSpec.constant(*g)

@@ -490,6 +490,7 @@ def _scipy_nelder_mead(sup, state, iterations):
                     options={"maxiter": iterations, "xatol": 1e-12, "fatol": 1e-14}).fun
 
 
+@pytest.mark.scipy_reference
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("route", ["weyl", "mub"])
 def test_polish_matches_scipy_nelder_mead(d, route):

@@ -54,6 +54,29 @@ MUTATIONS = [
     ("RateSpec accepts a bool", "dynamics.py",
      "            if _is_real(entry):",
      "            if _is_real(entry) or isinstance(entry, bool):"),
+    ("warm starts transposed", "oracle.py",
+     "(m or canonical_mub(dim)).bases.reshape(-1, dim)",
+     "(m or canonical_mub(dim)).bases.transpose(0, 2, 1).reshape(-1, dim)"),
+    ("prime_power skips _require_integer", "mub.py",
+     '    _require_integer("dimension", d, UnsupportedDimensionError)\n', ""),
+    ("_require_in_range skips _require_integer", "numerics.py",
+     "    _require_integer(name, value, error)\n", ""),
+    ("weyl_labels cache untyped", "mub.py",
+     "@lru_cache(maxsize=None, typed=True)\ndef weyl_labels(",
+     "@lru_cache(maxsize=None)\ndef weyl_labels("),
+    ("canonical_mub cache untyped", "channels.py",
+     "@lru_cache(maxsize=None, typed=True)\ndef canonical_mub(",
+     "@lru_cache(maxsize=None)\ndef canonical_mub("),
+    ("dynamics label sets in forward order", "dynamics.py",
+     "weyl_labels(2)[::-1, 0]", "weyl_labels(2)[:, 0]"),
+    ("RateSpec takes any container", "dynamics.py",
+     "        if not (isinstance(self.rates, (tuple, list))\n"
+     "                or isinstance(self.rates, np.ndarray) and self.rates.ndim == 1):",
+     "        if False:"),
+    ("kraus_terms takes any basis set", "channels.py",
+     "    if not isinstance(m, MubSet):", "    if False:"),
+    ("channel_from_json takes both weights", "channels.py",
+     '    if "probabilities" in obj and "lambdas" in obj:', "    if False:"),
 ]
 
 # mutants that survive today, each with the ROADMAP item that will mend it;
