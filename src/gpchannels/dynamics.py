@@ -36,6 +36,9 @@ symmetric in the eigenvalues, so the trajectories' capacities do not depend
 on the order.
 """
 
+import bisect
+import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -57,17 +60,22 @@ ODE_ATOL = 1e-12
 # witness, 14,384 for the backflow rates (-100, -100, -100) on [0, 3].
 ODE_MAX_STEPS = 50_000
 
+_log = logging.getLogger(__name__)
+
 # The label sets of weyl_labels(2) in reverse order hold X, ZX = iY and Z, one
 # displacement product W_a each, the operators of this module's three axes.
 _AXIS_VECS = displacement_products(2, 1, weyl_labels(2)[::-1, 0]).reshape(3, 4)
 # L_a = 1/2 W_a (x) conj(W_a) - 1/2 on row-major vec, the generator part of
-# label set a at d = 2: the generator is their sum weighted by the rates.
+# label set a at d = 2, one flattened row each: the generator is their sum
+# weighted by the rates.
 _GENERATOR_PARTS = np.stack([kraus_superoperator(np.full(1, 0.5), w.reshape(1, 2, 2)).real
-                             - 0.5 * np.eye(4) for w in _AXIS_VECS])
+                             - 0.5 * np.eye(4) for w in _AXIS_VECS]).reshape(3, 16)
 
 # Dormand-Prince 5(4): stage times, stage rows (row 6 is the 5th-order
 # solution, whose rate is the first stage of the next step), the embedded
-# error weights, and the quartic dense-output rows (Shampine's c_6 optimum).
+# error weights, and the quartic dense output (Shampine's c_6 optimum), written
+# one row per stage and stored transposed, one row per power of the step
+# fraction, so that the output reads it as a contiguous (4, 7) matrix.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = np.array([
     [0, 0, 0, 0, 0, 0],
@@ -80,7 +88,7 @@ _DP_A = np.array([
 ])
 _DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
                   -22 / 525, 1 / 40])
-_DP_P = np.array([
+_DP_P = np.ascontiguousarray(np.array([
     [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
      -12715105075 / 11282082432],
     [0, 0, 0, 0],
@@ -92,7 +100,7 @@ _DP_P = np.array([
      701980252875 / 199316789632],
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+]).T)
 _DP_POWERS = np.arange(1, 5)
 
 
@@ -237,11 +245,11 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
 
 def _generators(r: RateSpec, t) -> np.ndarray:
     """The 4x4 generators L(t) at the times t, shape (n, 4, 4)."""
-    return np.einsum("an,aij->nij", r.evaluate(t), _GENERATOR_PARTS)
+    return (r.evaluate(t).T @ _GENERATOR_PARTS).reshape(-1, 4, 4)
 
 
 def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(x @ x / x.size))
+    return math.sqrt(x @ x / x.size)
 
 
 def _dp_steps(r: RateSpec, t: float, t_end: float):
@@ -256,12 +264,14 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
     the first-same-as-last rate carry across a knot, since the rates are
     continuous there.  Raises RuntimeError when the rates overflow the error
     norm, the step underflows, the state stops being finite or ODE_MAX_STEPS
-    steps are spent.
+    steps are spent.  Run to t_end, it logs one DEBUG record whose args are
+    the accepted steps, the rejected steps and ODE_MAX_STEPS.
     """
-    knots = [k for entry in r.rates if entry[0] == "table" for k in entry[1]]
-    stops = np.unique([k for k in knots if t < k < t_end] + [t_end])
+    knots = {float(k) for entry in r.rates if entry[0] == "table" for k in entry[1]}
+    stops = sorted({k for k in knots if t < k < t_end} | {t_end})
     y = np.eye(4).ravel()
-    scale = ODE_ATOL + np.abs(y) * ODE_RTOL
+    abs_y = np.abs(y)
+    scale = ODE_ATOL + abs_y * ODE_RTOL
     # initial step (Hairer, Norsett & Wanner, Sec. II.4, as scipy selects it);
     # only rates that overflow the error norm make h0 0 or NaN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -281,13 +291,13 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
 
     stages = np.empty((7, 16))
     stage_mats = stages.reshape(7, 4, 4)
-    taken = 0
+    taken = rejections = 0
     while t < t_end:
         if taken == ODE_MAX_STEPS:
             raise RuntimeError(f"map integration failed: {taken} steps spent at t={t:.6g}")
         taken += 1
-        stop = stops[np.searchsorted(stops, t, side="right")]
-        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+        stop = stops[bisect.bisect_right(stops, t)]
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -297,24 +307,30 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
             t_new = min(t + h_abs, stop)
             h = t_new - t
             gens = _generators(r, t + _DP_C * h)
+            a = _DP_A * h
             stages[0] = f
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 for s in range(1, 7):
-                    y_new = y + np.dot(stages[:s].T, _DP_A[s, :s]) * h
+                    y_new = a[s, :s] @ stages[:s]
+                    y_new += y
                     np.matmul(gens[s], y_new.reshape(4, 4), out=stage_mats[s])
             if not np.isfinite(stages).all():
                 raise RuntimeError(f"map integration failed: state not "
                                    f"finite at t={t:.6g}, h={h:.3g}")
-            scale = ODE_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * ODE_RTOL
-            err = _rms(np.dot(stages.T, _DP_E) * h / scale)
+            abs_new = np.abs(y_new)
+            scale = ODE_ATOL + np.maximum(abs_y, abs_new) * ODE_RTOL
+            err = _rms(_DP_E @ stages * h / scale)
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
+            rejections += 1
         yield t, t_new, y, stages
-        t, y, f = t_new, y_new, stages[6].copy()
+        t, y, f, abs_y = t_new, y_new, stages[6].copy(), abs_new
+    _log.debug("Dormand-Prince: %d accepted steps, %d rejected, of ODE_MAX_STEPS = %d",
+               taken, rejections, ODE_MAX_STEPS)
 
 
 def _dormand_prince(r: RateSpec, times: np.ndarray) -> np.ndarray:
@@ -323,13 +339,14 @@ def _dormand_prince(r: RateSpec, times: np.ndarray) -> np.ndarray:
     accepted step, its end included, are read off its quartic interpolant
     together, so the grid does not constrain the steps."""
     out = np.empty((times.size, 16))
+    grid = times.tolist()
     done = 0
-    for t, t_new, y, stages in _dp_steps(r, float(times[0]), float(times[-1])):
-        upto = int(np.searchsorted(times, t_new, side="right"))
+    for t, t_new, y, stages in _dp_steps(r, grid[0], grid[-1]):
+        upto = bisect.bisect_right(grid, t_new)
         if upto > done:
             h = t_new - t
             x = (times[done:upto] - t) / h
-            out[done:upto] = y + h * (x[:, None] ** _DP_POWERS) @ (_DP_P.T @ stages)
+            out[done:upto] = y + h * (x[:, None] ** _DP_POWERS) @ (_DP_P @ stages)
             done = upto
     return out
 
@@ -343,7 +360,9 @@ def ode_eigenvalue_oracle(r: RateSpec, t_max: float, steps: int) -> np.ndarray:
     lambda_a = 1/2 Tr(W_a^dagger M(W_a)).  The integrator is Dormand-Prince 5(4)
     with dense output and scipy's RK45 step rules, at rtol ODE_RTOL and atol
     ODE_ATOL; it uses neither the factorized closed form nor the quadrature.
-    Raises RuntimeError when the integration fails.
+    Logs its accepted and rejected steps against ODE_MAX_STEPS as one DEBUG
+    record of the module's logger.  Raises RuntimeError when the integration
+    fails.
     """
     times = _time_grid(t_max, steps)
     maps = _dormand_prince(r, times).reshape(-1, 4, 4)

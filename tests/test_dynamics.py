@@ -1,3 +1,4 @@
+import logging
 import re
 import time
 import warnings
@@ -363,11 +364,40 @@ def test_dormand_prince_matches_constant_rate_closed_form(g):
     assert np.max(np.abs(lam - expect)) < 1e-10
 
 
+def _step_report(caplog, r, steps):
+    """The oracle's eigenvalues on [0, 3] at `steps` grid times, and the
+    (accepted, rejected) steps of its DEBUG step report."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="gpchannels.dynamics"):
+        lam = ode_eigenvalue_oracle(r, 3.0, steps)
+    [record] = [x for x in caplog.records if x.name == "gpchannels.dynamics"]
+    assert record.levelno == logging.DEBUG
+    assert record.args[2] == dynamics.ODE_MAX_STEPS == 50_000
+    assert record.getMessage().startswith(
+        f"Dormand-Prince: {record.args[0]} accepted steps, {record.args[1]} rejected")
+    return lam, record.args[:2]
+
+
+# Each count sits where a change to the step rules shows: growth safety 0.8 in
+# place of 0.9 takes the witness to 149 accepted steps, and letting the step
+# grow right after a rejection takes (50, 0.1, 0.1) to 2 rejections.
+@pytest.mark.parametrize("r, counts", [
+    (non_p_divisible_capacity_witness(), (134, 6)),
+    (_dip_rates(11), (105, 5)),
+    (_dip_rates(12), (129, 6)),
+    (_dip_rates(13), (133, 10)),
+    (RateSpec.constant(0.4, 0.2, 0.1), (46, 0)),
+    (RateSpec.constant(50, 0.1, 0.1), (175, 9)),
+])
+def test_ode_oracle_reports_its_pinned_step_counts(r, counts, caplog):
+    _, reported = _step_report(caplog, r, 301)
+    assert reported == counts
+
+
 def _step_ends(r):
     return np.array([t_new for _, t_new, _, _ in dynamics._dp_steps(r, 0.0, 3.0)])
 
 
-@pytest.mark.scipy_reference
 def test_dormand_prince_output_on_step_ends_and_two_steps():
     g = np.array([0.4, 0.2, 0.1])
     r = RateSpec.constant(*g)
@@ -386,8 +416,13 @@ def test_dormand_prince_output_on_step_ends_and_two_steps():
         lam = _pauli_lambdas(dynamics._dormand_prince(r, grid))
         assert np.max(np.abs(lam - exact(grid))) < 1e-10
     witness = non_p_divisible_capacity_witness()
+    assert np.isin(witness.rates[0][1][1:-1], _step_ends(witness)).all()  # on the knots
+
+
+@pytest.mark.scipy_reference
+def test_dormand_prince_output_on_step_ends_matches_scipy_rk45():
+    witness = non_p_divisible_capacity_witness()
     grid = np.concatenate([[0.0], _step_ends(witness)])
-    assert np.isin(witness.rates[0][1][1:-1], grid).all()  # steps end on the knots
     lam = _pauli_lambdas(dynamics._dormand_prince(witness, grid))
     assert np.max(np.abs(lam - _scipy_rk45_lambdas(witness, grid))) < 1e-9
 
@@ -469,10 +504,11 @@ def test_ode_oracle_refuses_inputs_beyond_its_step_budget(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
-def test_large_finite_backflow_is_accepted_on_both_routes():
+def test_large_finite_backflow_is_accepted_on_both_routes(caplog):
     r = RateSpec.constant(-100, -100, -100)
     traj = eigenvalue_trajectory(r, 3.0, 11)
-    lam = ode_eigenvalue_oracle(r, 3.0, 11)
+    lam, counts = _step_report(caplog, r, 11)
+    assert counts == (14_384, 1)  # of the 50,000-step budget
     assert np.all(np.isfinite(traj.lambdas)) and not traj.cp_everywhere
     assert np.all(np.isfinite(lam))
     assert np.allclose(lam, traj.lambdas, rtol=1e-6, atol=0.0)

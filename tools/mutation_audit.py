@@ -77,6 +77,12 @@ MUTATIONS = [
      "    if not isinstance(m, MubSet):", "    if False:"),
     ("channel_from_json takes both weights", "channels.py",
      '    if "probabilities" in obj and "lambdas" in obj:', "    if False:"),
+    ("ODE growth safety 0.9 -> 0.8", "dynamics.py",
+     "min(10.0, 0.9 * err ** -0.2)", "min(10.0, 0.8 * err ** -0.2)"),
+    ("ODE step grows right after a rejection", "dynamics.py",
+     "h_abs *= min(1.0, factor) if rejected else factor", "h_abs *= factor"),
+    ("ODE steps stop only at t_end", "dynamics.py",
+     "stops = sorted({k for k in knots if t < k < t_end} | {t_end})", "stops = [t_end]"),
 ]
 
 # mutants that survive today, each with the ROADMAP item that will mend it;
