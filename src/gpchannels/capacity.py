@@ -32,7 +32,8 @@ from .channels import (
     require_cp_rows,
 )
 from .mub import require_prime_power
-from .numerics import CLAMP_TOL, _entropy, _require_in_range, _xlogx, as_distribution
+from .numerics import (CLAMP_TOL, _entropy, _real_array, _require_in_range, _xlogx,
+                       as_distribution)
 
 COINCIDENCE_TOL = 1e-9
 
@@ -48,7 +49,7 @@ def transition_row_entropies(lams: np.ndarray, copies: int = 1) -> np.ndarray:
     rows = classical_map_rows(lams)[:, :, 0, :]
     if copies == 2:
         rows = (rows[..., :, None] * rows[..., None, :]).reshape(rows.shape[:2] + (-1,))
-    return -_xlogx(np.maximum(rows, 0.0)).sum(axis=-1)
+    return 0.0 - _xlogx(np.maximum(rows, 0.0)).sum(axis=-1)  # +0.0, as _entropy
 
 
 def holevo_lower_via_classical(e: EigenvalueVector) -> float:
@@ -57,14 +58,14 @@ def holevo_lower_via_classical(e: EigenvalueVector) -> float:
     return float(np.log(e.dimension) - transition_row_entropies(lams).min())
 
 
-def zeta_vector(multiset, block_size: int) -> np.ndarray:
-    """Sort a D^2-element weight multiset and sum consecutive blocks of D."""
+def zeta_vector(multiset) -> np.ndarray:
+    """Sort a D^2-element weight multiset and sum consecutive blocks of D; D is
+    read from the multiset's length, which must be a square."""
     arr = as_distribution(multiset)
-    if arr.size != block_size**2:
-        raise ValueError(
-            f"need {block_size**2} weights for block size {block_size}, got {arr.size}"
-        )
-    return np.sort(arr)[::-1].reshape(block_size, block_size).sum(axis=1)
+    block = math.isqrt(arr.size)
+    if block * block != arr.size:
+        raise ValueError(f"need a square number of weights, got {arr.size}")
+    return np.sort(arr)[::-1].reshape(block, block).sum(axis=1)
 
 
 def holevo_upper_bound_weyl(w: WeylChannel) -> float:
@@ -75,7 +76,7 @@ def holevo_upper_bound_weyl(w: WeylChannel) -> float:
     """
     if not isinstance(w, WeylChannel):
         raise TypeError(f"expected a WeylChannel, got {type(w).__name__}")
-    return float(np.log(w.dimension) - _entropy(zeta_vector(w.probabilities, w.dimension)))
+    return float(np.log(w.dimension) - _entropy(zeta_vector(w.probabilities)))
 
 
 @dataclass(frozen=True)
@@ -157,9 +158,10 @@ class BatchBounds:
 
 
 def _checked_rows(lams) -> np.ndarray:
-    # an (N, d+1) array of finite, CP rows inside the box, clipped to it, for a
-    # prime power d (one with a basis set); the error names d or the first bad row
-    lams = np.asarray(lams, dtype=float)
+    # an (N, d+1) array of real, finite, CP rows inside the box, clipped to it,
+    # for a prime power d (one with a basis set); the error names the rows, d or
+    # the first bad row
+    lams = _real_array("eigenvalue rows", lams)
     if lams.ndim != 2:
         raise ValueError(f"need an (N, d+1) eigenvalue array, got shape {lams.shape}")
     d = lams.shape[1] - 1
@@ -189,7 +191,8 @@ def _block_coefficients(d: int):
 def bounds_batch(lams) -> BatchBounds:
     """Both closed-form bounds for an (N, d+1) array of eigenvalue rows.
 
-    Rows are checked first: d a prime power, entries finite, inside [-1/(d-1), 1]
+    Rows are checked first: entries real numbers (numerics._real_array), d a
+    prime power, entries finite, inside [-1/(d-1), 1]
     (then clipped) and CP; the package error names d or the first bad row.
 
     Lower bound: per basis the capacity of the symmetric classical channel it
@@ -335,18 +338,18 @@ def capacity_bounds(e: EigenvalueVector) -> CapacityBounds:
 def channel_fidelity_extremes_rows(lams) -> Tuple[np.ndarray, np.ndarray]:
     """Extreme input-output fidelities (1 + L)/2 of (N, 3) qubit eigenvalue
     rows, at the smallest and largest eigenvalue of each row; rows are
-    checked as in bounds_batch."""
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim == 2 and lams.shape[1] != 3:
-        raise ValueError(f"fidelity extremes need d=2, got d={lams.shape[1] - 1}")
+    checked as in bounds_batch, then refused unless d = 2."""
     lams = _checked_rows(lams)
+    if lams.shape[1] != 3:
+        raise ValueError(f"fidelity extremes need d=2, got d={lams.shape[1] - 1}")
     return (1.0 + lams.min(axis=1)) / 2.0, (1.0 + lams.max(axis=1)) / 2.0
 
 
 def capacity_from_fidelity(f):
     """Qubit capacity through an extreme fidelity value, or an array of them
-    (the error then names the first bad entry, flat index)."""
-    arr = np.asarray(f, dtype=float)
+    (the error then names the first bad entry, flat index); each must be a
+    real number (numerics._real_array)."""
+    arr = _real_array("fidelities", f)
     inside = ((arr >= -CLAMP_TOL) & (arr <= 1.0 + CLAMP_TOL)).ravel()
     if not inside.all():
         i = int(np.argmin(inside))

@@ -27,6 +27,12 @@ so the basis-set route only matches its dimension.  A WeylChannel
 carries its own displacement products, of any local dimension; the oracle's
 search still takes its warm starts from canonical_mub of its dimension.
 
+Real-number policy: numerics._real_array is the one place where array input
+becomes floats.  Every constructor and row function here reads its
+probabilities or eigenvalues through it, and refuses by name an entry that
+is not a real number: a bool, a string or a complex, even one whose
+imaginary part is 0.
+
 The layer writes out no Pauli matrix: at d = 2 the displacement products
 are the Paulis, up to the phase of ZX = iY.  The Hermitian Paulis live in
 the oracle, whose qubit grid ranking is their one user.
@@ -57,6 +63,7 @@ from .mub import (
 from .numerics import (
     CLAMP_TOL,
     VALIDATION_TOL,
+    _real_array,
     _require_dimension,
     _require_in_range,
     as_distribution,
@@ -94,7 +101,7 @@ class EigenvalueVector:
 
     def __post_init__(self):
         object.__setattr__(self, "dimension", _require_dimension(self.dimension))
-        vals = np.array(self.values, dtype=float).ravel()
+        vals = _real_array("eigenvalues", self.values).ravel()
         if vals.size != self.dimension + 1:
             raise ValueError(
                 f"need {self.dimension + 1} eigenvalues for d={self.dimension}, "
@@ -141,7 +148,9 @@ def eigenvalue_rows(probs: np.ndarray) -> np.ndarray:
     lambda_alpha = [d (p_0 + p_alpha) - 1] / (d - 1).
 
     An affine bijection from the probability simplex onto the CP region.
+    Entries must be real numbers (numerics._real_array).
     """
+    probs = _real_array("probability rows", probs)
     d = probs.shape[1] - 2
     return (d * (probs[:, :1] + probs[:, 1:]) - 1.0) / (d - 1.0)
 
@@ -160,9 +169,11 @@ def probability_rows(lams: np.ndarray) -> np.ndarray:
     """(N, d+2) mixing probabilities of an (N, d+1) eigenvalue array.
 
     p_0 = [1 + (d-1) sum(lambda)] / d^2 and
-    p_alpha = (d-1) [1 + d lambda_alpha - sum(lambda)] / d^2.  Raises
-    NotCompletelyPositiveError naming the first row that is not CP.
+    p_alpha = (d-1) [1 + d lambda_alpha - sum(lambda)] / d^2.  Entries must be
+    real numbers (numerics._real_array); raises NotCompletelyPositiveError
+    naming the first row that is not CP.
     """
+    lams = _real_array("eigenvalue rows", lams)
     require_cp_rows(lams)
     d = lams.shape[1] - 1
     total = lams.sum(axis=1, keepdims=True)
@@ -416,10 +427,9 @@ def channel_from_json(obj: dict) -> GeneralizedPauliChannel:
         raise ValueError("channel JSON gives both 'probabilities' and 'lambdas'; "
                          "give one")
     if "probabilities" in obj:
-        return GeneralizedPauliChannel(d, np.asarray(obj["probabilities"], dtype=float))
+        return GeneralizedPauliChannel(d, obj["probabilities"])
     if "lambdas" in obj:
-        e = EigenvalueVector(d, np.asarray(obj["lambdas"], dtype=float))
-        return probabilities_from_eigenvalues(e)
+        return probabilities_from_eigenvalues(EigenvalueVector(d, obj["lambdas"]))
     raise ValueError("channel JSON needs 'probabilities' or 'lambdas'")
 
 

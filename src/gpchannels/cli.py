@@ -27,7 +27,6 @@ from .dynamics import (
     eigenvalue_trajectory,
     p_divisible_so_far,
 )
-from .mub import require_prime_power
 from .numerics import _require_in_range
 from .selfcheck import run_formula_suite, sample_cp_eigenvalues
 
@@ -163,7 +162,6 @@ def _cmd_random_sweep(args) -> int:
     d = args.d
     _require_in_range("--count", args.count, 0)
     _require_in_range("--seed", args.seed, 0)
-    require_prime_power(d)
     rng = np.random.default_rng(args.seed)
     samples = sample_cp_eigenvalues(d, args.count, rng)
     bounds = bounds_batch(samples)

@@ -50,7 +50,7 @@ from .capacity import _basis_terms, pauli_classical_capacity  # noqa: F401
 from .channels import clip_eigenvalue_rows, cp_rows, kraus_superoperator
 from .errors import NotCompletelyPositiveError
 from .mub import displacement_products, weyl_labels
-from .numerics import _is_real, _require_integer
+from .numerics import _is_real, _real_array, _require_integer
 
 P_DIVISIBILITY_TOL = 1e-10
 ODE_RTOL = 1e-10
@@ -138,17 +138,13 @@ class RateSpec:
                 raise ValueError(f"rate {i + 1}: expected a number or a (times, "
                                  f"values) pair, got {entry!r}")
             else:
-                # as objects first: a float array would hide a bool or a string
-                times, values = (np.asarray(part, dtype=object) for part in entry)
+                times, values = (_real_array(f"rate {i + 1}: table {half}", part)
+                                 for half, part in zip(("times", "values"), entry))
                 if times.ndim != 1 or times.shape != values.shape:
                     raise ValueError(f"rate {i + 1}: table needs matching 1-d arrays")
                 if times.size < 2:
                     raise ValueError(f"rate {i + 1}: table needs 2 or more points, "
                                      f"got {times.size}")
-                if not all(map(_is_real, (*times, *values))):
-                    raise ValueError(f"rate {i + 1}: table entries must be real "
-                                     f"numbers, got {entry!r}")
-                times, values = (np.asarray(part, dtype=float) for part in entry)
                 if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
                     raise ValueError(f"rate {i + 1}: table entries must be finite")
                 if np.any(np.diff(times) <= 0.0):
@@ -409,7 +405,10 @@ def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
 
     The CP verdict is the trajectory's cp_everywhere; when it is False, the
     NotCompletelyPositiveError names the first grid time outside the region.
+    A trajectory of fewer than 2 times has no derivative and is refused.
     """
+    if traj.times.size < 2:
+        raise ValueError(f"need at least 2 times, got {traj.times.size}")
     if not traj.cp_everywhere:
         bad = int(np.argmin(cp_rows(traj.lambdas)))
         raise NotCompletelyPositiveError(

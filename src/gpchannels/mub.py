@@ -164,8 +164,8 @@ class MubSet:
     bases: np.ndarray
 
     def __post_init__(self):
-        d = _require_dimension(self.dimension)
-        require_prime_power(d)
+        require_prime_power(self.dimension)
+        d = int(self.dimension)
         bases = np.array(self.bases, dtype=complex)
         if bases.shape != (d + 1, d, d):
             raise ValueError(f"bases must have shape {(d + 1, d, d)}, got {bases.shape}")

@@ -31,6 +31,25 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _real_array(name: str, value, error=ValueError) -> np.ndarray:
+    """value as a float array, the one place array input becomes floats; error
+    naming the field unless every entry is a real number (as in _is_real).
+
+    An integer or floating ndarray passes on its dtype, a float one without a
+    copy; anything else is read as objects first, since a float conversion
+    would parse a string, take a bool as 0 or 1 and drop an imaginary part.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return np.asarray(value, dtype=float)
+    try:
+        entries = np.array(value, dtype=object)
+        if all(map(_is_real, entries.flat)):
+            return entries.astype(float)
+    except ValueError:  # nested arrays too ragged to lay out even as objects
+        pass
+    raise error(f"{name} must be real numbers, got {value!r}")
+
+
 def _require_in_range(name: str, value, lo: int, hi=None, error=ValueError) -> int:
     """value as an int; error naming the field unless it is an integer (as in
     _require_integer) of at least lo, and at most hi when hi is given."""
@@ -52,9 +71,10 @@ def as_distribution(p) -> np.ndarray:
     """Validate a probability vector and return a cleaned copy.
 
     Entries in [-CLAMP_TOL, 0) are clamped to 0; anything more negative is an
-    error, as is a total differing from 1 by more than VALIDATION_TOL.
+    error, as is a total differing from 1 by more than VALIDATION_TOL, or an
+    entry that is not a real number (_real_array).
     """
-    arr = np.array(p, dtype=float).ravel()
+    arr = _real_array("probabilities", p, InvalidDistributionError).flatten()
     if arr.size == 0:
         raise InvalidDistributionError("empty probability vector")
     if not np.all(np.isfinite(arr)):
@@ -75,7 +95,8 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 
 
 def _entropy(p: np.ndarray) -> float:
-    return float(-_xlogx(p).sum())
+    # 0 - sum, not -sum: the entropy of a pure input is +0.0, not -0.0
+    return float(0.0 - _xlogx(p).sum())
 
 
 def shannon_entropy(p) -> float:

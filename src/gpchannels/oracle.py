@@ -116,7 +116,7 @@ def _output_entropies(states: np.ndarray, sup: np.ndarray) -> np.ndarray:
     evs = np.linalg.eigvalsh(out).T.copy()
     np.maximum(evs, 0.0, out=evs)
     evs /= evs.sum(axis=0)
-    return -_xlogx(evs).sum(axis=0)
+    return 0.0 - _xlogx(evs).sum(axis=0)  # +0.0 for a pure output, as _entropy
 
 
 @lru_cache(maxsize=None)

@@ -216,7 +216,7 @@ def check_reference_upper_bound():
 @_check("two-copy grouped weights and upper bound")
 def check_two_copy_upper_bound():
     pair = tensor(REFERENCE, REFERENCE)
-    zeta = zeta_vector(pair.probabilities, 4)
+    zeta = zeta_vector(pair.probabilities)
     up_pair = holevo_upper_bound_weyl(pair)
     err = max(
         np.max(np.abs(zeta - np.array([10.0, 5.0, 1.0, 0.0]) / 16.0)),

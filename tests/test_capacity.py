@@ -73,9 +73,11 @@ def test_bounds_reject_noncp_input():
 
 def test_zeta_vector_blocks():
     mult = [0.25, 0.5, 0.25, 0.0]
-    assert np.allclose(zeta_vector(mult, 2), [0.75, 0.25])
-    with pytest.raises(ValueError):
-        zeta_vector([0.5, 0.5], 2)
+    assert np.allclose(zeta_vector(mult), [0.75, 0.25])
+    for weights in ([0.5, 0.5], [0.5, 0.25, 0.25]):
+        with pytest.raises(ValueError,
+                           match=rf"^need a square number of weights, got {len(weights)}$"):
+            zeta_vector(weights)
 
 
 def test_zeta_components_sum_to_one(cp_sampler, rng):
@@ -96,7 +98,7 @@ def test_zeta_matches_sorted_multiset(cp_sampler, rng):
             mult = np.concatenate([[c.probabilities[0]],
                                    np.repeat(c.probabilities[1:] / (d - 1), d - 1)])
             _, comps = holevo_upper_bound(e)
-            assert np.allclose(comps.zeta, zeta_vector(mult, d), atol=1e-12)
+            assert np.allclose(comps.zeta, zeta_vector(mult), atol=1e-12)
 
 
 def test_p_form_and_lambda_form_agree(cp_sampler, rng):
@@ -185,7 +187,7 @@ def test_qubit_bounds_always_coincide(cp_sampler, rng):
 
 def test_two_copy_reference_values():
     pair = tensor(REF, REF)
-    assert np.allclose(zeta_vector(pair.probabilities, 4),
+    assert np.allclose(zeta_vector(pair.probabilities),
                        [10 / 16, 5 / 16, 1 / 16, 0.0], atol=1e-12)
     up_pair = holevo_upper_bound_weyl(pair)
     assert up_pair == pytest.approx(15 / 16 * LN5 - 11 / 8 * LN2, abs=1e-12)
@@ -433,6 +435,14 @@ def test_transition_row_entropies_match_kron_loops(batch, copies):
             row = (t if copies == 1 else np.kron(t, t))[0]
             row = row[row > 0]
             assert abs(got[i, alpha - 1] + np.sum(row * np.log(row))) <= 1e-12
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_transition_row_entropies_of_the_identity_are_positive_zero(copies):
+    # lambda = 1 maps every basis vector to itself: a pure row, entropy +0.0
+    entropies = transition_row_entropies(np.ones((1, 3)), copies)
+    assert np.array_equal(entropies, np.zeros((1, 3)))
+    assert not np.signbit(entropies).any()
 
 
 def test_transition_row_entropies_checks_copies():

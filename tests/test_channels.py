@@ -1,13 +1,21 @@
 import contextlib
 import io
 import json
+import pickle
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpchannels.capacity import capacity_bounds
+from gpchannels.capacity import (
+    bounds_batch,
+    capacity_bounds,
+    capacity_from_fidelity,
+    channel_fidelity_extremes_rows,
+    holevo_lower_via_classical,
+    zeta_vector,
+)
 from gpchannels.channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
@@ -29,6 +37,7 @@ from gpchannels.channels import (
     kraus_probability_multiset,
     kraus_terms,
     probabilities_from_eigenvalues,
+    probability_rows,
     require_cp,
     require_cp_rows,
     superoperator,
@@ -52,7 +61,13 @@ from gpchannels.mub import (
     weyl_labels,
     weyl_operator,
 )
-from gpchannels.numerics import CLAMP_TOL, VALIDATION_TOL
+from gpchannels.numerics import (
+    CLAMP_TOL,
+    VALIDATION_TOL,
+    as_distribution,
+    majorizes,
+    shannon_entropy,
+)
 from gpchannels.oracle import cp_oracle_choi, holevo_estimate
 from gpchannels.selfcheck import sample_cp_eigenvalues
 
@@ -223,6 +238,122 @@ def test_every_entry_point_refuses_a_bad_dimension(entry, value, message):
 def test_bad_indices_and_entries_are_refused_by_name(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
+
+
+EIGS = [0.5, 0.0, -0.5]
+# entry point -> (call on an array input, a valid input, its error, the field
+# the error names); every one reads its numbers through numerics._real_array
+ARRAY_ENTRY_POINTS = {
+    "as_distribution": (as_distribution, REF_PROBS, InvalidDistributionError,
+                        "probabilities"),
+    "GeneralizedPauliChannel": (lambda v: GeneralizedPauliChannel(2, v), REF_PROBS,
+                                InvalidDistributionError, "probabilities"),
+    "WeylChannel": (lambda v: WeylChannel(2, 1, v), REF_PROBS, InvalidDistributionError,
+                    "probabilities"),
+    "zeta_vector": (zeta_vector, REF_PROBS, InvalidDistributionError, "probabilities"),
+    "shannon_entropy": (shannon_entropy, REF_PROBS, InvalidDistributionError,
+                        "probabilities"),
+    "majorizes-first": (lambda v: majorizes(v, REF_PROBS), REF_PROBS,
+                        InvalidDistributionError, "probabilities"),
+    "majorizes-second": (lambda v: majorizes(REF_PROBS, v), REF_PROBS,
+                         InvalidDistributionError, "probabilities"),
+    "EigenvalueVector": (lambda v: EigenvalueVector(2, v), EIGS, ValueError, "eigenvalues"),
+    "holevo_lower_via_classical": (lambda v: holevo_lower_via_classical(
+        EigenvalueVector(2, v)), EIGS, ValueError, "eigenvalues"),
+    "probability_rows": (probability_rows, [EIGS, [0.25, 0.25, 0.0]], ValueError,
+                         "eigenvalue rows"),
+    "eigenvalue_rows": (eigenvalue_rows, [REF_PROBS, [0.5, 0.0, 0.25, 0.25]], ValueError,
+                        "probability rows"),
+    "bounds_batch": (bounds_batch, [EIGS, [0.25, 0.25, 0.0]], ValueError,
+                     "eigenvalue rows"),
+    "channel_fidelity_extremes_rows": (channel_fidelity_extremes_rows,
+                                       [EIGS, [0.25, 0.25, 0.0]], ValueError,
+                                       "eigenvalue rows"),
+    "capacity_from_fidelity": (capacity_from_fidelity, [0.75, 0.5], ValueError,
+                               "fidelities"),
+    "RateSpec-times": (lambda v: RateSpec(((v, [1.0, 2.0]), 0.1, 0.1)), [0.0, 1.0],
+                       ValueError, "rate 1: table times"),
+    "RateSpec-values": (lambda v: RateSpec((0.1, ([0.0, 1.0], v), 0.1)), [1.0, 2.0],
+                        ValueError, "rate 2: table values"),
+    "channel_from_json-probabilities": (
+        lambda v: channel_from_json({"d": 2, "probabilities": v}), REF_PROBS,
+        InvalidDistributionError, "probabilities"),
+    "channel_from_json-lambdas": (lambda v: channel_from_json({"d": 2, "lambdas": v}),
+                                  EIGS, ValueError, "eigenvalues"),
+}
+
+
+def _map_entries(f, value):
+    # value's nested lists with f applied to every number
+    return [_map_entries(f, x) for x in value] if isinstance(value, list) else f(value)
+
+
+def _with_first(f, value):
+    # value's nested lists with f applied to the first number only
+    entries = np.array(value, dtype=object)
+    entries.flat[0] = f(entries.flat[0])
+    return entries.tolist()
+
+
+def _ragged(value):
+    # rows of unequal length: the last row loses its last entry
+    rows = value if isinstance(value[0], list) else [value, value]
+    return rows[:-1] + [rows[-1][:-1]]
+
+
+# each is refused by every entry point: a float conversion would parse, coerce
+# or truncate the first six, and fail on ragged rows with numpy's own message
+BAD_ARRAYS = {
+    "complex": lambda v: np.array(v) + 0.25j,
+    "complex-zero-imaginary": lambda v: np.array(v, dtype=complex),
+    "complex-in-list": lambda v: _with_first(complex, v),
+    "bool-in-list": lambda v: _with_first(bool, v),
+    "bool-array": lambda v: np.array(v) != 0.0,
+    "numeric-string": lambda v: _map_entries(str, v),
+    "ragged": _ragged,
+}
+
+
+@pytest.mark.filterwarnings("error")  # no ComplexWarning on the way either
+@pytest.mark.parametrize("bad", list(BAD_ARRAYS))
+@pytest.mark.parametrize("entry", list(ARRAY_ENTRY_POINTS))
+def test_every_array_entry_point_takes_real_numbers_only(entry, bad):
+    call, valid, error, field = ARRAY_ENTRY_POINTS[entry]
+    call(valid)
+    value = BAD_ARRAYS[bad](valid)
+    message = f"{field} must be real numbers, got {value!r}"
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", list(ARRAY_ENTRY_POINTS))
+def test_array_entry_points_read_real_numbers_as_float64(entry):
+    # on real input, lists of ints and numpy scalars and float32 arrays
+    # included, every entry point gives the bits of np.array(value, dtype=float)
+    call, valid, _, _ = ARRAY_ENTRY_POINTS[entry]
+    mixed = _map_entries(lambda x: int(x) if x == int(x) else np.float32(x), valid)
+    for value in (valid, np.array(valid, dtype=np.float32), mixed):
+        assert (pickle.dumps(call(value))
+                == pickle.dumps(call(np.array(value, dtype=float)))), value
+
+
+def test_int_lists_read_as_floats():
+    assert as_distribution([1, 0, 0, 0]).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert EigenvalueVector(2, [1, 0, 0]).values.dtype == float
+    assert np.array_equal(EigenvalueVector(2, [1, 0, 0]).values, [1.0, 0.0, 0.0])
+    assert np.array_equal(bounds_batch([[1, 0, 0]]).chi_low, [np.log(2.0)])
+    assert capacity_from_fidelity([1, 0]).tolist() == [np.log(2.0)] * 2
+    assert probability_rows([[1, 1, 1]]).tolist() == [[1.0, 0.0, 0.0, 0.0]]
+    assert eigenvalue_rows([[1, 0, 0, 0]]).tolist() == [[1.0, 1.0, 1.0]]
+
+
+def test_a_probability_array_is_never_written_to():
+    p = np.array([0.5, 0.5 + 1e-13, -1e-13, 0.0])
+    before = p.copy()
+    c = GeneralizedPauliChannel(2, p)
+    assert np.array_equal(p, before) and p[2] == -1e-13
+    assert c.probabilities[2] == 0.0 and c.probabilities is not p
+    assert as_distribution(c.probabilities) is not c.probabilities
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])

@@ -54,11 +54,11 @@ def test_rate_spec_rejects_bad_tables():
     ((1j, 0.1, 0.1), "rate 1: expected a number or a (times, values) pair, got 1j"),
     (("x", 0.1, 0.1), "rate 1: expected a number or a (times, values) pair, got 'x'"),
     (((("0", "1"), ("1", "2")), 0.1, 0.1),
-     "rate 1: table entries must be real numbers, got (('0', '1'), ('1', '2'))"),
+     "rate 1: table times must be real numbers, got ('0', '1')"),
     ((0.1, ((False, True), (1.0, 2.0)), 0.1),
-     "rate 2: table entries must be real numbers, got ((False, True), (1.0, 2.0))"),
+     "rate 2: table times must be real numbers, got (False, True)"),
     ((0.1, 0.1, ([0.0, 1.0], [True, 2.0])),
-     "rate 3: table entries must be real numbers, got ([0.0, 1.0], [True, 2.0])"),
+     "rate 3: table values must be real numbers, got [True, 2.0]"),
     ((([0.0], [1.0]), 0.1, 0.1), "rate 1: table needs 2 or more points, got 1"),
     ((([0.0, 1.0], [1.0]), 0.1, 0.1), "rate 1: table needs matching 1-d arrays"),
     (0.5, "rates must be a tuple, list or 1-d array, got 0.5"),
@@ -269,6 +269,15 @@ def test_witness_breaks_p_divisibility_not_monotonicity():
     assert np.any(np.diff(traj.lambdas[window, 1]) > 1e-4)
     # yet the capacity never grows
     assert np.all(np.diff(traj.capacity) <= 1e-10)
+
+
+@pytest.mark.parametrize("times", [np.array([0.0]), np.array([])], ids=["one", "none"])
+def test_capacity_trajectory_needs_two_times(times):
+    # _time_grid's rule: a rate needs two times, and so does np.gradient
+    lams = np.full((times.size, 3), 0.5)
+    traj = PauliTrajectory(times, lams, cp_everywhere=True, p_divisible=True)
+    with pytest.raises(ValueError, match=rf"^need at least 2 times, got {times.size}$"):
+        capacity_trajectory(traj)
 
 
 def test_capacity_trajectory_rejects_cp_violation():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -25,6 +26,12 @@ def test_check_density_matrix_refuses_non_finite_entries(entry):
                 check(rho)
     with pytest.raises(InvalidStateError, match="^matrix has non-finite entries$"):
         von_neumann_entropy(np.full((2, 2), np.nan))
+
+
+def test_entropies_of_pure_inputs_are_positive_zero():
+    for entropy in (shannon_entropy([1.0]), shannon_entropy([0.0, 1.0]),
+                    von_neumann_entropy(np.diag([1.0, 0.0]))):
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
 
 def test_as_distribution_accepts_valid():

@@ -1,4 +1,5 @@
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -111,6 +112,13 @@ def test_min_output_entropy_identity_channel():
     c = GeneralizedPauliChannel(2, [1.0, 0.0, 0.0, 0.0])
     assert min_output_entropy(c, cfg=SearchConfig(grid_resolution=16)) == pytest.approx(
         0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_identity_channel_output_entropy_is_positive_zero(d):
+    # a pure output's entropy is +0.0: 0 minus the x ln x sum, not its negation
+    entropy = min_output_entropy(GeneralizedPauliChannel(d, [1.0] + [0.0] * (d + 1)))
+    assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
 
 def test_min_output_entropy_depolarizing_qubit():

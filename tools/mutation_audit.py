@@ -83,6 +83,16 @@ MUTATIONS = [
      "h_abs *= min(1.0, factor) if rejected else factor", "h_abs *= factor"),
     ("ODE steps stop only at t_end", "dynamics.py",
      "stops = sorted({k for k in knots if t < k < t_end} | {t_end})", "stops = [t_end]"),
+    ("_real_array accepts complex dtypes", "numerics.py",
+     'value.dtype.kind in "iuf"', 'value.dtype.kind in "iufc"'),
+    ("EigenvalueVector converts on its own", "channels.py",
+     'vals = _real_array("eigenvalues", self.values).ravel()',
+     "vals = np.array(self.values, dtype=float).ravel()"),
+    ("capacity_from_fidelity converts on its own", "capacity.py",
+     'arr = _real_array("fidelities", f)', "arr = np.asarray(f, dtype=float)"),
+    ("capacity_trajectory takes fewer than 2 times", "dynamics.py",
+     "    if traj.times.size < 2:\n"
+     '        raise ValueError(f"need at least 2 times, got {traj.times.size}")\n', ""),
 ]
 
 # mutants that survive today, each with the ROADMAP item that will mend it;
