@@ -323,6 +323,7 @@ def pauli_classical_capacity(e: EigenvalueVector) -> float:
 
 
 def capacity_bounds(e: EigenvalueVector) -> CapacityBounds:
+    """Both Holevo bounds of one channel, and the capacity where they meet."""
     b = _one(e)
     exact = float(b.exact_capacity[0])
     return CapacityBounds(

@@ -15,9 +15,9 @@ Dimension policy: numerics._require_dimension is the one check that d is an
 integer >= 2; every class and function below that takes d runs it, directly
 or through mub.require_prime_power, and it raises UnsupportedDimensionError
 naming the value.  The lambda/p parametrization (EigenvalueVector,
-GeneralizedPauliChannel, channel_from_json and the maps between the two
-forms), the Fujiwara-Algoet margin and the CP decision are dimension-free and
-accept any d >= 2.  Everything that needs a basis set, or displacement
+GeneralizedPauliChannel and the maps between the two forms), the
+Fujiwara-Algoet margin and the CP decision are dimension-free and accept any
+d >= 2.  Everything that needs a basis set, or displacement
 products for a GeneralizedPauliChannel, requires a prime power d and raises
 UnsupportedDimensionError naming d otherwise: canonical_mub, gpc_to_weyl,
 tensor, both Kraus routes of kraus_terms and so superoperator, apply,
@@ -27,11 +27,12 @@ so the basis-set route only matches its dimension.  A WeylChannel
 carries its own displacement products, of any local dimension; the oracle's
 search still takes its warm starts from canonical_mub of its dimension.
 
-Real-number policy: numerics._real_array is the one place where array input
+Number policy: numerics._real_array is the one place where array input
 becomes floats.  Every constructor and row function here reads its
 probabilities or eigenvalues through it, and refuses by name an entry that
 is not a real number: a bool, a string or a complex, even one whose
-imaginary part is 0.
+imaginary part is 0.  Its twin numerics._complex_array reads apply's state
+(and a MubSet's bases), and refuses a bool or a string the same way.
 
 The layer writes out no Pauli matrix: at d = 2 the displacement products
 are the Paulis, up to the phase of ZX = iY.  The Hermitian Paulis live in
@@ -63,6 +64,7 @@ from .mub import (
 from .numerics import (
     CLAMP_TOL,
     VALIDATION_TOL,
+    _complex_array,
     _real_array,
     _require_dimension,
     _require_in_range,
@@ -238,10 +240,12 @@ def fujiwara_algoet_margin(e: EigenvalueVector) -> float:
 
 
 def is_completely_positive(e: EigenvalueVector) -> bool:
+    """Whether e passes the package's one CP decision (cp_rows)."""
     return bool(cp_rows(e.values[None, :])[0])
 
 
 def require_cp(e: EigenvalueVector) -> None:
+    """Raise NotCompletelyPositiveError unless e is CP (require_cp_rows)."""
     require_cp_rows(e.values[None, :])
 
 
@@ -355,11 +359,12 @@ def kraus_superoperator(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
 def apply(c, m: Optional[MubSet], rho: np.ndarray) -> np.ndarray:
     """superoperator(c, m) @ vec(rho), m picking the Kraus set as in kraus_terms.
 
-    Accepts any matrix of matching dimension (linear extension), so operator
-    inputs can be used to read off eigenvalues.
+    Accepts any matrix of numbers of matching dimension (linear extension), so
+    operator inputs can be used to read off eigenvalues; a bool, a string or
+    ragged rows are refused by name (numerics._complex_array).
     """
     sup = superoperator(c, m)
-    rho = np.asarray(rho, dtype=complex)
+    rho = _complex_array("state", rho)
     if rho.shape != (c.dimension, c.dimension):
         raise ValueError(f"state shape {rho.shape} does not match dimension {c.dimension}")
     return (sup @ rho.ravel()).reshape(rho.shape)
@@ -415,22 +420,6 @@ def classical_map_t(e: EigenvalueVector, alpha: int) -> np.ndarray:
     """Transition matrix induced on the vectors of basis alpha (classical_map_rows)."""
     _require_in_range("basis label", alpha, 1, e.dimension + 1)
     return classical_map_rows(e.values[None, :])[0, alpha - 1]
-
-
-def channel_from_json(obj: dict) -> GeneralizedPauliChannel:
-    """Build a channel from {"d", "probabilities"} or {"d", "lambdas"}, d an
-    integer; an object with both keys is refused."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"channel JSON must be an object, got {type(obj).__name__}")
-    d = _require_dimension(obj.get("d"), "channel JSON 'd'")
-    if "probabilities" in obj and "lambdas" in obj:
-        raise ValueError("channel JSON gives both 'probabilities' and 'lambdas'; "
-                         "give one")
-    if "probabilities" in obj:
-        return GeneralizedPauliChannel(d, obj["probabilities"])
-    if "lambdas" in obj:
-        return probabilities_from_eigenvalues(EigenvalueVector(d, obj["lambdas"]))
-    raise ValueError("channel JSON needs 'probabilities' or 'lambdas'")
 
 
 # typed, so that d=4.0 misses the entry of d=4 and is refused

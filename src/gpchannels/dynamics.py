@@ -415,7 +415,7 @@ def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
             f"trajectory leaves the CP region at t={traj.times[bad]:.6g}"
         )
     # the qubit bounds meet on every CP row, so chi_low is the capacity
-    capacity = _basis_terms(clip_eigenvalue_rows(traj.lambdas)).max(axis=1)
+    capacity = _sorted_columns(_basis_terms(clip_eigenvalue_rows(traj.lambdas)))[0]
     mags = np.abs(traj.lambdas)
     lam_star = traj.lambdas[np.arange(mags.shape[0]), np.argmax(mags, axis=1)]
     top, middle, bottom = _sorted_columns(mags)

@@ -5,10 +5,6 @@ class InvalidDistributionError(ValueError):
     """A probability vector has negative entries beyond slack or does not sum to 1."""
 
 
-class InvalidStateError(ValueError):
-    """A matrix fails the density-matrix checks (Hermiticity, trace, positivity)."""
-
-
 class UnsupportedDimensionError(ValueError):
     """The requested dimension has no supported basis construction."""
 

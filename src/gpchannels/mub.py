@@ -25,6 +25,7 @@ import numpy as np
 from .errors import UnsupportedDimensionError
 from .numerics import (
     VALIDATION_TOL,
+    _complex_array,
     _require_dimension,
     _require_in_range,
     _require_integer,
@@ -139,14 +140,6 @@ def weyl_labels(d: int) -> np.ndarray:
     raise AssertionError(f"no label partition found for d={d}")
 
 
-def weyl_operator(d: int, k: int, l: int) -> np.ndarray:
-    """The displacement operator with phase index k and shift index l (mod d)."""
-    d = _require_dimension(d)
-    _require_integer("phase index k", k)
-    _require_integer("shift index l", l)
-    return _weyl_matrix(d, k % d, l % d)
-
-
 @dataclass(frozen=True)
 class MubSet:
     """A complete set of d+1 mutually unbiased bases of C^d, d a prime power,
@@ -156,7 +149,8 @@ class MubSet:
     basis label alpha is 1-based), a read-only copy of the array given, so the
     check cannot go stale.  The constructor refuses, in this order, a dimension
     that is not an integer >= 2 and one that is not a prime power
-    (UnsupportedDimensionError naming it), bases not of shape (d+1, d, d) and
+    (UnsupportedDimensionError naming it), bases with an entry that is not a
+    number (numerics._complex_array), bases not of shape (d+1, d, d) and
     bases that fail verify_mub (ValueError).
     """
 
@@ -166,7 +160,7 @@ class MubSet:
     def __post_init__(self):
         require_prime_power(self.dimension)
         d = int(self.dimension)
-        bases = np.array(self.bases, dtype=complex)
+        bases = np.array(_complex_array("bases", self.bases))
         if bases.shape != (d + 1, d, d):
             raise ValueError(f"bases must have shape {(d + 1, d, d)}, got {bases.shape}")
         if not verify_mub(bases):

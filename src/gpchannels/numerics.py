@@ -1,4 +1,4 @@
-"""Entropies and majorization on plain numpy arrays.
+"""Input checks, distributions and the entropy kernel on plain numpy arrays.
 
 All entropies are in nats.  Conversion to bits happens only at the output
 layer (see the CLI), never here.
@@ -8,14 +8,14 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidDistributionError, InvalidStateError, UnsupportedDimensionError
+from .errors import InvalidDistributionError, UnsupportedDimensionError
 
 # Slack table; a constant with one user stays beside it.  CLAMP_TOL is in units
 # of the Fujiwara-Algoet margin, where channels.cp_rows makes the one CP decision:
 # a CP row's probabilities are >= -(d-1)/d^2 CLAMP_TOL, so the CP criteria agree.
 CLAMP_TOL = 1e-12      # also the clamp on probabilities and fidelities, and the
                        # floor of the Choi block eigenvalues (cp_oracle_choi)
-VALIDATION_TOL = 1e-9  # sums, Hermiticity, traces, eigenvalue box, basis checks
+VALIDATION_TOL = 1e-9  # sums, eigenvalue box, basis checks
 
 
 def _require_integer(name: str, value, error=ValueError) -> None:
@@ -31,23 +31,50 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """Whether value is a real (as in _is_real) or complex number, numpy's
+    complex scalars included; a bool is not, nor a string or an array."""
+    return isinstance(value, numbers.Complex) and not isinstance(value, bool)
+
+
 def _real_array(name: str, value, error=ValueError) -> np.ndarray:
     """value as a float array, the one place array input becomes floats; error
     naming the field unless every entry is a real number (as in _is_real).
 
     An integer or floating ndarray passes on its dtype, a float one without a
-    copy; anything else is read as objects first, since a float conversion
-    would parse a string, take a bool as 0 or 1 and drop an imaginary part.
+    copy; anything else goes through _object_array.
     """
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         return np.asarray(value, dtype=float)
+    return _object_array(name, value, _is_real, float, error)
+
+
+def _complex_array(name: str, value, error=ValueError) -> np.ndarray:
+    """value as a complex array, the twin of _real_array for input that may be
+    complex; error naming the field unless every entry is a number (as in
+    _is_number).
+
+    A numeric ndarray passes on its dtype, a complex one without a copy;
+    anything else goes through _object_array.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iufc":
+        return np.asarray(value, dtype=complex)
+    return _object_array(name, value, _is_number, complex, error)
+
+
+def _object_array(name: str, value, accept, dtype, error) -> np.ndarray:
+    """value read as objects, then as dtype (float or complex) once every entry
+    passes accept; else error naming the field.  A direct conversion would
+    parse a string, take a bool as 0 or 1 and, to float, drop an imaginary
+    part."""
     try:
         entries = np.array(value, dtype=object)
-        if all(map(_is_real, entries.flat)):
-            return entries.astype(float)
+        if all(map(accept, entries.flat)):
+            return entries.astype(dtype)
     except ValueError:  # nested arrays too ragged to lay out even as objects
         pass
-    raise error(f"{name} must be real numbers, got {value!r}")
+    kind = "real" if dtype is float else "complex"
+    raise error(f"{name} must be {kind} numbers, got {value!r}")
 
 
 def _require_in_range(name: str, value, lo: int, hi=None, error=ValueError) -> int:
@@ -97,52 +124,3 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 def _entropy(p: np.ndarray) -> float:
     # 0 - sum, not -sum: the entropy of a pure input is +0.0, not -0.0
     return float(0.0 - _xlogx(p).sum())
-
-
-def shannon_entropy(p) -> float:
-    """Shannon entropy in nats of a probability vector."""
-    return _entropy(as_distribution(p))
-
-
-def check_density_matrix(rho) -> np.ndarray:
-    """Validate a density matrix: finite, Hermitian, trace 1, spectrum >=
-    -VALIDATION_TOL."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
-    # NaN fails every comparison below, so it would pass them all
-    if not np.isfinite(rho).all():
-        raise InvalidStateError("matrix has non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > VALIDATION_TOL:
-        raise InvalidStateError("matrix is not Hermitian")
-    trace = np.trace(rho)
-    if abs(trace.real - 1.0) > VALIDATION_TOL or abs(trace.imag) > VALIDATION_TOL:
-        raise InvalidStateError(f"trace is {trace}, expected 1")
-    evs = np.linalg.eigvalsh(rho)
-    if evs.min() < -VALIDATION_TOL:
-        raise InvalidStateError(f"negative eigenvalue {evs.min():.3e}")
-    return rho
-
-
-def von_neumann_entropy(rho) -> float:
-    """Von Neumann entropy in nats of a density matrix (validates the input)."""
-    rho = check_density_matrix(rho)
-    evs = np.linalg.eigvalsh(rho)
-    evs = np.clip(evs, 0.0, None)
-    evs /= evs.sum()
-    return _entropy(evs)
-
-
-def majorizes(a, b) -> bool:
-    """True iff distribution `a` majorizes distribution `b` (within VALIDATION_TOL).
-
-    Both are sorted non-increasingly; every partial sum of `a` must be at
-    least the corresponding partial sum of `b`, up to slack.
-    """
-    a = as_distribution(a)
-    b = as_distribution(b)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    ca = np.cumsum(np.sort(a)[::-1])
-    cb = np.cumsum(np.sort(b)[::-1])
-    return bool(np.all(ca >= cb - VALIDATION_TOL))

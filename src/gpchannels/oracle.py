@@ -1,5 +1,5 @@
-"""Independent numerical checks: brute-force output-entropy search, Choi
-positivity, and additivity probes for the closed-form capacity bounds.
+"""Independent numerical checks of the closed-form capacity bounds:
+brute-force output-entropy search and Choi positivity.
 
 The search and the Choi oracle use only the channel's unitary Kraus
 operators.  The search takes them from kraus_terms, through weighted_gram
@@ -23,18 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import (
-    GeneralizedPauliChannel,
-    canonical_mub,
-    choi_blocks,
-    eigenvalues_from_probabilities,
-    superoperator,
-    tensor,
-)
+from .channels import canonical_mub, choi_blocks, superoperator
 # choi_matrix, gpc_to_weyl, require_cp and weyl_kraus_terms stay importable
 # here: perfbench traces these names in this module
 from .channels import choi_matrix, gpc_to_weyl, require_cp, weyl_kraus_terms  # noqa: F401
-from .capacity import bounds_batch, holevo_upper_bound_weyl, transition_row_entropies
 from .mub import MubSet
 from .numerics import CLAMP_TOL, _require_in_range, _xlogx
 
@@ -304,12 +296,6 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
     )
 
 
-def min_output_entropy(channel, m: Optional[MubSet] = None,
-                       cfg: Optional[SearchConfig] = None) -> float:
-    """The entropy of search_output_entropy."""
-    return search_output_entropy(channel, m, cfg).entropy
-
-
 def holevo_estimate(channel, m: Optional[MubSet] = None,
                     cfg: Optional[SearchConfig] = None) -> float:
     """ln(dim) minus the searched minimal output entropy.
@@ -317,52 +303,5 @@ def holevo_estimate(channel, m: Optional[MubSet] = None,
     Always at most the true Holevo quantity of these covariant channels, so
     together with the closed-form bounds it forms a sandwich.
     """
-    entropy = min_output_entropy(channel, m, cfg)
+    entropy = search_output_entropy(channel, m, cfg).entropy
     return float(np.log(channel.dimension) - entropy)
-
-
-@dataclass(frozen=True)
-class AdditivityReport:
-    """Single-copy vs two-copy behaviour of both capacity bounds."""
-
-    dimension: int
-    chi_low: float
-    chi_low_tensor: float
-    lower_gap: float
-    chi_up: float
-    chi_up_tensor: float
-    upper_gap: float
-    tensor_row_entropies: tuple
-    chi_grid_estimate: Optional[float] = None
-
-
-def additivity_report(c: GeneralizedPauliChannel,
-                      cfg: Optional[SearchConfig] = None) -> AdditivityReport:
-    """Compare both bounds on one copy against the two-copy channel.
-
-    The lower bound is evaluated on the tensor channel directly through the
-    product transition matrices (rows are tensor products of single-copy
-    rows), the upper bound through the grouped weights of tensor(c, c).  When
-    a search config is given, a brute-force estimate of the single-copy
-    Holevo quantity is attached.
-    """
-    e = eigenvalues_from_probabilities(c)
-    bounds = bounds_batch(e.values[None, :])
-    d = c.dimension
-    chi_low = float(bounds.chi_low[0])
-    row_entropies = transition_row_entropies(e.values[None, :], copies=2)[0]
-    chi_low_tensor = float(2.0 * np.log(d) - row_entropies.min())
-    chi_up = float(bounds.chi_up[0])
-    chi_up_tensor = holevo_upper_bound_weyl(tensor(c, c))
-    estimate = None if cfg is None else holevo_estimate(c, None, cfg)
-    return AdditivityReport(
-        dimension=d,
-        chi_low=chi_low,
-        chi_low_tensor=chi_low_tensor,
-        lower_gap=chi_low_tensor - 2.0 * chi_low,
-        chi_up=chi_up,
-        chi_up_tensor=chi_up_tensor,
-        upper_gap=2.0 * chi_up - chi_up_tensor,
-        tensor_row_entropies=tuple(row_entropies.tolist()),
-        chi_grid_estimate=estimate,
-    )

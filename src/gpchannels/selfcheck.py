@@ -365,4 +365,5 @@ CHECKS = tuple(_REGISTERED)
 
 
 def run_formula_suite() -> List[CheckResult]:
+    """Run every registered check, in the order verify prints them."""
     return [check() for check in CHECKS]

