@@ -111,15 +111,15 @@ class ZetaComponents:
         """
         _require_in_range("region", region, 1, self.dimension)
         return _assemble_zeta(
-            self.dimension, region, self.plain_blocks, self.shifted_blocks,
-            self.straddle_blocks,
+            np.arange(1, self.dimension + 1), region, self.plain_blocks,
+            self.shifted_blocks, self.straddle_blocks,
         )
 
 
-def _assemble_zeta(d, region, plain, shifted, straddle):
+def _assemble_zeta(col, region, plain, shifted, straddle):
     # blocks before the region are plain, the region's block straddles, the
-    # rest are shifted; works row-wise on (N, d) blocks with (N,) regions
-    col = np.arange(1, d + 1)
+    # rest are shifted; works row-wise on (N, d) blocks with (N,) regions and
+    # the block columns 1..d
     region = np.asarray(region)[..., None]
     return np.where(col < region, plain, np.where(col == region, straddle, shifted))
 
@@ -159,33 +159,54 @@ class BatchBounds:
 
 def _checked_rows(lams) -> np.ndarray:
     # an (N, d+1) array of real, finite, CP rows inside the box, clipped to it,
-    # for a prime power d (one with a basis set); the error names the rows, d or
-    # the first bad row
+    # for a prime power d (one with a basis set, which _dimension_table
+    # requires); the error names the rows, d or the first bad row
     lams = _real_array("eigenvalue rows", lams)
     if lams.ndim != 2:
         raise ValueError(f"need an (N, d+1) eigenvalue array, got shape {lams.shape}")
-    d = lams.shape[1] - 1
-    require_prime_power(d)
+    _dimension_table(lams.shape[1] - 1)
     lams = clip_eigenvalue_rows(lams)
     require_cp_rows(lams)
     return lams
 
 
-def _basis_terms(lams: np.ndarray) -> np.ndarray:
-    # per basis of checked (N, d+1) rows, the capacity of the symmetric
-    # classical channel it induces: chi_low is the row maximum
+def _basis_arguments(lams: np.ndarray):
+    # the two x ln x arguments of the per-basis term of checked (N, d+1) rows,
+    # made one at a time, so that a long first one is freed before the second
     d = lams.shape[1] - 1
-    return _xlogx(1.0 + (d - 1.0) * lams) / d + (d - 1.0) / d * _xlogx(1.0 - lams)
+    yield 1.0 + (d - 1.0) * lams
+    yield 1.0 - lams
+
+
+def _basis_combination(d: int, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    # per basis, from the x ln x of its two arguments, the capacity of the
+    # symmetric classical channel it induces (chi_low is the row maximum);
+    # in place, in up and down, so long rows make no more temporaries
+    up /= d
+    down *= (d - 1.0) / d
+    up += down
+    return up
+
+
+def _basis_terms(lams: np.ndarray) -> np.ndarray:
+    # the per-basis terms of checked (N, d+1) rows, one _xlogx call per argument
+    return _basis_combination(lams.shape[1] - 1, *map(_xlogx, _basis_arguments(lams)))
 
 
 @lru_cache(maxsize=None)
-def _block_coefficients(d: int):
-    # rows plain, shifted, straddle of [1 + a_k L_k + b_k L_{k+1} - c S] / d
+def _dimension_table(d: int):
+    # the constants of d: rows plain, shifted, straddle of the block values
+    # [1 + a_k L_k + b_k L_{k+1} - c S] / d, the block columns k = 1..d and
+    # ln d.  require_prime_power comes first, and lru_cache does not cache an
+    # exception, so any other d is refused on every call
+    require_prime_power(d)
     k = np.arange(1, d + 1, dtype=float)
     a = np.stack([d - k, d + 1 - k, d - k])[:, None, :]
     b = np.stack([k, k - 1, k - 1])[:, None, :]
     c = np.array([1.0, 1.0, 0.0])[:, None, None]
-    return a, b, c
+    for shared in (a, b, c, k):  # every caller gets these same arrays
+        shared.setflags(write=False)
+    return a, b, c, k, np.log(d)
 
 
 def bounds_batch(lams) -> BatchBounds:
@@ -222,18 +243,22 @@ def bounds_batch(lams) -> BatchBounds:
     """
     lams = _checked_rows(lams)
     d = lams.shape[1] - 1
-
-    terms = _basis_terms(lams)
-    best = np.argmax(terms, axis=1)
-    chi_low = terms[np.arange(len(terms)), best]
+    a, b, c, col, log_d = _dimension_table(d)
 
     lam = -np.sort(-lams, axis=1)
     total = lam.sum(axis=1)[:, None]
-    a, b, c = _block_coefficients(d)
     plain, shifted, straddle = (1.0 + a * lam[:, :d] + b * lam[:, 1:] - c * total) / d
     region = 1 + (lam[:, 1:d] > total).sum(axis=1)
-    zeta = _assemble_zeta(d, region, plain, shifted, straddle)
-    chi_up = np.log(d) + _xlogx(zeta).sum(axis=1)
+    zeta = _assemble_zeta(col, region, plain, shifted, straddle)
+
+    # one x ln x pass over both per-basis arguments and the grouped weights;
+    # it is elementwise, so each entry has the bits of a call of its own
+    # (the combination overwrites the first 2(d+1) columns)
+    xlx = _xlogx(np.concatenate([*_basis_arguments(lams), zeta], axis=1))
+    terms = _basis_combination(d, xlx[:, :d + 1], xlx[:, d + 1:2 * d + 2])
+    best = np.argmax(terms, axis=1)
+    chi_low = terms.max(axis=1)
+    chi_up = log_d + xlx[:, 2 * d + 2:].sum(axis=1)
 
     coincide = np.abs(chi_up - chi_low) <= COINCIDENCE_TOL
     return BatchBounds(
@@ -277,7 +302,7 @@ def zeta_components_p_form(c: GeneralizedPauliChannel) -> ZetaComponents:
     return ZetaComponents(
         dimension=d,
         region=region,
-        zeta=_assemble_zeta(d, region, plain, shifted, straddle),
+        zeta=_assemble_zeta(k, region, plain, shifted, straddle),
         plain_blocks=plain,
         shifted_blocks=shifted,
         straddle_blocks=straddle,

@@ -193,9 +193,8 @@ def clip_eigenvalue_rows(lams: np.ndarray) -> np.ndarray:
     lo = -1.0 / (d - 1)
     # NaN and infinities fail a comparison, so this also tests finiteness
     inside = (lams >= lo - VALIDATION_TOL) & (lams <= 1.0 + VALIDATION_TOL)
-    inside = inside.all(axis=1)
     if not inside.all():
-        i = int(np.argmin(inside))
+        i = int(np.argmin(inside.all(axis=1)))
         row, label = lams[i], _row_label(i, lams.shape[0])
         if not np.isfinite(row).all():
             raise ValueError(f"{label}eigenvalues must be finite")

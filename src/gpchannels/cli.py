@@ -3,6 +3,9 @@
 Entropic quantities are reported in nats unless --bits is given, which
 bounds and zeta take; cp-check's margin has no unit, and the dynamics CSV
 always stores nats (the column name says so).
+
+dynamics and the self-checks are imported by the commands that run them,
+so a cold bounds, zeta or cp-check process loads neither.
 """
 
 import argparse
@@ -21,14 +24,7 @@ from .channels import (
     is_completely_positive,
     probabilities_from_eigenvalues,
 )
-from .dynamics import (
-    RateSpec,
-    capacity_trajectory,
-    eigenvalue_trajectory,
-    p_divisible_so_far,
-)
 from .numerics import _require_in_range
-from .selfcheck import run_formula_suite, sample_cp_eigenvalues
 
 LN2 = float(np.log(2.0))
 
@@ -130,6 +126,9 @@ def _parse_rate(flag: str, text: str):
 
 
 def _cmd_dynamics(args) -> int:
+    from .dynamics import (RateSpec, capacity_trajectory, eigenvalue_trajectory,
+                           p_divisible_so_far)
+
     rates = RateSpec(tuple(_parse_rate(f"--gamma{j}", getattr(args, f"gamma{j}"))
                            for j in (1, 2, 3)))
     traj = capacity_trajectory(eigenvalue_trajectory(rates, args.t_max, args.steps))
@@ -144,6 +143,14 @@ def _cmd_dynamics(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def run_formula_suite():
+    """selfcheck.run_formula_suite, the checks verify runs; selfcheck is
+    imported by the first call."""
+    from .selfcheck import run_formula_suite as suite
+
+    return suite()
 
 
 def _cmd_verify(args) -> int:
@@ -162,6 +169,8 @@ def _cmd_random_sweep(args) -> int:
     d = args.d
     _require_in_range("--count", args.count, 0)
     _require_in_range("--seed", args.seed, 0)
+    from .selfcheck import sample_cp_eigenvalues
+
     rng = np.random.default_rng(args.seed)
     samples = sample_cp_eigenvalues(d, args.count, rng)
     bounds = bounds_batch(samples)

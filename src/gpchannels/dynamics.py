@@ -389,6 +389,15 @@ def _sorted_columns(rows: np.ndarray):
             np.minimum(low, c))
 
 
+def _lambda_star(rows: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """The entry of largest magnitude of each (n, 3) row, given the magnitudes:
+    the first on a tie, as rows[np.arange(n), np.argmax(mags, axis=1)] selects
+    it, but column by column, since numpy reduces short rows slowly."""
+    a, b, c = rows.T
+    ma, mb, mc = mags.T
+    return np.where((ma >= mb) & (ma >= mc), a, np.where(mb >= mc, b, c))
+
+
 def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
     """Attach the qubit capacity and its derivative diagnostics to a trajectory.
 
@@ -417,7 +426,7 @@ def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
     # the qubit bounds meet on every CP row, so chi_low is the capacity
     capacity = _sorted_columns(_basis_terms(clip_eigenvalue_rows(traj.lambdas)))[0]
     mags = np.abs(traj.lambdas)
-    lam_star = traj.lambdas[np.arange(mags.shape[0]), np.argmax(mags, axis=1)]
+    lam_star = _lambda_star(traj.lambdas, mags)
     top, middle, bottom = _sorted_columns(mags)
     cdot_fd = _time_derivative(capacity, traj.times)
     dlam_star = _time_derivative(lam_star, traj.times)

@@ -236,7 +236,8 @@ def build_mubs(d: int) -> MubSet:
 
 def verify_mub(bases: np.ndarray) -> bool:
     """Whether an (n, d, d) stack of bases (rows the vectors) is orthonormal
-    within each basis and has |<u|v>|^2 = 1/d across bases.
+    within each basis and has |<u|v>|^2 = 1/d across bases.  Entries must be
+    numbers (numerics._complex_array); any other shape is refused by name.
 
     One row block of the Gram matrix per basis a, its vectors against those of
     bases a..n-1: the first d x d block must be the identity and the moduli
@@ -244,6 +245,9 @@ def verify_mub(bases: np.ndarray) -> bool:
     O(n d^2), not the (n d)^2 of the whole Gram matrix.  MubSet runs it once,
     when a set is made; it also checks a partial set.
     """
+    bases = _complex_array("bases", bases)
+    if bases.ndim != 3 or bases.shape[1] != bases.shape[2]:
+        raise ValueError(f"bases must be an (n, d, d) stack, got shape {bases.shape}")
     n, d = bases.shape[:2]
     vecs = bases.reshape(n * d, d).conj().T
     for a in range(n):

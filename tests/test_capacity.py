@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gpchannels import capacity
 from gpchannels.capacity import (
     bounds_batch,
     capacity_bounds,
@@ -35,6 +36,7 @@ from gpchannels.dynamics import (
     non_p_divisible_capacity_witness,
 )
 from gpchannels.errors import NotCompletelyPositiveError, UnsupportedDimensionError
+from gpchannels.numerics import _xlogx
 from gpchannels.selfcheck import sample_cp_eigenvalues
 from references import majorizes
 
@@ -272,11 +274,11 @@ def _lambdas_from_probs(p):
 
 
 @st.composite
-def cp_batches(draw):
-    """(d, rows): CP eigenvalue rows at prime powers d in 2..7 mixing interior
+def cp_batches(draw, dims=(2, 3, 4, 5, 7)):
+    """(d, rows): CP eigenvalue rows at a prime power d from dims mixing interior
     channels with the boundary inputs: lambda = 1, lambda = -1/(d-1), zero
     weights (CP boundary) and integer weights, whose ties tie the region sort."""
-    d = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    d = draw(st.sampled_from(dims))
     kinds = draw(st.lists(st.sampled_from(["interior", "zeros", "edge", "ties"]),
                           min_size=1, max_size=12))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -338,6 +340,26 @@ def test_bounds_batch_matches_scalar_wrappers(batch):
         assert b.chi_low[i] <= b.chi_up[i] + 1e-9
 
 
+_BATCH_FIELDS = ("chi_low", "maximizing_alpha", "chi_up", "region", "zeta", "plain_blocks",
+                 "shifted_blocks", "straddle_blocks", "coincide", "exact_capacity")
+
+
+@given(cp_batches((2, 3, 4, 5, 7, 8, 9)))
+@settings(max_examples=150, deadline=None)
+def test_bounds_batch_rows_have_the_same_bits_alone_and_stacked(batch):
+    d, lams = batch
+    b = bounds_batch(lams)
+    for i in range(lams.shape[0]):
+        one = bounds_batch(lams[i:i + 1])
+        for field in _BATCH_FIELDS:
+            assert getattr(one, field).tobytes() == getattr(b, field)[i:i + 1].tobytes(), field
+    # the bounds share one x ln x pass; each has the bits of a pass of its own
+    terms = capacity._basis_terms(capacity._checked_rows(lams))
+    assert b.chi_low.tobytes() == terms.max(axis=1).tobytes()
+    assert b.maximizing_alpha.tobytes() == (np.argmax(terms, axis=1) + 1).tobytes()
+    assert b.chi_up.tobytes() == (np.log(d) + _xlogx(b.zeta).sum(axis=1)).tobytes()
+
+
 def test_bounds_batch_names_first_noncp_row(rng):
     lams = sample_cp_eigenvalues(3, 5, rng)
     lams[3] = [0.9, 0.9, 0.9, -0.5]  # inside the box, sum above 1 + 3 min
@@ -365,7 +387,8 @@ def test_bounds_batch_checks_shape():
 
 
 def test_bounds_refuse_dimensions_without_basis_set():
-    for d in (6, 10, 12):
+    # d = 6 twice: the per-dimension table is cached, a refusal must not be
+    for d in (6, 10, 12, 6):
         lam = np.full(d + 1, 0.01)
         for call in (lambda: bounds_batch(lam[None, :]),
                      lambda: capacity_bounds(EigenvalueVector(d, lam)),

@@ -312,6 +312,37 @@ def test_random_sweep_is_byte_identical_across_processes():
     assert (second.returncode, second.stdout) == (0, first.stdout)
 
 
+_LOADED = """
+import contextlib, io, json, sys
+def loaded():
+    return json.dumps(sorted(m for m in sys.modules if m.startswith("gpchannels.")))
+import gpchannels
+print(loaded())
+from gpchannels.cli import main
+for argvs in ([["bounds", "--d", "3", "--lambdas", "0.5,0.2,0.1,0.1"],
+               ["zeta", "--d", "2", "--lambdas", "0.5,0,-0.5"],
+               ["cp-check", "--d", "2", "--probs", "0.25,0.5,0.25,0"]], [["verify"]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert all(main(argv) == 0 for argv in argvs)
+    print(loaded())
+"""
+
+
+def test_cold_cli_imports_only_what_its_command_runs():
+    # a fresh interpreter: this process has loaded every module already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gpchannels.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LOADED], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    package, closed_forms, verify = map(json.loads, proc.stdout.splitlines())
+    assert package == []
+    for name in ("oracle", "dynamics", "selfcheck"):
+        assert "gpchannels." + name not in closed_forms
+    assert {"gpchannels.selfcheck", "gpchannels.dynamics"} <= set(verify)
+
+
 def test_random_sweep_rejects_unsupported_dimension(capsys):
     code, out, err = run(capsys, "random-sweep", "--d", "6", "--count", "1")
     assert (code, out) == (2, "")

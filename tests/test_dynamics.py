@@ -228,7 +228,7 @@ def test_capacity_trajectory_assembles_no_upper_bound(monkeypatch):
         raise AssertionError("upper bound assembled on the success path")
 
     monkeypatch.setattr(capacity, "_assemble_zeta", no_upper_bound)
-    monkeypatch.setattr(capacity, "_block_coefficients", no_upper_bound)
+    monkeypatch.setattr(capacity, "_dimension_table", no_upper_bound)
     assert capacity_trajectory(traj).capacity.shape == (61,)
 
 
@@ -243,6 +243,18 @@ def test_sorted_columns_select_np_sort_exactly(rows):
     mags = np.abs(np.array(rows))
     got = np.stack(dynamics._sorted_columns(mags), axis=1)
     assert got.tobytes() == np.sort(mags, axis=1)[:, ::-1].tobytes()
+
+
+@given(st.lists(st.lists(_TIED | st.floats(-1.0, 1.0), min_size=3, max_size=3),
+                min_size=1, max_size=20))
+@example([[0.5, -0.5, 0.5], [0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [-0.25, 0.25, 0.0],
+          [0.25, -0.5, 0.5], [1e-300, -1e-300, 0.0]])
+def test_lambda_star_selects_as_argmax(rows):
+    # the entry of largest magnitude, the first on a tie: the argmax route
+    rows = np.array(rows)
+    mags = np.abs(rows)
+    want = rows[np.arange(rows.shape[0]), np.argmax(mags, axis=1)]
+    assert dynamics._lambda_star(rows, mags).tobytes() == want.tobytes()
 
 
 def test_p_divisible_so_far_falls_at_the_first_rise_and_stays_down():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gpchannels.channels import canonical_mub
 from gpchannels.errors import UnsupportedDimensionError
 from gpchannels.numerics import VALIDATION_TOL
 from gpchannels.mub import (
@@ -340,3 +341,14 @@ def test_verify_mub_memory_stays_a_few_copies_of_the_bases():
     finally:
         tracemalloc.stop()
     assert peak < 8 * bases.nbytes
+
+
+def test_verify_mub_reads_its_bases_through_the_number_check():
+    bases = canonical_mub(3).bases
+    assert verify_mub(bases.tolist()) is verify_mub(bases) is True
+    for bad in (bases.astype(str), bases.real > 0.5):
+        with pytest.raises(ValueError, match="^bases must be complex numbers, got "):
+            verify_mub(bad)
+    with pytest.raises(ValueError,
+                       match=r"^bases must be an \(n, d, d\) stack, got shape \(3, 3\)$"):
+        verify_mub(bases[0])

@@ -28,8 +28,9 @@ def test_all_is_the_sorted_public_surface():
     assert names == sorted(set(names))
     for name in names:
         assert getattr(gpchannels, name) is not None, name
-    # the import list and __all__ name the same things: every public name the
-    # package binds, its submodules and the logging module aside
+    # the package binds an export when it is first used, so the loop above
+    # has bound them all; the export table and __all__ then name the same
+    # things: every public name the package binds, its modules aside
     bound = {name for name, value in vars(gpchannels).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert bound == set(names)

@@ -33,7 +33,7 @@ MUTATIONS = [
     ("FA margin 1 + d*min -> 1 + (d-1)*min", "channels.py",
      "1.0 + d * lams.min(axis=1) - total", "1.0 + (d - 1) * lams.min(axis=1) - total"),
     ("basis term 1 + (d-1)L -> 1 + dL", "capacity.py",
-     "_xlogx(1.0 + (d - 1.0) * lams) / d", "_xlogx(1.0 + d * lams) / d"),
+     "yield 1.0 + (d - 1.0) * lams", "yield 1.0 + d * lams"),
     ("region tie > -> >=", "capacity.py",
      "(lam[:, 1:d] > total)", "(lam[:, 1:d] >= total)"),
     ("P_DIVISIBILITY_TOL 1e-10 -> 1e-3", "dynamics.py",
@@ -95,6 +95,24 @@ MUTATIONS = [
     ("capacity_trajectory takes fewer than 2 times", "dynamics.py",
      "    if traj.times.size < 2:\n"
      '        raise ValueError(f"need at least 2 times, got {traj.times.size}")\n', ""),
+    ("per-dimension table skips require_prime_power", "capacity.py",
+     "    require_prime_power(d)\n    k = np.arange(", "    k = np.arange("),
+    ("eigenvalue box check never fails", "channels.py",
+     "    if not inside.all():\n        i = int(np.argmin(inside.all(axis=1)))",
+     "    if False:\n        i = int(np.argmin(inside.all(axis=1)))"),
+    ("zeta slice of the shared x ln x pass off by one", "capacity.py",
+     "xlx[:, 2 * d + 2:]", "xlx[:, 2 * d + 1:]"),
+    ("one export under the wrong module", "__init__.py",
+     '"unitary_u", "verify_mub", "weyl_labels"),\n    "oracle": ("SearchConfig", ',
+     '"unitary_u", "weyl_labels"),\n    "oracle": ("SearchConfig", "verify_mub", '),
+    ("cli imports dynamics at module level", "cli.py",
+     "from .numerics import _require_in_range\n",
+     "from .dynamics import RateSpec  # noqa: F401\nfrom .numerics import _require_in_range\n"),
+    ("lambda* ties go to the last column", "dynamics.py",
+     "np.where((ma >= mb) & (ma >= mc), a, np.where(mb >= mc, b, c))",
+     "np.where((ma > mb) & (ma > mc), a, np.where(mb > mc, b, c))"),
+    ("verify_mub converts on its own", "mub.py",
+     'bases = _complex_array("bases", bases)', "bases = np.asarray(bases, dtype=complex)"),
 ]
 
 # mutants that survive today, each with the ROADMAP item that will mend it;
