@@ -26,14 +26,15 @@ from .channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
     WeylChannel,
+    _row_array,
     classical_map_rows,
     clip_eigenvalue_rows,
     require_cp,  # noqa: F401  perfbench traces this name in this module
     require_cp_rows,
 )
 from .mub import require_prime_power
-from .numerics import (CLAMP_TOL, _entropy, _real_array, _require_in_range, _xlogx,
-                       as_distribution)
+from .numerics import (CLAMP_TOL, _entropies, _entropy, _real_array, _require_in_range,
+                       _xlogx, as_distribution)
 
 COINCIDENCE_TOL = 1e-9
 
@@ -49,7 +50,7 @@ def transition_row_entropies(lams: np.ndarray, copies: int = 1) -> np.ndarray:
     rows = classical_map_rows(lams)[:, :, 0, :]
     if copies == 2:
         rows = (rows[..., :, None] * rows[..., None, :]).reshape(rows.shape[:2] + (-1,))
-    return 0.0 - _xlogx(np.maximum(rows, 0.0)).sum(axis=-1)  # +0.0, as _entropy
+    return _entropies(np.maximum(rows, 0.0), axis=-1)
 
 
 def holevo_lower_via_classical(e: EigenvalueVector) -> float:
@@ -161,9 +162,7 @@ def _checked_rows(lams) -> np.ndarray:
     # an (N, d+1) array of real, finite, CP rows inside the box, clipped to it,
     # for a prime power d (one with a basis set, which _dimension_table
     # requires); the error names the rows, d or the first bad row
-    lams = _real_array("eigenvalue rows", lams)
-    if lams.ndim != 2:
-        raise ValueError(f"need an (N, d+1) eigenvalue array, got shape {lams.shape}")
+    lams = _row_array("eigenvalue", lams, 1)
     _dimension_table(lams.shape[1] - 1)
     lams = clip_eigenvalue_rows(lams)
     require_cp_rows(lams)

@@ -32,7 +32,14 @@ becomes floats.  Every constructor and row function here reads its
 probabilities or eigenvalues through it, and refuses by name an entry that
 is not a real number: a bool, a string or a complex, even one whose
 imaginary part is 0.  Its twin numerics._complex_array reads apply's state
-(and a MubSet's bases), and refuses a bool or a string the same way.
+(and a MubSet's bases), and refuses a bool or a string the same way.  A
+batch of rows (probability_rows, eigenvalue_rows and the capacity bounds)
+is read by _row_array, which also refuses by name any shape but (N, d+k)
+with d >= 2; eigenvalue_rows then refuses a row that is not a probability
+vector, with as_distribution's tolerances and no clamp.
+
+sample_cp_eigenvalues, the sampler of the CP region behind random-sweep and
+the self-checks, lives beside eigenvalue_rows, the map it wraps.
 
 The layer writes out no Pauli matrix: at d = 2 the displacement products
 are the Paulis, up to the phase of ZX = iY.  The Hermitian Paulis live in
@@ -52,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotCompletelyPositiveError
+from .errors import InvalidDistributionError, NotCompletelyPositiveError
 from .mub import (
     MubSet,
     _basis_unitaries,
@@ -145,16 +152,49 @@ def eigenvalues_from_probabilities(c: GeneralizedPauliChannel) -> EigenvalueVect
     return EigenvalueVector(c.dimension, eigenvalue_rows(c.probabilities[None, :])[0])
 
 
+def _row_array(kind: str, rows, extra: int) -> np.ndarray:
+    """rows read through numerics._real_array as "<kind> rows"; refused by
+    name unless an (N, d+extra) array with d an integer >= 2
+    (_require_dimension)."""
+    rows = _real_array(f"{kind} rows", rows)
+    if rows.ndim != 2:
+        raise ValueError(f"need an (N, d+{extra}) {kind} array, got shape {rows.shape}")
+    _require_dimension(rows.shape[1] - extra)
+    return rows
+
+
 def eigenvalue_rows(probs: np.ndarray) -> np.ndarray:
     """(N, d+1) eigenvalues of an (N, d+2) mixing-probability array:
     lambda_alpha = [d (p_0 + p_alpha) - 1] / (d - 1).
 
     An affine bijection from the probability simplex onto the CP region.
-    Entries must be real numbers (numerics._real_array).
+    Rows are read by _row_array, then checked with as_distribution's
+    tolerances, but not clamped: entries finite and >= -CLAMP_TOL, sums within
+    VALIDATION_TOL of 1.  InvalidDistributionError names the first bad row.
     """
-    probs = _real_array("probability rows", probs)
+    probs = _row_array("probability", probs, 2)
+    with np.errstate(invalid="ignore"):  # inf - inf, refused below
+        total = probs.sum(axis=1)
+    # NaN and infinities fail one of the comparisons
+    ok = (probs >= -CLAMP_TOL).all(axis=1) & (np.abs(total - 1.0) <= VALIDATION_TOL)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise InvalidDistributionError(
+            f"{_row_label(i, probs.shape[0])}probabilities {probs[i].tolist()} are not "
+            f"a probability vector (sum {float(total[i])!r})")
     d = probs.shape[1] - 2
     return (d * (probs[:, :1] + probs[:, 1:]) - 1.0) / (d - 1.0)
+
+
+def sample_cp_eigenvalues(d: int, count: int, rng) -> np.ndarray:
+    """count eigenvalue rows drawn uniformly from the CP region, shape (count, d+1).
+
+    Dirichlet(1, ..., 1) rows are uniform on the probability simplex, and
+    eigenvalue_rows maps the simplex affinely onto the CP region.
+    """
+    d = _require_dimension(d)
+    _require_in_range("count", count, 0)
+    return eigenvalue_rows(rng.dirichlet(np.ones(d + 2), count))
 
 
 def probabilities_from_eigenvalues(e: EigenvalueVector) -> GeneralizedPauliChannel:
@@ -171,11 +211,11 @@ def probability_rows(lams: np.ndarray) -> np.ndarray:
     """(N, d+2) mixing probabilities of an (N, d+1) eigenvalue array.
 
     p_0 = [1 + (d-1) sum(lambda)] / d^2 and
-    p_alpha = (d-1) [1 + d lambda_alpha - sum(lambda)] / d^2.  Entries must be
-    real numbers (numerics._real_array); raises NotCompletelyPositiveError
-    naming the first row that is not CP.
+    p_alpha = (d-1) [1 + d lambda_alpha - sum(lambda)] / d^2.  Rows are read
+    by _row_array; raises NotCompletelyPositiveError naming the first row that
+    is not CP.
     """
-    lams = _real_array("eigenvalue rows", lams)
+    lams = _row_array("eigenvalue", lams, 1)
     require_cp_rows(lams)
     d = lams.shape[1] - 1
     total = lams.sum(axis=1, keepdims=True)

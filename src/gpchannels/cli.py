@@ -5,7 +5,8 @@ bounds and zeta take; cp-check's margin has no unit, and the dynamics CSV
 always stores nats (the column name says so).
 
 dynamics and the self-checks are imported by the commands that run them,
-so a cold bounds, zeta or cp-check process loads neither.
+so a cold bounds, zeta, cp-check or random-sweep process loads neither;
+random-sweep's sampler lives in channels.
 """
 
 import argparse
@@ -23,6 +24,7 @@ from .channels import (
     fujiwara_algoet_margin,
     is_completely_positive,
     probabilities_from_eigenvalues,
+    sample_cp_eigenvalues,
 )
 from .numerics import _require_in_range
 
@@ -169,8 +171,6 @@ def _cmd_random_sweep(args) -> int:
     d = args.d
     _require_in_range("--count", args.count, 0)
     _require_in_range("--seed", args.seed, 0)
-    from .selfcheck import sample_cp_eigenvalues
-
     rng = np.random.default_rng(args.seed)
     samples = sample_cp_eigenvalues(d, args.count, rng)
     bounds = bounds_batch(samples)

@@ -56,23 +56,15 @@ def require_prime_power(d: int) -> Tuple[int, int]:
     return pn
 
 
-def _weyl_matrix(d: int, k: int, l: int) -> np.ndarray:
-    # W_{kl} = sum_m omega^{mk} |m><m+l|, indices mod d
-    m = np.arange(d)
-    w = np.zeros((d, d), dtype=complex)
-    w[m, (m + l) % d] = np.exp(2j * np.pi * m * k / d)
-    return w
-
-
 @lru_cache(maxsize=None)
 def _weyl_family(p: int) -> np.ndarray:
-    """Read-only W_{kl} for every label, at index k*p + l; cached per p."""
-    mats = np.zeros((p * p, p, p), dtype=complex)
-    for k in range(p):
-        for l in range(p):
-            mats[k * p + l] = _weyl_matrix(p, k, l)
-    mats.setflags(write=False)
-    return mats
+    """Read-only W_{kl} = sum_m omega^{mk} |m><m+l|, indices mod p, for every
+    label, at index k*p + l: one broadcast assignment, cached per p."""
+    k, l, m = np.ogrid[:p, :p, :p]
+    mats = np.zeros((p, p, p, p), dtype=complex)
+    mats[k, l, m, (m + l) % p] = np.exp(2j * np.pi * m * k / p)
+    mats.setflags(write=False)  # so the view returned is read-only too
+    return mats.reshape(p * p, p, p)
 
 
 def displacement_products(p: int, n: int, labels) -> np.ndarray:
@@ -281,13 +273,10 @@ def check_weyl_correspondence(m: MubSet) -> bool:
     unitaries of basis alpha and the d-1 products of its label set then give
     the same channel term, d times the dephasing in basis alpha minus rho.
     m was checked when it was made, so it holds d+1 bases of a prime power d;
-    relabelled bases pass that check and fail this one.
+    relabelled bases pass that check and fail this one.  All (d+1)(d-1)
+    products are made at once, from the flat labels, and tested together.
     """
     d = m.dimension
-    pn = prime_power(d)
-    off = 1.0 - np.eye(d)
-    for basis, row in zip(m.bases, weyl_labels(d)):
-        t = basis.conj() @ displacement_products(*pn, row) @ basis.T
-        if np.max(np.abs(t * off)) > VALIDATION_TOL:
-            return False
-    return True
+    ops = displacement_products(*prime_power(d), weyl_labels(d).ravel()).reshape(d + 1, -1, d, d)
+    t = m.bases.conj()[:, None] @ ops @ m.bases.transpose(0, 2, 1)[:, None]
+    return bool(np.max(np.abs(t * (1.0 - np.eye(d)))) <= VALIDATION_TOL)

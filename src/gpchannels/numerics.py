@@ -1,7 +1,9 @@
 """Input checks, distributions and the entropy kernel on plain numpy arrays.
 
 All entropies are in nats.  Conversion to bits happens only at the output
-layer (see the CLI), never here.
+layer (see the CLI), never here.  _xlogx is the one x ln x kernel, and
+_entropies the one writer of the rule that a pure input has entropy +0.0:
+every function that gives entropies, one or many, calls it.
 """
 
 import numbers
@@ -121,6 +123,11 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return x * np.log(x, out=np.zeros(x.shape), where=x > 0.0)
 
 
+def _entropies(p: np.ndarray, axis=None) -> np.ndarray:
+    # the one writer of the rule that a pure input has entropy +0.0, not
+    # -0.0: 0 - sum, not -sum; axis as in np.sum
+    return 0.0 - _xlogx(p).sum(axis=axis)
+
+
 def _entropy(p: np.ndarray) -> float:
-    # 0 - sum, not -sum: the entropy of a pure input is +0.0, not -0.0
-    return float(0.0 - _xlogx(p).sum())
+    return float(_entropies(p))

@@ -28,7 +28,7 @@ from .channels import canonical_mub, choi_blocks, superoperator
 # here: perfbench traces these names in this module
 from .channels import choi_matrix, gpc_to_weyl, require_cp, weyl_kraus_terms  # noqa: F401
 from .mub import MubSet
-from .numerics import CLAMP_TOL, _require_in_range, _xlogx
+from .numerics import CLAMP_TOL, _entropies, _require_in_range
 
 # The Hermitian Pauli matrices I, X, Y, Z, their row-major vecs and the vecs
 # of their transposes.  Tr(A B) = vec(A^T) . vec(B), so a qubit superoperator
@@ -102,13 +102,12 @@ def _outputs(states: np.ndarray, sup: np.ndarray) -> np.ndarray:
 def _output_entropies(states: np.ndarray, sup: np.ndarray) -> np.ndarray:
     """Entropy of the channel output for each pure input state (rows), through
     _outputs, so each state's entropy is the same bits in any batch."""
-    out = _outputs(states, sup)
     # one row per eigenvalue index, so that each sum over a spectrum adds whole
     # rows; summing many short rows is several times slower
-    evs = np.linalg.eigvalsh(out).T.copy()
+    evs = np.linalg.eigvalsh(_outputs(states, sup)).T.copy()
     np.maximum(evs, 0.0, out=evs)
     evs /= evs.sum(axis=0)
-    return 0.0 - _xlogx(evs).sum(axis=0)  # +0.0 for a pure output, as _entropy
+    return _entropies(evs, axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -258,14 +257,10 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
         polish = [idx]
     else:
         warm = (m or canonical_mub(dim)).bases.reshape(-1, dim)
-        starts = [warm / np.linalg.norm(warm, axis=1, keepdims=True)]
-        if cfg.samples > 0:
-            rng = np.random.default_rng(cfg.seed)
-            raw = rng.standard_normal((cfg.samples, dim)) + 1j * rng.standard_normal(
-                (cfg.samples, dim)
-            )
-            starts.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-        states = np.concatenate(starts, axis=0)
+        normal = np.random.default_rng(cfg.seed).standard_normal
+        raw = normal((cfg.samples, dim)) + 1j * normal((cfg.samples, dim))
+        states = np.concatenate([warm, raw])
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
         ents = _output_entropies(states, sup)
         idx = int(ents.argmin())
         grid_entropy = float(ents[idx])

@@ -4,6 +4,10 @@ Each check recomputes an identity through at least two code paths (or
 against an independent numerical route) and reports pass/fail.  `CHECKS`
 is the one registry: the CLI runs it as `verify --suite paper` and the
 acceptance tests parametrize over it.
+
+This module is the battery and its fixtures only, and only verify imports
+it.  The sampler its checks draw from is channels.sample_cp_eigenvalues,
+imported here, so selfcheck.sample_cp_eigenvalues names the same function.
 """
 
 import functools
@@ -27,7 +31,6 @@ from .channels import (
     choi_matrix,
     classical_map_t,
     cp_rows,
-    eigenvalue_rows,
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
     gpc_to_weyl,
@@ -35,6 +38,7 @@ from .channels import (
     kraus_probability_multiset,
     probabilities_from_eigenvalues,
     probability_rows,
+    sample_cp_eigenvalues,
     tensor,
 )
 from .dynamics import (
@@ -51,7 +55,6 @@ from .mub import (
     unitary_u,
     weyl_labels,
 )
-from .numerics import _require_dimension, _require_in_range
 
 LN2 = float(np.log(2.0))
 LN3 = float(np.log(3.0))
@@ -69,17 +72,6 @@ class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
-
-
-def sample_cp_eigenvalues(d: int, count: int, rng) -> np.ndarray:
-    """count eigenvalue rows drawn uniformly from the CP region, shape (count, d+1).
-
-    Dirichlet(1, ..., 1) rows are uniform on the probability simplex, and
-    eigenvalue_rows maps the simplex affinely onto the CP region.
-    """
-    d = _require_dimension(d)
-    _require_in_range("count", count, 0)
-    return eigenvalue_rows(rng.dirichlet(np.ones(d + 2), count))
 
 
 _REGISTERED: List[Callable[[], CheckResult]] = []

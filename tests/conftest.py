@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpchannels.selfcheck import sample_cp_eigenvalues
+from gpchannels.channels import sample_cp_eigenvalues
 
 
 @pytest.fixture

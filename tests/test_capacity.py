@@ -25,6 +25,7 @@ from gpchannels.channels import (
     eigenvalues_from_probabilities,
     gpc_to_weyl,
     probabilities_from_eigenvalues,
+    sample_cp_eigenvalues,
     superoperator,
     tensor,
 )
@@ -37,7 +38,6 @@ from gpchannels.dynamics import (
 )
 from gpchannels.errors import NotCompletelyPositiveError, UnsupportedDimensionError
 from gpchannels.numerics import _xlogx
-from gpchannels.selfcheck import sample_cp_eigenvalues
 from references import majorizes
 
 LN2, LN3, LN5 = np.log(2.0), np.log(3.0), np.log(5.0)

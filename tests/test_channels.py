@@ -39,6 +39,7 @@ from gpchannels.channels import (
     probability_rows,
     require_cp,
     require_cp_rows,
+    sample_cp_eigenvalues,
     superoperator,
     tensor,
     weighted_gram,
@@ -61,7 +62,6 @@ from gpchannels.mub import (
 )
 from gpchannels.numerics import CLAMP_TOL, VALIDATION_TOL, as_distribution
 from gpchannels.oracle import cp_oracle_choi, holevo_estimate
-from gpchannels.selfcheck import sample_cp_eigenvalues
 
 REF_PROBS = [0.25, 0.5, 0.25, 0.0]
 
@@ -286,6 +286,8 @@ BAD_ARRAYS = {
     "bool-array": lambda v: np.array(v) != 0.0,
     "numeric-string": lambda v: _map_entries(str, v),
     "ragged": _ragged,
+    # too ragged to lay out even as objects: numerics._object_array's except branch
+    "ragged-arrays": lambda v: [np.zeros((2, 2)), np.zeros((2, 3))],
 }
 
 
@@ -310,6 +312,68 @@ def test_array_entry_points_read_real_numbers_as_float64(entry):
     for value in (valid, np.array(valid, dtype=np.float32), mixed):
         assert (pickle.dumps(call(value))
                 == pickle.dumps(call(np.array(value, dtype=float)))), value
+
+
+# the row entry points above, each with the columns its rows hold beyond d;
+# every one reads its batch through channels._row_array
+ROW_ENTRY_POINTS = {"probability_rows": 1, "eigenvalue_rows": 2, "bounds_batch": 1,
+                    "channel_fidelity_extremes_rows": 1}
+# malformed batch -> its shape, given the columns beyond d
+MALFORMED_BATCHES = {
+    "one-row-flat": lambda extra: (2 + extra,),
+    "stacked": lambda extra: (1, 2, 2 + extra),
+    "d=1": lambda extra: (2, 1 + extra),
+    "d=0": lambda extra: (2, extra),
+    "no-columns": lambda extra: (2, 0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("batch", list(MALFORMED_BATCHES))
+@pytest.mark.parametrize("entry", list(ROW_ENTRY_POINTS))
+def test_every_row_entry_point_refuses_a_malformed_batch_by_name(entry, batch):
+    call, _, _, field = ARRAY_ENTRY_POINTS[entry]
+    extra = ROW_ENTRY_POINTS[entry]
+    shape = MALFORMED_BATCHES[batch](extra)
+    if len(shape) != 2:
+        error = ValueError
+        message = f"need an (N, d+{extra}) {field.split()[0]} array, got shape {shape}"
+    else:
+        error = UnsupportedDimensionError
+        message = f"dimension must be >= 2, got {shape[1] - extra}"
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call(np.full(shape, 0.5))
+
+
+@pytest.mark.parametrize("rows, message", [
+    # lambda = (1, 3, 3) before the check, outside the CP region
+    ([[2.0, -1.0, 0.0, 0.0]], "probabilities [2.0, -1.0, 0.0, 0.0] are not a probability "
+                              "vector (sum 1.0)"),
+    ([REF_PROBS, [0.5, 0.5, 0.5, 0.0]], "row 1: probabilities [0.5, 0.5, 0.5, 0.0] are not "
+                                        "a probability vector (sum 1.5)"),
+    ([REF_PROBS, [0.5, 0.5, 2 * CLAMP_TOL, -2 * CLAMP_TOL]],
+     f"row 1: probabilities {[0.5, 0.5, 2 * CLAMP_TOL, -2 * CLAMP_TOL]} are not a "
+     "probability vector (sum 1.0)"),
+    ([[0.5, 0.5 + 2 * VALIDATION_TOL, 0.0, 0.0]],
+     f"probabilities {[0.5, 0.5 + 2 * VALIDATION_TOL, 0.0, 0.0]} are not a probability "
+     f"vector (sum {0.5 + (0.5 + 2 * VALIDATION_TOL)!r})"),
+    ([[0.5, 0.5, np.nan, 0.0], REF_PROBS], "row 0: probabilities [0.5, 0.5, nan, 0.0] are "
+                                           "not a probability vector (sum nan)"),
+    ([[np.inf, -np.inf, 0.5, 0.5]], "probabilities [inf, -inf, 0.5, 0.5] are not a "
+                                    "probability vector (sum nan)"),
+    ([[np.inf, 0.0, 0.5, 0.5]], "probabilities [inf, 0.0, 0.5, 0.5] are not a probability "
+                                "vector (sum inf)"),
+], ids=["outside-cp", "sum", "negative", "sum-beyond-tolerance", "nan", "infinities", "inf"])
+def test_eigenvalue_rows_refuse_rows_that_are_not_probability_vectors(rows, message):
+    with pytest.raises(InvalidDistributionError, match="^" + re.escape(message) + "$"):
+        eigenvalue_rows(rows)
+
+
+def test_eigenvalue_rows_check_within_tolerance_without_clamping():
+    # as_distribution's slack: the row passes and keeps its bits
+    rows = np.array([[0.5, 0.5 - CLAMP_TOL, -CLAMP_TOL, 2 * CLAMP_TOL + 0.5 * VALIDATION_TOL]])
+    expect = 2.0 * (rows[:, :1] + rows[:, 1:]) - 1.0  # d = 2
+    assert eigenvalue_rows(rows).tobytes() == expect.tobytes()
 
 
 # entry point -> (call on an array input, a valid input, the field the error

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import gpchannels
+from gpchannels import channels, selfcheck
 from gpchannels.capacity import bounds_batch
+from gpchannels.channels import sample_cp_eigenvalues
 from gpchannels.cli import build_parser, main
-from gpchannels.selfcheck import sample_cp_eigenvalues
 
 LN2 = np.log(2.0)
 
@@ -321,7 +322,8 @@ print(loaded())
 from gpchannels.cli import main
 for argvs in ([["bounds", "--d", "3", "--lambdas", "0.5,0.2,0.1,0.1"],
                ["zeta", "--d", "2", "--lambdas", "0.5,0,-0.5"],
-               ["cp-check", "--d", "2", "--probs", "0.25,0.5,0.25,0"]], [["verify"]]):
+               ["cp-check", "--d", "2", "--probs", "0.25,0.5,0.25,0"]],
+              [["random-sweep", "--d", "3", "--count", "5", "--seed", "1"]], [["verify"]]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert all(main(argv) == 0 for argv in argvs)
     print(loaded())
@@ -336,11 +338,14 @@ def test_cold_cli_imports_only_what_its_command_runs():
     proc = subprocess.run([sys.executable, "-c", _LOADED], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    package, closed_forms, verify = map(json.loads, proc.stdout.splitlines())
+    package, closed_forms, sweep, verify = map(json.loads, proc.stdout.splitlines())
     assert package == []
     for name in ("oracle", "dynamics", "selfcheck"):
         assert "gpchannels." + name not in closed_forms
+    # the sampler lives beside the map it wraps, not in the verify battery
+    assert not {"gpchannels.selfcheck", "gpchannels.dynamics"} & set(sweep)
     assert {"gpchannels.selfcheck", "gpchannels.dynamics"} <= set(verify)
+    assert selfcheck.sample_cp_eigenvalues is channels.sample_cp_eigenvalues
 
 
 def test_random_sweep_rejects_unsupported_dimension(capsys):

@@ -512,6 +512,17 @@ def test_time_derivative_is_np_gradient_on_ordinary_grids():
         assert np.array_equal(traj.cdot_fd, np.gradient(traj.capacity, traj.times))
 
 
+def test_ode_oracle_refuses_a_step_that_underflows():
+    # a rate that jumps to 1e6 right after t = 1e10 needs steps far below the
+    # spacing of floats there
+    r = RateSpec((((0.0, 1e10, 1e10 + 1e5, 2e10), (0.0, 0.0, 1e6, 1e6)), 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"^map integration failed: step size \S+ "
+                                               r"underflows at t=1e\+10$"):
+            ode_eigenvalue_oracle(r, 2e10, 3)
+
+
 def test_ode_oracle_refuses_inputs_beyond_its_step_budget(monkeypatch):
     # the budget is patched down so that the refusal comes within a second
     monkeypatch.setattr(dynamics, "ODE_MAX_STEPS", 200)

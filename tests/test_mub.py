@@ -9,6 +9,7 @@ from gpchannels.errors import UnsupportedDimensionError
 from gpchannels.numerics import VALIDATION_TOL
 from gpchannels.mub import (
     MubSet,
+    _weyl_family,
     build_mubs,
     check_weyl_correspondence,
     displacement_products,
@@ -128,6 +129,17 @@ def test_weyl_labels_cached_and_read_only():
     assert weyl_labels(8) is labels
     with pytest.raises(ValueError):
         labels[0, 0] = 0
+
+
+def test_weyl_family_cached_and_read_only():
+    # the table is a reshaped view of a read-only array, so it cannot be made
+    # writeable either
+    fam = _weyl_family(3)
+    assert _weyl_family(3) is fam and fam.shape == (9, 3, 3)
+    with pytest.raises(ValueError):
+        fam[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        fam.setflags(write=True)
 
 
 def test_weyl_operator_composition(rng):

@@ -24,12 +24,12 @@ from gpchannels.channels import (
     kraus_terms,
     probabilities_from_eigenvalues,
     require_cp,
+    sample_cp_eigenvalues,
     superoperator,
     tensor,
 )
 from gpchannels.errors import NotCompletelyPositiveError
 from gpchannels.mub import build_mubs, prime_power
-from gpchannels.selfcheck import sample_cp_eigenvalues
 from gpchannels.numerics import CLAMP_TOL
 from gpchannels.oracle import (
     SearchConfig,

@@ -1,5 +1,8 @@
 import importlib
 import inspect
+import json
+import os
+import subprocess
 import sys
 import types
 
@@ -51,3 +54,17 @@ def test_removed_names_are_gone(name):
     assert name not in gpchannels.__all__
     assert not hasattr(gpchannels, name)
     assert not hasattr(importlib.import_module("gpchannels." + REMOVED[name]), name)
+
+
+def test_dir_lists_every_export_and_loads_no_submodule():
+    # a fresh interpreter: this process has loaded every module already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gpchannels.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import json, sys, gpchannels; names = dir(gpchannels); print(json.dumps(["
+              "sorted(set(gpchannels.__all__) - set(names)), "
+              "sorted(m for m in sys.modules if m.startswith('gpchannels.'))]))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]

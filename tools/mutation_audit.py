@@ -113,6 +113,20 @@ MUTATIONS = [
      "np.where((ma > mb) & (ma > mc), a, np.where(mb > mc, b, c))"),
     ("verify_mub converts on its own", "mub.py",
      'bases = _complex_array("bases", bases)', "bases = np.asarray(bases, dtype=complex)"),
+    ("entropy of a pure input -0.0", "numerics.py",
+     "return 0.0 - _xlogx(p).sum(axis=axis)", "return -_xlogx(p).sum(axis=axis)"),
+    ("Weyl phase omega^{mk} -> omega^{ml}", "mub.py",
+     "np.exp(2j * np.pi * m * k / p)", "np.exp(2j * np.pi * m * l / p)"),
+    ("correspondence tests the diagonal", "mub.py",
+     "t * (1.0 - np.eye(d))", "t * np.eye(d)"),
+    ("search starts left unnormalized", "oracle.py",
+     "        states /= np.linalg.norm(states, axis=1, keepdims=True)\n", ""),
+    ("row maps take any batch shape", "channels.py",
+     "    if rows.ndim != 2:", "    if False:"),
+    ("eigenvalue_rows skips the sum check", "channels.py",
+     " & (np.abs(total - 1.0) <= VALIDATION_TOL)", ""),
+    ("ODE step never underflows", "dynamics.py",
+     "min_step = 10.0 * (", "min_step = 0.0 * ("),
 ]
 
 # mutants that survive today, each with the ROADMAP item that will mend it;
