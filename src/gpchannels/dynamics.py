@@ -9,7 +9,10 @@ with the embedded Dormand-Prince 5(4) pair (Dormand & Prince 1980) and its
 quartic dense output (Shampine 1986), under the step-size rules of scipy's
 RK45, except that its steps end on the knots of every rate table, so no step
 straddles a kink in the rates, and that it refuses an integration that needs
-more than ODE_MAX_STEPS steps; it is plain numpy.
+more than ODE_MAX_STEPS steps; it is plain numpy.  Each stage input is one
+product of a coefficient row with the state stacked above the stage rates,
+and the grid is read off the steps that cover it in one batched pass after
+the last step, so the integration keeps at most one step per grid time.
 
 Each per-step decision on a trajectory has one rule, made here once.  The
 capacity is the maximum of bounds_batch's per-basis terms, driven by lambda*,
@@ -252,6 +255,14 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
     """Accepted Dormand-Prince 5(4) steps of dM/dt = L(t) M from M = 1 at t
     to t_end, each as (t, t_new, y, stages): y the row-major vec of M at t
     and stages the (7, 16) stage rates, whose last row is the rate at t_new.
+    y and stages are views of one (8, 16) buffer, y its row 0, that the next
+    step overwrites: a caller that keeps them copies them.
+
+    Stage s takes its input y + h sum_j a_sj k_j as one product of the
+    coefficient row [1, h a_s0, ..., h a_s,s-1] with the buffer's first s + 1
+    rows.  The buffers, the constant rates and the generators of constant
+    rates are made once per integration; each attempt interpolates only the
+    rate tables.
 
     Local extrapolation, and step control as scipy's RK45: RMS error norm,
     safety 0.9, factors in [0.2, 10], exponent -1/5, no growth right after a
@@ -285,8 +296,18 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, t_end - t)
 
-    stages = np.empty((7, 16))
-    stage_mats = stages.reshape(7, 4, 4)
+    rows = np.empty((8, 16))
+    rows[0], rows[1] = y, f
+    stages = rows[1:]
+    coefs = np.ones((7, 7))  # column 0 stays 1, the weight of y
+    inputs = np.empty((7, 16))
+    # constant rates are read once; each attempt interpolates the tables only
+    rates = r.evaluate(np.full(7, t))
+    tables = [(row, entry[1], entry[2]) for entry, row in zip(r.rates, rates)
+              if entry[0] == "table"]
+    gens = rates.T @ _GENERATOR_PARTS
+    plan = [(coefs[s, :s + 1], rows[:s + 1], inputs[s], gens[s].reshape(4, 4),
+             inputs[s].reshape(4, 4), stages[s].reshape(4, 4)) for s in range(1, 7)]
     taken = rejections = 0
     while t < t_end:
         if taken == ODE_MAX_STEPS:
@@ -302,17 +323,19 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
                                    f"{h_abs:.3g} underflows at t={t:.6g}")
             t_new = min(t + h_abs, stop)
             h = t_new - t
-            gens = _generators(r, t + _DP_C * h)
-            a = _DP_A * h
-            stages[0] = f
+            if tables:
+                for row, knot_times, values in tables:
+                    row[:] = np.interp(t + _DP_C * h, knot_times, values)
+                np.matmul(rates.T, _GENERATOR_PARTS, out=gens)
+            np.multiply(_DP_A, h, out=coefs[:, 1:])
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                for s in range(1, 7):
-                    y_new = a[s, :s] @ stages[:s]
-                    y_new += y
-                    np.matmul(gens[s], y_new.reshape(4, 4), out=stage_mats[s])
+                for coef, below, x, gen, x_mat, k_mat in plan:
+                    np.matmul(coef, below, out=x)
+                    np.matmul(gen, x_mat, out=k_mat)
             if not np.isfinite(stages).all():
                 raise RuntimeError(f"map integration failed: state not "
                                    f"finite at t={t:.6g}, h={h:.3g}")
+            y_new = inputs[6]
             abs_new = np.abs(y_new)
             scale = ODE_ATOL + np.maximum(abs_y, abs_new) * ODE_RTOL
             err = _rms(_DP_E @ stages * h / scale)
@@ -323,28 +346,33 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
             rejections += 1
-        yield t, t_new, y, stages
-        t, y, f, abs_y = t_new, y_new, stages[6].copy(), abs_new
+        yield t, t_new, rows[0], stages
+        rows[0], rows[1] = y_new, rows[7]
+        t, abs_y = t_new, abs_new
     _log.debug("Dormand-Prince: %d accepted steps, %d rejected, of ODE_MAX_STEPS = %d",
                taken, rejections, ODE_MAX_STEPS)
 
 
 def _dormand_prince(r: RateSpec, times: np.ndarray) -> np.ndarray:
     """Row-major vec of M(t), dM/dt = L(t) M from M = 1 at times[0], at each of
-    the increasing times: shape (len(times), 16).  The times inside each
-    accepted step, its end included, are read off its quartic interpolant
-    together, so the grid does not constrain the steps."""
-    out = np.empty((times.size, 16))
+    the increasing times: shape (len(times), 16).  Each time is read off the
+    quartic interpolant of the accepted step that covers it, the first to end
+    at or after it, so the grid does not constrain the steps.  Only the steps
+    that cover a time are kept, at most one per time, and all times are read
+    off in one batched pass once the integration ends."""
     grid = times.tolist()
+    kept = []
     done = 0
     for t, t_new, y, stages in _dp_steps(r, grid[0], grid[-1]):
         upto = bisect.bisect_right(grid, t_new)
         if upto > done:
-            h = t_new - t
-            x = (times[done:upto] - t) / h
-            out[done:upto] = y + h * (x[:, None] ** _DP_POWERS) @ (_DP_P @ stages)
+            kept.append((t, t_new, y.copy(), _DP_P @ stages))
             done = upto
-    return out
+    starts, ends, ys, polys = (np.array(part) for part in zip(*kept))
+    k = np.searchsorted(ends, times, side="left")
+    h = ends[k] - starts[k]
+    x = (times - starts[k]) / h
+    return ys[k] + np.einsum("np,npj->nj", h[:, None] * x[:, None] ** _DP_POWERS, polys[k])
 
 
 def ode_eigenvalue_oracle(r: RateSpec, t_max: float, steps: int) -> np.ndarray:
@@ -372,12 +400,13 @@ def p_divisibility_check(traj: PauliTrajectory) -> bool:
 
 
 def _time_derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """np.gradient(values, times), taken against times / s and divided by s,
-    s the largest power of two not above the spacing: the scaling is exact,
-    and it keeps the products of two spacings in np.gradient from overflowing
-    on huge grids and from underflowing to 0 on tiny ones."""
+    """np.gradient(values, times, axis=0), each column of values in one call,
+    taken against times / s and divided by s, s the largest power of two not
+    above the spacing: the scaling is exact, and it keeps the products of two
+    spacings in np.gradient from overflowing on huge grids and from
+    underflowing to 0 on tiny ones."""
     s = 2.0 ** np.floor(np.log2(times[1] - times[0]))
-    return np.gradient(values, times / s) / s
+    return np.gradient(values, times / s, axis=0) / s
 
 
 def _sorted_columns(rows: np.ndarray):
@@ -428,8 +457,8 @@ def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
     mags = np.abs(traj.lambdas)
     lam_star = _lambda_star(traj.lambdas, mags)
     top, middle, bottom = _sorted_columns(mags)
-    cdot_fd = _time_derivative(capacity, traj.times)
-    dlam_star = _time_derivative(lam_star, traj.times)
+    cdot_fd, dlam_star = _time_derivative(np.stack([capacity, lam_star], axis=1),
+                                          traj.times).T
     formula = np.zeros_like(lam_star)
     interior = top < 1.0 - 1e-12
     formula[interior] = 0.5 * dlam_star[interior] * np.log(

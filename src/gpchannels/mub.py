@@ -246,7 +246,8 @@ def verify_mub(bases: np.ndarray) -> bool:
         block = (bases[a] @ vecs[:, a * d:]).reshape(d, n - a, d)
         within = np.abs(block[:, 0] - np.eye(d)).max()
         across = np.abs(np.abs(block[:, 1:]) ** 2 - 1.0 / d).max(initial=0.0)
-        if within > VALIDATION_TOL or across > VALIDATION_TOL:
+        # written so that NaN fails it
+        if not (within <= VALIDATION_TOL and across <= VALIDATION_TOL):
             return False
     return True
 

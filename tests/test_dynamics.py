@@ -1,6 +1,7 @@
 import logging
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -440,6 +441,13 @@ def test_dormand_prince_output_on_step_ends_and_two_steps():
     assert np.isin(witness.rates[0][1][1:-1], _step_ends(witness)).all()  # on the knots
 
 
+def test_dense_output_reads_many_grid_times_off_each_step():
+    g = np.array([0.4, 0.2, 0.1])
+    lam = ode_eigenvalue_oracle(RateSpec.constant(*g), 3.0, 2001)  # 46 steps
+    t = np.linspace(0.0, 3.0, 2001)[:, None]
+    assert np.max(np.abs(lam - np.exp(-(g.sum() - g) * t))) < 1e-10
+
+
 @pytest.mark.scipy_reference
 def test_dormand_prince_output_on_step_ends_matches_scipy_rk45():
     witness = non_p_divisible_capacity_witness()
@@ -512,6 +520,15 @@ def test_time_derivative_is_np_gradient_on_ordinary_grids():
         assert np.array_equal(traj.cdot_fd, np.gradient(traj.capacity, traj.times))
 
 
+@pytest.mark.parametrize("steps", [2, 3, 301, 15001])
+def test_time_derivative_takes_each_column_as_np_gradient(steps):
+    # capacity_trajectory differentiates the capacity and lambda* in one call
+    times = np.linspace(0.0, 3.0, steps)
+    columns = np.random.default_rng(steps).standard_normal((steps, 2))
+    expect = np.stack([np.gradient(c, times) for c in columns.T], axis=1)
+    assert np.array_equal(dynamics._time_derivative(columns, times), expect)
+
+
 def test_ode_oracle_refuses_a_step_that_underflows():
     # a rate that jumps to 1e6 right after t = 1e10 needs steps far below the
     # spacing of floats there
@@ -539,8 +556,16 @@ def test_ode_oracle_refuses_inputs_beyond_its_step_budget(monkeypatch):
 def test_large_finite_backflow_is_accepted_on_both_routes(caplog):
     r = RateSpec.constant(-100, -100, -100)
     traj = eigenvalue_trajectory(r, 3.0, 11)
-    lam, counts = _step_report(caplog, r, 11)
+    tracemalloc.start()
+    try:
+        lam, counts = _step_report(caplog, r, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert counts == (14_384, 1)  # of the 50,000-step budget
+    # the dense output keeps only the steps that cover one of the 11 grid
+    # times; keeping all 14,384 would take over 10 MB
+    assert peak < 1_000_000
     assert np.all(np.isfinite(traj.lambdas)) and not traj.cp_everywhere
     assert np.all(np.isfinite(lam))
     assert np.allclose(lam, traj.lambdas, rtol=1e-6, atol=0.0)

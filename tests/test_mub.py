@@ -266,8 +266,10 @@ def _repeated_basis(d):
      "bases must have shape (5, 4, 4), got (5, 4, 3)"),
     (lambda: MubSet(5, _repeated_basis(5)), ValueError,
      "basis set (d=5) is not mutually unbiased"),
+    (lambda: MubSet(2, np.full((3, 2, 2), np.nan, dtype=complex)), ValueError,
+     "basis set (d=2) is not mutually unbiased"),
 ], ids=["bool", "float", "below-2", "identity-copies", "d6-wrong-shape", "truncated",
-        "wrong-shape", "repeated"])
+        "wrong-shape", "repeated", "all-nan"])
 def test_mubset_refuses_a_bad_set_when_it_is_made(make, error, message):
     with pytest.raises(error, match="^" + re.escape(message) + "$"):
         make()
@@ -340,6 +342,15 @@ def test_verify_mub_matches_pairwise_loop(d):
                 MubSet(d, bases)
     assert verdicts == {"canonical": True, "repeated": False, "scaled": False,
                         "rotated": False, "swapped": False, "within": True}
+
+
+def test_verify_mub_refuses_nan_entries():
+    # NaN fails every comparison, so the tolerance test must be passed, not
+    # merely not failed
+    one = build_mubs(3).bases.copy()
+    one[1, 0, 0] = np.nan
+    assert verify_mub(np.full((3, 2, 2), np.nan, dtype=complex)) is False
+    assert verify_mub(one) is False
 
 
 def test_verify_mub_memory_stays_a_few_copies_of_the_bases():

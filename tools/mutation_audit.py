@@ -127,6 +127,12 @@ MUTATIONS = [
      " & (np.abs(total - 1.0) <= VALIDATION_TOL)", ""),
     ("ODE step never underflows", "dynamics.py",
      "min_step = 10.0 * (", "min_step = 0.0 * ("),
+    ("ODE stage inputs drop y from the fused row", "dynamics.py",
+     "coefs = np.ones((7, 7))", "coefs = np.zeros((7, 7))"),
+    ("dense-output step lookup off by one", "dynamics.py",
+     'side="left"', 'side="right"'),
+    ("dense output skips a step that covers one grid time", "dynamics.py",
+     "        if upto > done:", "        if upto > done + 1:"),
 ]
 
 # mutants that survive today, each with the ROADMAP item that will mend it;
