@@ -10,9 +10,11 @@ evaluates both closed forms on all of them at once; the CLI, the self-checks
 and the oracle read it directly.  The qubit dynamics take the maximum of its
 per-basis terms (_basis_terms), which is its exact capacity at d = 2, where
 the bounds always meet; a test pins that equality.  The second routes, through
-the transition matrices (transition_row_entropies) and through the sorted
+the transition matrices (_transition_row_entropies) and through the sorted
 weights (zeta_vector, zeta_components_p_form), are kept apart on purpose as
-cross-checks.
+cross-checks.  _transition_row_entropies reads no eigenvalues of its own: it
+takes rows that _checked_rows (_row_array first) or the sampler has already
+read and checked, and holevo_lower_via_classical is its checked public form.
 """
 
 import math
@@ -26,11 +28,11 @@ from .channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
     WeylChannel,
+    _classical_map_rows,
+    _clip_eigenvalue_rows,
+    _require_cp_rows,
     _row_array,
-    classical_map_rows,
-    clip_eigenvalue_rows,
     require_cp,  # noqa: F401  perfbench traces this name in this module
-    require_cp_rows,
 )
 from .mub import require_prime_power
 from .numerics import (CLAMP_TOL, _entropies, _entropy, _real_array, _require_in_range,
@@ -39,15 +41,15 @@ from .numerics import (CLAMP_TOL, _entropies, _entropy, _real_array, _require_in
 COINCIDENCE_TOL = 1e-9
 
 
-def transition_row_entropies(lams: np.ndarray, copies: int = 1) -> np.ndarray:
+def _transition_row_entropies(lams: np.ndarray, copies: int = 1) -> np.ndarray:
     """Entropy of the first row of T_alpha^(x copies), copies 1 or 2, as an
     (N, d+1) array over checked (N, d+1) eigenvalue rows and bases alpha.
 
-    Built from classical_map_rows, independently of bounds_batch's closed
+    Built from _classical_map_rows, independently of bounds_batch's closed
     forms; the first row of T (x) T is the outer product of first rows.
     """
     copies = _require_in_range("copies", copies, 1, 2)
-    rows = classical_map_rows(lams)[:, :, 0, :]
+    rows = _classical_map_rows(lams)[:, :, 0, :]
     if copies == 2:
         rows = (rows[..., :, None] * rows[..., None, :]).reshape(rows.shape[:2] + (-1,))
     return _entropies(np.maximum(rows, 0.0), axis=-1)
@@ -56,7 +58,7 @@ def transition_row_entropies(lams: np.ndarray, copies: int = 1) -> np.ndarray:
 def holevo_lower_via_classical(e: EigenvalueVector) -> float:
     """Same bound through the induced transition matrices: ln d - min row entropy."""
     lams = _checked_rows(e.values[None, :])
-    return float(np.log(e.dimension) - transition_row_entropies(lams).min())
+    return float(np.log(e.dimension) - _transition_row_entropies(lams).min())
 
 
 def zeta_vector(multiset) -> np.ndarray:
@@ -103,18 +105,6 @@ class ZetaComponents:
     plain_blocks: np.ndarray
     shifted_blocks: np.ndarray
     straddle_blocks: np.ndarray
-
-    def zeta_for_region(self, region: int) -> np.ndarray:
-        """Assemble the block vector as if the identity weight sat in `region`.
-
-        Used to check continuity: at a boundary the assemblies for the two
-        adjacent regions coincide.
-        """
-        _require_in_range("region", region, 1, self.dimension)
-        return _assemble_zeta(
-            np.arange(1, self.dimension + 1), region, self.plain_blocks,
-            self.shifted_blocks, self.straddle_blocks,
-        )
 
 
 def _assemble_zeta(col, region, plain, shifted, straddle):
@@ -164,8 +154,8 @@ def _checked_rows(lams) -> np.ndarray:
     # requires); the error names the rows, d or the first bad row
     lams = _row_array("eigenvalue", lams, 1)
     _dimension_table(lams.shape[1] - 1)
-    lams = clip_eigenvalue_rows(lams)
-    require_cp_rows(lams)
+    lams = _clip_eigenvalue_rows(lams)
+    _require_cp_rows(lams)
     return lams
 
 

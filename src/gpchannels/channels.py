@@ -41,11 +41,19 @@ vector, with as_distribution's tolerances and no clamp.
 sample_cp_eigenvalues, the sampler of the CP region behind random-sweep and
 the self-checks, lives beside eigenvalue_rows, the map it wraps.
 
+The private kernels read no input of their own: _clip_eigenvalue_rows,
+_cp_margin_rows, _cp_rows, _require_cp_rows and _classical_map_rows take
+(N, d+1) rows that _row_array (or the EigenvalueVector that calls them) has
+already read and checked, and _weighted_gram and _kraus_superoperator take
+the Kraus set of a checked channel.  Each has a checked public counterpart:
+EigenvalueVector, fujiwara_algoet_margin, is_completely_positive,
+require_cp, classical_map_t, superoperator and choi_matrix.
+
 The layer writes out no Pauli matrix: at d = 2 the displacement products
 are the Paulis, up to the phase of ZX = iY.  The Hermitian Paulis live in
 the oracle, whose qubit grid ranking is their one user.
 
-Every channel action takes one route: kraus_terms -> weighted_gram, which,
+Every channel action takes one route: kraus_terms -> _weighted_gram, which,
 reshuffled, is the superoperator behind apply and the oracle's
 output-entropy search, and over D is choi_matrix.  The basis-set route's
 unitaries come from one batched product, mub._basis_unitaries.  choi_blocks
@@ -63,8 +71,8 @@ from .errors import InvalidDistributionError, NotCompletelyPositiveError
 from .mub import (
     MubSet,
     _basis_unitaries,
+    _displacement_products,
     build_mubs,
-    displacement_products,
     prime_power,
     weyl_labels,
 )
@@ -102,7 +110,8 @@ class EigenvalueVector:
     """The d+1 channel eigenvalues; may violate complete positivity.
 
     Each entry is confined to [-1/(d-1), 1], the range reachable from any
-    probability vector.  cp_rows decides CP, a stronger pair of inequalities.
+    probability vector.  is_completely_positive decides CP, a stronger pair of
+    inequalities.
     """
 
     dimension: int
@@ -116,7 +125,7 @@ class EigenvalueVector:
                 f"need {self.dimension + 1} eigenvalues for d={self.dimension}, "
                 f"got {vals.size}"
             )
-        object.__setattr__(self, "values", clip_eigenvalue_rows(vals[None, :])[0])
+        object.__setattr__(self, "values", _clip_eigenvalue_rows(vals[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -216,14 +225,14 @@ def probability_rows(lams: np.ndarray) -> np.ndarray:
     is not CP.
     """
     lams = _row_array("eigenvalue", lams, 1)
-    require_cp_rows(lams)
+    _require_cp_rows(lams)
     d = lams.shape[1] - 1
     total = lams.sum(axis=1, keepdims=True)
     return np.concatenate([(1.0 + (d - 1.0) * total) / d**2,
                            (d - 1.0) * (1.0 + d * lams - total) / d**2], axis=1)
 
 
-def clip_eigenvalue_rows(lams: np.ndarray) -> np.ndarray:
+def _clip_eigenvalue_rows(lams: np.ndarray) -> np.ndarray:
     """Check an (N, d+1) eigenvalue array row by row; return it clipped to the box.
 
     Entries must be finite and lie in [-1/(d-1), 1] within
@@ -244,7 +253,7 @@ def clip_eigenvalue_rows(lams: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(lams, lo), 1.0)
 
 
-def cp_margin_rows(lams: np.ndarray) -> np.ndarray:
+def _cp_margin_rows(lams: np.ndarray) -> np.ndarray:
     """Fujiwara-Algoet margin of each row of an (N, d+1) eigenvalue array.
 
     CP requires -1/(d-1) <= sum(lambda) <= 1 + d * min(lambda); the margin is
@@ -255,18 +264,18 @@ def cp_margin_rows(lams: np.ndarray) -> np.ndarray:
     return np.minimum(total + 1.0 / (d - 1.0), 1.0 + d * lams.min(axis=1) - total)
 
 
-def cp_rows(lams: np.ndarray) -> np.ndarray:
+def _cp_rows(lams: np.ndarray) -> np.ndarray:
     """The package's one CP decision: which rows of an (N, d+1) eigenvalue
     array have a Fujiwara-Algoet margin of at least -CLAMP_TOL."""
-    return cp_margin_rows(lams) >= -CLAMP_TOL
+    return _cp_margin_rows(lams) >= -CLAMP_TOL
 
 
-def require_cp_rows(lams: np.ndarray) -> None:
+def _require_cp_rows(lams: np.ndarray) -> None:
     """Raise NotCompletelyPositiveError naming the first row that is not CP."""
-    ok = cp_rows(lams)
+    ok = _cp_rows(lams)
     if not ok.all():
         i = int(np.argmin(ok))
-        margin = cp_margin_rows(lams[i:i + 1])[0]
+        margin = _cp_margin_rows(lams[i:i + 1])[0]
         raise NotCompletelyPositiveError(
             f"{_row_label(i, lams.shape[0])}eigenvalues {lams[i].tolist()} "
             f"violate complete positivity (margin {margin:.3e})"
@@ -275,24 +284,25 @@ def require_cp_rows(lams: np.ndarray) -> None:
 
 def fujiwara_algoet_margin(e: EigenvalueVector) -> float:
     """Distance to the CP boundary: negative means the conditions fail."""
-    return float(cp_margin_rows(e.values[None, :])[0])
+    return float(_cp_margin_rows(e.values[None, :])[0])
 
 
 def is_completely_positive(e: EigenvalueVector) -> bool:
-    """Whether e passes the package's one CP decision (cp_rows)."""
-    return bool(cp_rows(e.values[None, :])[0])
+    """Whether e passes the package's one CP decision: a Fujiwara-Algoet
+    margin of at least -CLAMP_TOL."""
+    return bool(_cp_rows(e.values[None, :])[0])
 
 
 def require_cp(e: EigenvalueVector) -> None:
-    """Raise NotCompletelyPositiveError unless e is CP (require_cp_rows)."""
-    require_cp_rows(e.values[None, :])
+    """Raise NotCompletelyPositiveError, with e's margin, unless e is CP."""
+    _require_cp_rows(e.values[None, :])
 
 
 def weyl_kraus_terms(w: WeylChannel):
     """(weights, operators) for the nonzero-weight displacement products."""
     idx = np.nonzero(w.probabilities)[0]
     return (w.probabilities[idx].copy(),
-            displacement_products(w.local_dimension, w.parts, idx))
+            _displacement_products(w.local_dimension, w.parts, idx))
 
 
 def gpc_to_weyl(c: GeneralizedPauliChannel) -> WeylChannel:
@@ -342,7 +352,7 @@ def tensor(a, b) -> WeylChannel:
     )
 
 
-def weighted_gram(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
+def _weighted_gram(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """G = sum_k w_k vec(U_k) vec(U_k)^dagger, one GEMM (row-major vec).
 
     G / dim is the Choi matrix, choi_matrix (choi_blocks builds its shift
@@ -383,15 +393,16 @@ def kraus_terms(channel, m: Optional[MubSet] = None):
 
 
 def superoperator(channel, m: Optional[MubSet] = None) -> np.ndarray:
-    """kraus_superoperator of kraus_terms(channel, m)."""
-    return kraus_superoperator(*kraus_terms(channel, m))
+    """S = sum_k w_k U_k (x) conj(U_k) of kraus_terms(channel, m), acting on
+    row-major vec(rho)."""
+    return _kraus_superoperator(*kraus_terms(channel, m))
 
 
-def kraus_superoperator(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
+def _kraus_superoperator(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """S = sum_k w_k U_k (x) conj(U_k), acting on row-major vec(rho): the
-    weighted_gram of the Kraus set, reshuffled."""
+    _weighted_gram of the Kraus set, reshuffled."""
     dim = ops.shape[1]
-    gram = weighted_gram(weights, ops).reshape(dim, dim, dim, dim)
+    gram = _weighted_gram(weights, ops).reshape(dim, dim, dim, dim)
     return gram.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
 
 
@@ -431,22 +442,22 @@ def choi_blocks(ch) -> np.ndarray:
     p, n, dim = w.local_dimension, w.parts, w.dimension
     labels = np.arange(dim * dim).reshape((p,) * (2 * n))
     labels = labels.transpose(*range(1, 2 * n, 2), *range(0, 2 * n, 2)).reshape(dim, dim)
-    chars = displacement_products(p, n, labels[0]).sum(axis=2)
+    chars = _displacement_products(p, n, labels[0]).sum(axis=2)
     return (chars.T * w.probabilities[labels][:, None, :]) @ chars.conj() / dim
 
 
 def choi_matrix(ch) -> np.ndarray:
     """Choi state (channel (x) id applied to the maximally entangled state).
 
-    Normalized to trace 1: the dense weighted_gram of the displacement
+    Normalized to trace 1: the dense weighted Gram matrix of the displacement
     products over D, built independently of choi_blocks.  For orthogonal
     unitary Kraus operators the eigenvalues are exactly the mixing weights.
     """
     w = _as_weyl(ch)
-    return weighted_gram(*kraus_terms(w)) / w.dimension
+    return _weighted_gram(*kraus_terms(w)) / w.dimension
 
 
-def classical_map_rows(lams: np.ndarray) -> np.ndarray:
+def _classical_map_rows(lams: np.ndarray) -> np.ndarray:
     """(N, d+1, d, d) transition matrices of (N, d+1) eigenvalue rows, one per
     basis alpha: T_kl = lambda_alpha delta_kl + (1 - lambda_alpha)/d; bistochastic.
     """
@@ -456,9 +467,10 @@ def classical_map_rows(lams: np.ndarray) -> np.ndarray:
 
 
 def classical_map_t(e: EigenvalueVector, alpha: int) -> np.ndarray:
-    """Transition matrix induced on the vectors of basis alpha (classical_map_rows)."""
+    """Transition matrix induced on the vectors of basis alpha:
+    T_kl = lambda_alpha delta_kl + (1 - lambda_alpha)/d; bistochastic."""
     _require_in_range("basis label", alpha, 1, e.dimension + 1)
-    return classical_map_rows(e.values[None, :])[0, alpha - 1]
+    return _classical_map_rows(e.values[None, :])[0, alpha - 1]
 
 
 # typed, so that d=4.0 misses the entry of d=4 and is refused

@@ -128,15 +128,15 @@ def _parse_rate(flag: str, text: str):
 
 
 def _cmd_dynamics(args) -> int:
-    from .dynamics import (RateSpec, capacity_trajectory, eigenvalue_trajectory,
-                           p_divisible_so_far)
+    from .dynamics import (RateSpec, _p_divisible_so_far, capacity_trajectory,
+                           eigenvalue_trajectory)
 
     rates = RateSpec(tuple(_parse_rate(f"--gamma{j}", getattr(args, f"gamma{j}"))
                            for j in (1, 2, 3)))
     traj = capacity_trajectory(eigenvalue_trajectory(rates, args.t_max, args.steps))
     lines = ["t,lambda1,lambda2,lambda3,capacity_nats,p_divisible_so_far"]
     table = np.column_stack([traj.times, traj.lambdas, traj.capacity])
-    for row, flag in zip(table, p_divisible_so_far(traj.lambdas)):
+    for row, flag in zip(table, _p_divisible_so_far(traj.lambdas)):
         lines.append(",".join(_fmt(v) for v in row) + f",{int(flag)}")
     text = "\n".join(lines) + "\n"
     if args.output:

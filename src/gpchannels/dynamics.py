@@ -20,14 +20,16 @@ the eigenvalue of largest magnitude; at d = 2 that maximum is bounds_batch's
 exact capacity, so the upper bound is not built.  capacity_trajectory's rate
 formula is the chain rule on it.  The CP verdict is eigenvalue_trajectory's
 cp_everywhere, which capacity_trajectory reads.  P divisibility is
-p_divisible_so_far, the running flag behind PauliTrajectory.p_divisible,
-p_divisibility_check and the CLI's p_divisible_so_far column.
+_p_divisible_so_far, the running flag behind PauliTrajectory.p_divisible,
+p_divisibility_check and the CLI's p_divisible_so_far column; like the
+channel layer's private row kernels it reads no input of its own, and takes
+the (n, 3) eigenvalues of a PauliTrajectory.
 
 The qubit operators are the channel layer's: the generator and the oracle's
 read-out take the displacement products of the label sets of weyl_labels(2),
 in reverse set order, so no Pauli matrix is written out here.  The part of
 set a is the generalized Pauli generator at d = 2 (Chruscinski & Siudzinska
-2016), L_a = kraus_superoperator(1/d, W_a) - (d-1)/d, and lambda_a is read off
+2016), L_a = _kraus_superoperator(1/d, W_a) - (d-1)/d, and lambda_a is read off
 as 1/2 vec(W_a)^H M vec(W_a).
 
 Axis order: lambda_1, lambda_2, lambda_3 here belong to the X, Y and Z axes,
@@ -50,9 +52,9 @@ import numpy as np
 # pauli_classical_capacity stays importable here: perfbench traces the
 # per-step qubit closed form through this name
 from .capacity import _basis_terms, pauli_classical_capacity  # noqa: F401
-from .channels import clip_eigenvalue_rows, cp_rows, kraus_superoperator
+from .channels import _clip_eigenvalue_rows, _cp_rows, _kraus_superoperator
 from .errors import NotCompletelyPositiveError
-from .mub import displacement_products, weyl_labels
+from .mub import _displacement_products, weyl_labels
 from .numerics import _is_real, _real_array, _require_integer
 
 P_DIVISIBILITY_TOL = 1e-10
@@ -67,11 +69,11 @@ _log = logging.getLogger(__name__)
 
 # The label sets of weyl_labels(2) in reverse order hold X, ZX = iY and Z, one
 # displacement product W_a each, the operators of this module's three axes.
-_AXIS_VECS = displacement_products(2, 1, weyl_labels(2)[::-1, 0]).reshape(3, 4)
+_AXIS_VECS = _displacement_products(2, 1, weyl_labels(2)[::-1, 0]).reshape(3, 4)
 # L_a = 1/2 W_a (x) conj(W_a) - 1/2 on row-major vec, the generator part of
 # label set a at d = 2, one flattened row each: the generator is their sum
 # weighted by the rates.
-_GENERATOR_PARTS = np.stack([kraus_superoperator(np.full(1, 0.5), w.reshape(1, 2, 2)).real
+_GENERATOR_PARTS = np.stack([_kraus_superoperator(np.full(1, 0.5), w.reshape(1, 2, 2)).real
                              - 0.5 * np.eye(4) for w in _AXIS_VECS]).reshape(3, 16)
 
 # Dormand-Prince 5(4): stage times, stage rows (row 6 is the 5th-order
@@ -185,7 +187,7 @@ class PauliTrajectory:
     cdot_formula_valid: Optional[np.ndarray] = None
 
 
-def p_divisible_so_far(lambdas: np.ndarray) -> np.ndarray:
+def _p_divisible_so_far(lambdas: np.ndarray) -> np.ndarray:
     """Per grid time: has no eigenvalue grown by more than P_DIVISIBILITY_TOL
     over any grid interval up to it.  True at the first time, False from the
     first rise on.
@@ -237,8 +239,8 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
     return PauliTrajectory(
         times=times,
         lambdas=lambdas,
-        cp_everywhere=bool(cp_rows(lambdas).all()),
-        p_divisible=bool(p_divisible_so_far(lambdas)[-1]),
+        cp_everywhere=bool(_cp_rows(lambdas).all()),
+        p_divisible=bool(_p_divisible_so_far(lambdas)[-1]),
     )
 
 
@@ -396,7 +398,7 @@ def ode_eigenvalue_oracle(r: RateSpec, t_max: float, steps: int) -> np.ndarray:
 
 def p_divisibility_check(traj: PauliTrajectory) -> bool:
     """True iff every eigenvalue trace is non-increasing on the grid."""
-    return bool(p_divisible_so_far(traj.lambdas)[-1])
+    return bool(_p_divisible_so_far(traj.lambdas)[-1])
 
 
 def _time_derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -448,12 +450,12 @@ def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
     if traj.times.size < 2:
         raise ValueError(f"need at least 2 times, got {traj.times.size}")
     if not traj.cp_everywhere:
-        bad = int(np.argmin(cp_rows(traj.lambdas)))
+        bad = int(np.argmin(_cp_rows(traj.lambdas)))
         raise NotCompletelyPositiveError(
             f"trajectory leaves the CP region at t={traj.times[bad]:.6g}"
         )
     # the qubit bounds meet on every CP row, so chi_low is the capacity
-    capacity = _sorted_columns(_basis_terms(clip_eigenvalue_rows(traj.lambdas)))[0]
+    capacity = _sorted_columns(_basis_terms(_clip_eigenvalue_rows(traj.lambdas)))[0]
     mags = np.abs(traj.lambdas)
     lam_star = _lambda_star(traj.lambdas, mags)
     top, middle, bottom = _sorted_columns(mags)

@@ -12,6 +12,11 @@ basis and power at once, and unitary_u reads it for one.
 A MubSet is checked once, when it is made: a prime-power d, d+1 bases and
 verify_mub, the predicate on any (n, d, d) stack of bases.  Its bases are
 read-only, so every later user may take the check as done.
+
+_displacement_products reads no input of its own: its callers pass the local
+dimension and factor count of a checked WeylChannel, or the (p, n) of a
+checked prime power, and labels below the square of the dimension they make.
+weyl_kraus_terms and check_weyl_correspondence are its checked public forms.
 """
 
 import itertools
@@ -67,7 +72,7 @@ def _weyl_family(p: int) -> np.ndarray:
     return mats.reshape(p * p, p, p)
 
 
-def displacement_products(p: int, n: int, labels) -> np.ndarray:
+def _displacement_products(p: int, n: int, labels) -> np.ndarray:
     """Stacked W_{a_1 b_1} (x) ... (x) W_{a_n b_n} for flat labels, whose
     base-p digits are (a_1, b_1, ..., a_n, b_n), most significant first.
 
@@ -216,7 +221,7 @@ def build_mubs(d: int) -> MubSet:
     units = [p ** j - 1 for j in range(n)]
     bases = np.zeros((d + 1, d, d), dtype=complex)
     for alpha, row in enumerate(labels):
-        gens = displacement_products(p, n, row[units])
+        gens = _displacement_products(p, n, row[units])
         for idx, factors in enumerate(itertools.product(
                 *(_cyclic_projectors(g, p) for g in gens))):
             proj = reduce(np.matmul, factors)
@@ -278,6 +283,6 @@ def check_weyl_correspondence(m: MubSet) -> bool:
     products are made at once, from the flat labels, and tested together.
     """
     d = m.dimension
-    ops = displacement_products(*prime_power(d), weyl_labels(d).ravel()).reshape(d + 1, -1, d, d)
+    ops = _displacement_products(*prime_power(d), weyl_labels(d).ravel()).reshape(d + 1, -1, d, d)
     t = m.bases.conj()[:, None] @ ops @ m.bases.transpose(0, 2, 1)[:, None]
     return bool(np.max(np.abs(t * (1.0 - np.eye(d)))) <= VALIDATION_TOL)

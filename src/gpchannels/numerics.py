@@ -13,8 +13,9 @@ import numpy as np
 from .errors import InvalidDistributionError, UnsupportedDimensionError
 
 # Slack table; a constant with one user stays beside it.  CLAMP_TOL is in units
-# of the Fujiwara-Algoet margin, where channels.cp_rows makes the one CP decision:
-# a CP row's probabilities are >= -(d-1)/d^2 CLAMP_TOL, so the CP criteria agree.
+# of the Fujiwara-Algoet margin, where channels._cp_rows, behind
+# is_completely_positive and require_cp, makes the one CP decision: a CP row's
+# probabilities are >= -(d-1)/d^2 CLAMP_TOL, so the CP criteria agree.
 CLAMP_TOL = 1e-12      # also the clamp on probabilities and fidelities, and the
                        # floor of the Choi block eigenvalues (cp_oracle_choi)
 VALIDATION_TOL = 1e-9  # sums, eigenvalue box, basis checks

@@ -2,9 +2,8 @@
 brute-force output-entropy search and Choi positivity.
 
 The search and the Choi oracle use only the channel's unitary Kraus
-operators.  The search takes them from kraus_terms, through weighted_gram
-(superoperator).  The Choi oracle diagonalizes the Choi matrix's
-shift blocks, choi_blocks.
+operators.  The search takes them from kraus_terms, through superoperator.
+The Choi oracle diagonalizes the Choi matrix's shift blocks, choi_blocks.
 The search evaluates grid, basis-vector and random pure states and
 polishes the best with conditional-gradient steps, which certify a
 stationary point through their Frank-Wolfe gap.  For d >= 3 the vectors of
@@ -75,7 +74,7 @@ def cp_oracle_choi(ch) -> bool:
     unitary similarity of its shift's weights, so the spectrum is the Kraus
     weight multiset, which as_distribution has clamped to be non-negative,
     up to rounding of order 1e-16.  So it is not yet an independent CP test
-    (ROADMAP.md, open item 2); cp_rows decides CP.
+    (ROADMAP.md, open item 2); is_completely_positive decides CP.
     """
     return bool(np.linalg.eigvalsh(choi_blocks(ch)).min() >= -CLAMP_TOL)
 

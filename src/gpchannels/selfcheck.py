@@ -16,21 +16,21 @@ from typing import Callable, List, NamedTuple
 import numpy as np
 
 from .capacity import (
+    _transition_row_entropies,
     bounds_batch,
     capacity_from_fidelity,
     channel_fidelity_extremes_rows,
     holevo_upper_bound_weyl,
-    transition_row_entropies,
     zeta_vector,
 )
 from .channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
+    _cp_rows,
     apply,
     canonical_mub,
     choi_matrix,
     classical_map_t,
-    cp_rows,
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
     gpc_to_weyl,
@@ -223,7 +223,7 @@ def check_two_copy_upper_bound():
 def check_qubit_bounds_coincide():
     lams = sample_cp_eigenvalues(2, 200, _rng(11))
     b = bounds_batch(lams)
-    via = LN2 - transition_row_entropies(lams).min(axis=1)
+    via = LN2 - _transition_row_entropies(lams).min(axis=1)
     worst = max(np.max(np.abs(b.chi_up - b.chi_low)),
                 np.max(np.abs(b.exact_capacity - b.chi_low)),
                 np.max(np.abs(via - b.chi_low)))
@@ -241,11 +241,11 @@ def check_one_parameter_families():
         lam_mid = rng.uniform(lam_neg, 0.0)
         rows = np.concatenate([np.column_stack([lam_max] + [lam_min] * d),
                                np.column_stack([lam_mid] * d + [lam_neg])])
-        keep = cp_rows(rows)
+        keep = _cp_rows(rows)
         b = bounds_batch(rows[keep])
         # the capacity of the odd eigenvalue's basis, via its transition matrix
         odd = np.repeat([0, d], 20)[keep]
-        exact = np.log(d) - transition_row_entropies(rows[keep])[np.arange(odd.size), odd]
+        exact = np.log(d) - _transition_row_entropies(rows[keep])[np.arange(odd.size), odd]
         worst = max(worst, np.max(np.abs(b.chi_low - exact)),
                     np.max(np.abs(b.chi_up - b.chi_low)))
     return worst <= 1e-10, f"max error {worst:.2e}"
@@ -257,7 +257,7 @@ def check_lower_bound_weak_additivity():
     worst = 0.0
     for d in (2, 3):
         lams = sample_cp_eigenvalues(d, 100, rng)
-        direct = 2.0 * np.log(d) - transition_row_entropies(lams, copies=2).min(axis=1)
+        direct = 2.0 * np.log(d) - _transition_row_entropies(lams, copies=2).min(axis=1)
         worst = max(worst, np.max(np.abs(direct - 2.0 * bounds_batch(lams).chi_low)))
     return worst <= 1e-10, f"max gap {worst:.2e} on 2x100 channels"
 

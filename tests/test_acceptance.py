@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gpchannels.capacity import (
+    _assemble_zeta,
     bounds_batch,
     holevo_lower_bound,
     holevo_upper_bound,
@@ -14,12 +15,12 @@ from gpchannels.capacity import (
 from gpchannels.channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
+    _kraus_superoperator,
     canonical_mub,
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
     kraus_terms,
     probabilities_from_eigenvalues,
-    weighted_gram,
 )
 from gpchannels.cli import main
 from gpchannels.mub import build_mubs
@@ -70,16 +71,6 @@ def test_criterion_03_bound_ordering_random_channels():
             f"max qubit gap {worst_qubit:.3e} <= 1e-9")
 
 
-def _raw_choi(lam, ops):
-    # inverse probability map without any validation, so the weights may be
-    # negative, on the basis-route Kraus operators, then the Choi state
-    d = lam.size - 1
-    total = lam.sum()
-    share = (d - 1) * (1 + d * lam - total) / d**2 / (d - 1)
-    weights = np.concatenate([[(1 + (d - 1) * total) / d**2], np.repeat(share, d - 1)])
-    return weighted_gram(weights, ops) / d
-
-
 def test_criterion_05_cp_criteria_equivalent():
     rng = _rng(5)
     checked = 0
@@ -107,7 +98,14 @@ def test_criterion_05_cp_criteria_equivalent():
             total = lam.sum()
             p_min = min((1 + (d - 1) * total) / d**2,
                         ((d - 1) * (1 + d * lam - total) / d**2).min())
-            choi_min = float(np.linalg.eigvalsh(_raw_choi(lam, ops)).min())
+            # the Choi state from the multipliers, with no p-map: reshuffled,
+            # it is the superoperator over d, whose eigenoperators are the
+            # Kraus unitaries, with multiplier 1 (identity) or lambda_alpha
+            # (basis alpha), so it is the superoperator of the multipliers
+            # over d^2 on the same Kraus set
+            multipliers = np.concatenate([[1.0], np.repeat(lam, d - 1)])
+            choi = _kraus_superoperator(multipliers / d**2, ops)
+            choi_min = float(np.linalg.eigvalsh(choi).min())
             agree &= (margin > 0) == (p_min >= 0) == (choi_min >= -1e-9)
             verdicts.add(margin > 0)
         if verdicts != {True, False}:
@@ -202,8 +200,10 @@ def test_criterion_07_block_forms_agree_and_are_continuous():
         (4, [0.25, 0.09375, 0.03125, -0.125, -0.21875], 2, 3),
     ):
         comps = holevo_upper_bound(EigenvalueVector(d, lam))[1]
+        col = np.arange(1, d + 1)
+        blocks = comps.plain_blocks, comps.shifted_blocks, comps.straddle_blocks
         boundary = max(boundary, np.max(np.abs(
-            comps.zeta_for_region(r_lo) - comps.zeta_for_region(r_hi))))
+            _assemble_zeta(col, r_lo, *blocks) - _assemble_zeta(col, r_hi, *blocks))))
     ok = worst <= 1e-12 and boundary <= 1e-10
     _report("criterion 07: eigenvalue and probability block forms agree", ok,
             f"max form difference {worst:.3e} <= 1e-12, "

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from gpchannels import capacity
 from gpchannels.capacity import (
+    _transition_row_entropies,
     bounds_batch,
     capacity_bounds,
     capacity_from_fidelity,
@@ -13,7 +14,6 @@ from gpchannels.capacity import (
     holevo_upper_bound,
     holevo_upper_bound_weyl,
     pauli_classical_capacity,
-    transition_row_entropies,
     zeta_components_p_form,
     zeta_vector,
 )
@@ -151,16 +151,10 @@ def test_region_boundary_continuity():
         assert abs(e.values.sum() - np.sort(e.values)[::-1][r_high - 1]) < 1e-15
         _, comps = holevo_upper_bound(e)
         assert comps.region == r_low  # ties resolve downward
-        assert np.allclose(comps.zeta_for_region(r_low),
-                           comps.zeta_for_region(r_high), atol=1e-10)
-
-
-def test_zeta_for_region_range_check():
-    _, comps = holevo_upper_bound(REF_EIGS)
-    with pytest.raises(ValueError):
-        comps.zeta_for_region(0)
-    with pytest.raises(ValueError):
-        comps.zeta_for_region(3)
+        col = np.arange(1, d + 1)
+        blocks = comps.plain_blocks, comps.shifted_blocks, comps.straddle_blocks
+        assert np.allclose(capacity._assemble_zeta(col, r_low, *blocks),
+                           capacity._assemble_zeta(col, r_high, *blocks), atol=1e-10)
 
 
 def test_weyl_route_matches_closed_form(cp_sampler, rng):
@@ -449,7 +443,7 @@ def test_capacity_trajectory_is_bounds_batch_exact_capacity(kind, steps):
 @settings(max_examples=100, deadline=None)
 def test_transition_row_entropies_match_kron_loops(batch, copies):
     d, lams = batch
-    got = transition_row_entropies(lams, copies)
+    got = _transition_row_entropies(lams, copies)
     assert got.shape == lams.shape
     for i, lam in enumerate(lams):
         e = EigenvalueVector(d, lam)
@@ -463,7 +457,7 @@ def test_transition_row_entropies_match_kron_loops(batch, copies):
 @pytest.mark.parametrize("copies", [1, 2])
 def test_transition_row_entropies_of_the_identity_are_positive_zero(copies):
     # lambda = 1 maps every basis vector to itself: a pure row, entropy +0.0
-    entropies = transition_row_entropies(np.ones((1, 3)), copies)
+    entropies = _transition_row_entropies(np.ones((1, 3)), copies)
     assert np.array_equal(entropies, np.zeros((1, 3)))
     assert not np.signbit(entropies).any()
 
@@ -473,7 +467,7 @@ def test_transition_row_entropies_checks_copies():
                             (True, r"^copies must be an integer, got True$"),
                             (2.0, r"^copies must be an integer, got 2\.0$")):
         with pytest.raises(ValueError, match=message):
-            transition_row_entropies(np.zeros((1, 3)), copies)
+            _transition_row_entropies(np.zeros((1, 3)), copies)
 
 
 def test_fidelity_rows_form_matches_scalar_forms(cp_sampler, rng):

@@ -20,14 +20,16 @@ from gpchannels.channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
     WeylChannel,
+    _classical_map_rows,
+    _cp_margin_rows,
+    _cp_rows,
+    _require_cp_rows,
+    _weighted_gram,
     apply,
     canonical_mub,
     choi_blocks,
     choi_matrix,
-    classical_map_rows,
     classical_map_t,
-    cp_margin_rows,
-    cp_rows,
     eigenvalue_rows,
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
@@ -38,11 +40,9 @@ from gpchannels.channels import (
     probabilities_from_eigenvalues,
     probability_rows,
     require_cp,
-    require_cp_rows,
     sample_cp_eigenvalues,
     superoperator,
     tensor,
-    weighted_gram,
     weyl_kraus_terms,
 )
 from gpchannels.dynamics import RateSpec
@@ -54,8 +54,8 @@ from gpchannels.errors import (
 from gpchannels.cli import main
 from gpchannels.mub import (
     MubSet,
+    _displacement_products,
     build_mubs,
-    displacement_products,
     prime_power,
     unitary_u,
     weyl_labels,
@@ -142,7 +142,7 @@ def _rejection_cp_rows(d, count, rng):
     out = []
     while len(out) < count:
         batch = rng.uniform(lo, 1.0, size=(max(4 * count, 1024), d + 1))
-        out.extend(batch[cp_margin_rows(batch) >= 0.0])
+        out.extend(batch[_cp_margin_rows(batch) >= 0.0])
     return np.asarray(out[:count])
 
 
@@ -431,7 +431,7 @@ def test_a_probability_array_is_never_written_to():
 def test_sampled_rows_are_cp_and_in_the_box(d):
     lams = sample_cp_eigenvalues(d, 2000, np.random.default_rng([20261103, d]))
     assert lams.shape == (2000, d + 1)
-    assert cp_rows(lams).all()
+    assert _cp_rows(lams).all()
     assert lams.min() >= -1.0 / (d - 1) - VALIDATION_TOL
     assert lams.max() <= 1.0 + VALIDATION_TOL
 
@@ -467,11 +467,11 @@ def test_probabilities_from_noncp_eigenvalues_raise():
 
 
 def _cp_verdicts(d, lam):
-    """CP verdicts on one row: is_completely_positive, require_cp_rows and
+    """CP verdicts on one row: is_completely_positive, _require_cp_rows and
     probabilities_from_eigenvalues (raises or not), and CLI cp-check."""
     e = EigenvalueVector(d, lam)
     verdicts = [is_completely_positive(e)]
-    for call in (lambda: require_cp_rows(e.values[None, :]),
+    for call in (lambda: _require_cp_rows(e.values[None, :]),
                  lambda: probabilities_from_eigenvalues(e)):
         try:
             call()
@@ -817,7 +817,7 @@ def test_weighted_gram_matches_outer_product_sum(case):
     for weight, u in zip(weights, ops):
         v = u.ravel()
         expect += weight * np.outer(v, v.conj())
-    gram = weighted_gram(weights, ops)
+    gram = _weighted_gram(weights, ops)
     assert np.abs(gram - expect).max() <= 1e-15
     choi = gram / dim if w is None else choi_matrix(w)
     assert np.abs(choi - expect / dim).max() <= 1e-15
@@ -877,7 +877,7 @@ def test_choi_block_spectra_are_the_choi_spectrum(kind, d, zeros):
     p, n, dim = w.local_dimension, w.parts, w.dimension
     labels = np.arange(dim * dim).reshape((p,) * (2 * n))
     labels = labels.transpose(*range(1, 2 * n, 2), *range(0, 2 * n, 2)).reshape(dim, dim)
-    rows = displacement_products(p, n, labels.ravel()).sum(axis=2).reshape(dim, dim, dim)
+    rows = _displacement_products(p, n, labels.ravel()).sum(axis=2).reshape(dim, dim, dim)
     weighted = rows.transpose(0, 2, 1) * w.probabilities[labels][:, None, :]
     assert np.array_equal(blocks, weighted @ rows.conj() / dim)
     choi = choi_matrix(ch)
@@ -900,7 +900,7 @@ def test_classical_map_rows_are_stochastic():
 
 def test_classical_map_rows_stack_every_basis(cp_sampler, rng):
     lams = cp_sampler(4, 6, rng)
-    rows = classical_map_rows(lams)
+    rows = _classical_map_rows(lams)
     assert rows.shape == (6, 5, 4, 4)
     for i, lam in enumerate(lams):
         e = EigenvalueVector(4, lam)

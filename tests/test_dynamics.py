@@ -11,19 +11,19 @@ from hypothesis import example, given, strategies as st
 from gpchannels import capacity, dynamics
 from gpchannels.channels import (
     EigenvalueVector,
-    cp_rows,
+    _cp_rows,
     probabilities_from_eigenvalues,
     superoperator,
 )
 from gpchannels.dynamics import (
     PauliTrajectory,
     RateSpec,
+    _p_divisible_so_far,
     capacity_trajectory,
     eigenvalue_trajectory,
     non_p_divisible_capacity_witness,
     ode_eigenvalue_oracle,
     p_divisibility_check,
-    p_divisible_so_far,
 )
 from gpchannels.errors import NotCompletelyPositiveError
 from gpchannels.mub import weyl_labels
@@ -189,7 +189,7 @@ def test_derivative_formula_follows_a_negative_dominant_eigenvalue():
     # capacity term is even, so the rate formula holds on its signed value
     times = np.linspace(0.0, 2.0, 401)
     lams = np.stack([-0.6 + 0.15 * times, np.full(401, 0.1), np.full(401, 0.1)], axis=1)
-    assert cp_rows(lams).all()
+    assert _cp_rows(lams).all()
     traj = capacity_trajectory(PauliTrajectory(times, lams, cp_everywhere=True,
                                                p_divisible=False))
     inner = slice(1, -1)
@@ -204,7 +204,7 @@ def test_derivative_formula_holds_when_the_top_two_magnitudes_nearly_tie():
     times = np.linspace(0.0, 1.0, 101)
     lams = np.stack([0.6 - 0.1 * times, 0.6 - 0.1 * times - 1e-6, np.full(101, 0.3)],
                     axis=1)
-    assert cp_rows(lams).all()
+    assert _cp_rows(lams).all()
     traj = capacity_trajectory(PauliTrajectory(times, lams, cp_everywhere=True,
                                                p_divisible=True))
     assert traj.cdot_formula_valid.all()
@@ -216,9 +216,9 @@ def test_capacity_trajectory_reads_the_trajectorys_cp_verdict(monkeypatch):
     traj = eigenvalue_trajectory(non_p_divisible_capacity_witness(), 3.0, 61)
 
     def no_second_verdict(lams):
-        raise AssertionError("cp_rows called on the success path")
+        raise AssertionError("_cp_rows called on the success path")
 
-    monkeypatch.setattr(dynamics, "cp_rows", no_second_verdict)
+    monkeypatch.setattr(dynamics, "_cp_rows", no_second_verdict)
     assert capacity_trajectory(traj).capacity.shape == (61,)
 
 
@@ -260,15 +260,15 @@ def test_lambda_star_selects_as_argmax(rows):
 
 def test_p_divisible_so_far_falls_at_the_first_rise_and_stays_down():
     traj = eigenvalue_trajectory(non_p_divisible_capacity_witness(), 3.0, 301)
-    flags = p_divisible_so_far(traj.lambdas)
+    flags = _p_divisible_so_far(traj.lambdas)
     rises = np.any(np.diff(traj.lambdas, axis=0) > dynamics.P_DIVISIBILITY_TOL, axis=1)
     first = int(np.argmax(rises)) + 1
     assert flags.dtype == bool and flags.shape == (301,)
     assert flags[:first].all() and not flags[first:].any()
     assert flags[-1] == traj.p_divisible == p_divisibility_check(traj)
     constant = eigenvalue_trajectory(RateSpec.constant(0.4, 0.2, 0.1), 3.0, 31)
-    assert p_divisible_so_far(constant.lambdas).all() and constant.p_divisible
-    assert p_divisible_so_far(constant.lambdas[:1]).tolist() == [True]
+    assert _p_divisible_so_far(constant.lambdas).all() and constant.p_divisible
+    assert _p_divisible_so_far(constant.lambdas[:1]).tolist() == [True]
 
 
 def test_witness_breaks_p_divisibility_not_monotonicity():
@@ -556,19 +556,24 @@ def test_ode_oracle_refuses_inputs_beyond_its_step_budget(monkeypatch):
 def test_large_finite_backflow_is_accepted_on_both_routes(caplog):
     r = RateSpec.constant(-100, -100, -100)
     traj = eigenvalue_trajectory(r, 3.0, 11)
-    tracemalloc.start()
-    try:
-        lam, counts = _step_report(caplog, r, 11)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    lam, counts = _step_report(caplog, r, 11)
     assert counts == (14_384, 1)  # of the 50,000-step budget
-    # the dense output keeps only the steps that cover one of the 11 grid
-    # times; keeping all 14,384 would take over 10 MB
-    assert peak < 1_000_000
     assert np.all(np.isfinite(traj.lambdas)) and not traj.cp_everywhere
     assert np.all(np.isfinite(lam))
     assert np.allclose(lam, traj.lambdas, rtol=1e-6, atol=0.0)
+
+
+def test_dense_output_keeps_only_the_steps_that_cover_a_grid_time(caplog):
+    # traced, each step costs about ten times as much, so the run is a short
+    # one; keeping all of its 1,443 steps would take over 2 MB
+    tracemalloc.start()
+    try:
+        _, counts = _step_report(caplog, RateSpec.constant(-10, -10, -10), 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (1_443, 0)
+    assert peak < 1_000_000
 
 
 def test_qubit_axis_order_is_the_reverse_of_the_channel_layers():

@@ -9,10 +9,10 @@ from gpchannels.errors import UnsupportedDimensionError
 from gpchannels.numerics import VALIDATION_TOL
 from gpchannels.mub import (
     MubSet,
+    _displacement_products,
     _weyl_family,
     build_mubs,
     check_weyl_correspondence,
-    displacement_products,
     prime_power,
     unitary_u,
     verify_mub,
@@ -88,7 +88,7 @@ def test_weyl_labels_partition_into_commuting_sets(d):
     assert np.array_equal(np.sort(labels, axis=None), np.arange(1, d * d))
     if d <= 16:
         for row in labels:
-            ops = displacement_products(p, n, row)
+            ops = _displacement_products(p, n, row)
             for a in ops:
                 for b in ops:
                     assert np.max(np.abs(a @ b - b @ a)) < 1e-12
@@ -105,10 +105,10 @@ def test_displacement_products_match_kron_loop(p, n):
         for j in range(2, 2 * n, 2):
             op = np.kron(op, weyl_operator(p, digits[j], digits[j + 1]))
         expect.append(op)
-    ops = displacement_products(p, n, labels)
+    ops = _displacement_products(p, n, labels)
     assert ops.dtype == complex
     assert np.array_equal(ops, expect)
-    assert np.array_equal(displacement_products(p, n, labels[::-3]), ops[::-3])
+    assert np.array_equal(_displacement_products(p, n, labels[::-3]), ops[::-3])
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3),
@@ -119,8 +119,8 @@ def test_row_sums_are_the_diagonal_of_the_shift_zero_product(p, n):
     digits = np.stack(np.unravel_index(labels, (p,) * (2 * n)))
     digits[1::2] = 0
     phase_only = np.ravel_multi_index(tuple(digits), (p,) * (2 * n))
-    sums = displacement_products(p, n, labels).sum(axis=2)
-    diagonals = np.diagonal(displacement_products(p, n, phase_only), axis1=1, axis2=2)
+    sums = _displacement_products(p, n, labels).sum(axis=2)
+    diagonals = np.diagonal(_displacement_products(p, n, phase_only), axis1=1, axis2=2)
     assert np.array_equal(sums, diagonals)
 
 
@@ -147,8 +147,8 @@ def test_weyl_operator_composition(rng):
     omega = np.exp(2j * np.pi / d)
     for _ in range(20):
         k1, l1, k2, l2 = rng.integers(0, d, size=4)
-        a, b, c = displacement_products(d, 1, [k1 * d + l1, k2 * d + l2,
-                                                (k1 + k2) % d * d + (l1 + l2) % d])
+        a, b, c = _displacement_products(d, 1, [k1 * d + l1, k2 * d + l2,
+                                                 (k1 + k2) % d * d + (l1 + l2) % d])
         assert np.allclose(a @ b, omega ** (l1 * k2) * c, atol=1e-12)
         assert np.allclose(a @ a.conj().T, np.eye(d), atol=1e-12)
 
@@ -229,7 +229,7 @@ def test_dim4_bases_diagonalize_their_triples():
     assert labels.shape == (5, 3)
     for alpha, triple in enumerate(labels, start=1):
         b = m.basis(alpha)
-        for op in displacement_products(2, 2, triple):
+        for op in _displacement_products(2, 2, triple):
             transformed = b.conj() @ op @ b.T
             off = transformed - np.diag(np.diag(transformed))
             assert np.max(np.abs(off)) < 1e-10

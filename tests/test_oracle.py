@@ -14,13 +14,13 @@ from gpchannels.channels import (
     EigenvalueVector,
     GeneralizedPauliChannel,
     WeylChannel,
+    _cp_rows,
+    _kraus_superoperator,
     canonical_mub,
     choi_matrix,
-    cp_rows,
     eigenvalues_from_probabilities,
     fujiwara_algoet_margin,
     gpc_to_weyl,
-    kraus_superoperator,
     kraus_terms,
     probabilities_from_eigenvalues,
     require_cp,
@@ -263,7 +263,7 @@ def test_pauli_transfer_maps_bloch_vectors():
     for k in (1, 2, 3, 5):
         weights = rng.dirichlet(np.ones(k))
         ops = _random_unitaries(k, rng)
-        t = _pauli_transfer(kraus_superoperator(weights, ops))[1:, 1:]
+        t = _pauli_transfer(_kraus_superoperator(weights, ops))[1:, 1:]
         assert np.abs(t - t.T).max() > 0.05
         for psi in _random_states(6, 2, [20261116, k]):
             rho = np.outer(psi, psi.conj())
@@ -603,7 +603,7 @@ def _coinciding_rows(d, count):
         b = rng.uniform(0.0, 0.4)
         lam = np.full(d + 1, b)
         lam[rng.integers(d + 1)] = rng.uniform(b, 1.0)
-        if cp_rows(lam[None])[0]:
+        if _cp_rows(lam[None])[0]:
             rows.append(lam)
     return np.array(rows)
 
@@ -635,7 +635,7 @@ def test_basis_warm_starts_match_the_eig_route(d):
         weights, ops = kraus_terms(c, m)
         vecs = np.linalg.eig(ops)[1].transpose(0, 2, 1).reshape(-1, d)
         vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-        old = _output_entropies(vecs, kraus_superoperator(weights, ops)).min()
+        old = _output_entropies(vecs, _kraus_superoperator(weights, ops)).min()
         assert abs(search_output_entropy(c, m, cfg).grid_entropy - old) <= 1e-15
 
 

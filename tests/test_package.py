@@ -2,6 +2,7 @@ import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -23,6 +24,30 @@ REMOVED = {
     "shannon_entropy": "numerics",
     "von_neumann_entropy": "numerics",
     "weyl_operator": "mub",
+}
+
+# kernels that read no input of their own, made private to the module that
+# defines them; each has a checked public counterpart
+PRIVATE = {
+    "classical_map_rows": "channels",
+    "clip_eigenvalue_rows": "channels",
+    "cp_margin_rows": "channels",
+    "cp_rows": "channels",
+    "displacement_products": "mub",
+    "kraus_superoperator": "channels",
+    "p_divisible_so_far": "dynamics",
+    "require_cp_rows": "channels",
+    "transition_row_entropies": "capacity",
+    "weighted_gram": "channels",
+}
+
+# public entries that are not exports but read and check their own input
+CHECKED_ENTRIES = {
+    "capacity": {"channel_fidelity_extremes_rows"},
+    "channels": {"eigenvalue_rows", "probability_rows", "sample_cp_eigenvalues"},
+    "cli": {"build_parser", "main", "run_formula_suite"},
+    "mub": {"require_prime_power"},
+    "numerics": {"as_distribution"},
 }
 
 
@@ -54,6 +79,37 @@ def test_removed_names_are_gone(name):
     assert name not in gpchannels.__all__
     assert not hasattr(gpchannels, name)
     assert not hasattr(importlib.import_module("gpchannels." + REMOVED[name]), name)
+
+
+@pytest.mark.parametrize("name", list(PRIVATE))
+def test_unchecked_kernels_are_private(name):
+    module = importlib.import_module("gpchannels." + PRIVATE[name])
+    assert not hasattr(module, name)
+    assert callable(getattr(module, "_" + name))
+
+
+def test_zeta_components_has_no_region_reassembly():
+    from gpchannels.capacity import ZetaComponents
+
+    assert not hasattr(ZetaComponents, "zeta_for_region")
+
+
+@pytest.mark.parametrize("module", [info.name for info in pkgutil.iter_modules(
+    gpchannels.__path__)])
+def test_public_functions_and_classes_are_exports_or_checked_entries(module):
+    # a public name either is an export, which reads its input through the
+    # package's checks, or is listed above; selfcheck's public names are its
+    # registered checks and their result type
+    mod = importlib.import_module("gpchannels." + module)
+    defined = {name for name, value in vars(mod).items()
+               if not name.startswith("_") and callable(value)
+               and getattr(value, "__module__", None) == mod.__name__}
+    allowed = {name for name in gpchannels.__all__
+               if getattr(gpchannels, name).__module__ == mod.__name__}
+    allowed |= CHECKED_ENTRIES.get(module, set())
+    if module == "selfcheck":
+        allowed |= {check.__name__ for check in mod.CHECKS} | {"CheckResult"}
+    assert defined == allowed
 
 
 def test_dir_lists_every_export_and_loads_no_submodule():

@@ -133,6 +133,10 @@ MUTATIONS = [
      'side="left"', 'side="right"'),
     ("dense output skips a step that covers one grid time", "dynamics.py",
      "        if upto > done:", "        if upto > done + 1:"),
+    ("dense output keeps every step", "dynamics.py",
+     "        if upto > done:", "        if True:"),
+    ("public alias of a row kernel", "channels.py",
+     "def _require_cp_rows(", "cp_rows = _cp_rows\n\n\ndef _require_cp_rows("),
 ]
 
 # mutants that survive today, each with the ROADMAP item that will mend it;
