@@ -31,6 +31,7 @@ from .channels import (
     _classical_map_rows,
     _clip_eigenvalue_rows,
     _require_cp_rows,
+    _require_gpc,
     _row_array,
     require_cp,  # noqa: F401  perfbench traces this name in this module
 )
@@ -278,7 +279,7 @@ def zeta_components_p_form(c: GeneralizedPauliChannel) -> ZetaComponents:
     and the identity weight sits in block
     r = 1 + #{m in 2..d : p_m/(d-1) > p_0}.
     """
-    d = c.dimension
+    d = _require_gpc(c).dimension
     p0 = c.probabilities[0]
     rest = c.probabilities[1:]
     ps = -np.sort(-rest)

@@ -27,6 +27,11 @@ so the basis-set route only matches its dimension.  A WeylChannel
 carries its own displacement products, of any local dimension; the oracle's
 search still takes its warm starts from canonical_mub of its dimension.
 
+Type policy: gpc_to_weyl, kraus_probability_multiset,
+eigenvalues_from_probabilities and capacity.zeta_components_p_form read the
+probability view of a GeneralizedPauliChannel, and refuse anything else, a
+WeylChannel too, with a TypeError naming its type (_require_gpc).
+
 Number policy: numerics._real_array is the one place where array input
 becomes floats.  Every constructor and row function here reads its
 probabilities or eigenvalues through it, and refuses by name an entry that
@@ -158,7 +163,8 @@ class WeylChannel:
 
 def eigenvalues_from_probabilities(c: GeneralizedPauliChannel) -> EigenvalueVector:
     """Apply the spectral map (eigenvalue_rows) to one channel."""
-    return EigenvalueVector(c.dimension, eigenvalue_rows(c.probabilities[None, :])[0])
+    return EigenvalueVector(_require_gpc(c).dimension,
+                            eigenvalue_rows(c.probabilities[None, :])[0])
 
 
 def _row_array(kind: str, rows, extra: int) -> np.ndarray:
@@ -311,7 +317,7 @@ def gpc_to_weyl(c: GeneralizedPauliChannel) -> WeylChannel:
     d = p^n gives a WeylChannel(p, n): the identity keeps p_0 and each of the
     d-1 labels in weyl_labels(d)[alpha-1] gets p_alpha/(d-1).
     """
-    d = c.dimension
+    d = _require_gpc(c).dimension
     labels = weyl_labels(d)
     weights = np.zeros(d * d)
     weights[0] = c.probabilities[0]
@@ -321,7 +327,7 @@ def gpc_to_weyl(c: GeneralizedPauliChannel) -> WeylChannel:
 
 def kraus_probability_multiset(c: GeneralizedPauliChannel) -> np.ndarray:
     """The d^2 Kraus weights: p_0 once, then each p_alpha/(d-1) repeated d-1 times."""
-    d = c.dimension
+    d = _require_gpc(c).dimension
     p = c.probabilities
     return np.concatenate([[p[0]], np.repeat(p[1:] / (d - 1.0), d - 1)])
 
@@ -330,6 +336,14 @@ def _require_channel(ch):
     if not isinstance(ch, (WeylChannel, GeneralizedPauliChannel)):
         raise TypeError(f"expected a channel, got {type(ch).__name__}")
     return ch
+
+
+def _require_gpc(c) -> GeneralizedPauliChannel:
+    # the functions of the probability view alone; a WeylChannel has the same
+    # attributes but other weights
+    if not isinstance(c, GeneralizedPauliChannel):
+        raise TypeError(f"expected a GeneralizedPauliChannel, got {type(c).__name__}")
+    return c
 
 
 def _as_weyl(ch) -> WeylChannel:

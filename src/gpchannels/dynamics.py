@@ -18,12 +18,12 @@ Each per-step decision on a trajectory has one rule, made here once.  The
 capacity is the maximum of bounds_batch's per-basis terms, driven by lambda*,
 the eigenvalue of largest magnitude; at d = 2 that maximum is bounds_batch's
 exact capacity, so the upper bound is not built.  capacity_trajectory's rate
-formula is the chain rule on it.  The CP verdict is eigenvalue_trajectory's
-cp_everywhere, which capacity_trajectory reads.  P divisibility is
-_p_divisible_so_far, the running flag behind PauliTrajectory.p_divisible,
-p_divisibility_check and the CLI's p_divisible_so_far column; like the
-channel layer's private row kernels it reads no input of its own, and takes
-the (n, 3) eigenvalues of a PauliTrajectory.
+formula is the chain rule on it.  A PauliTrajectory checks the times and
+eigenvalues it holds, and its two verdicts are properties read off them, not
+stored: cp_everywhere is the channel layer's CP decision on every row, which
+capacity_trajectory reads, and p_divisible is the last entry of
+_p_divisible_so_far, the running flag that the CLI prints as its
+p_divisible_so_far column and p_divisibility_check returns.
 
 The qubit operators are the channel layer's: the generator and the oracle's
 read-out take the displacement products of the label sets of weyl_labels(2),
@@ -44,7 +44,7 @@ on the order.
 import bisect
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -52,7 +52,7 @@ import numpy as np
 # pauli_classical_capacity stays importable here: perfbench traces the
 # per-step qubit closed form through this name
 from .capacity import _basis_terms, pauli_classical_capacity  # noqa: F401
-from .channels import _clip_eigenvalue_rows, _cp_rows, _kraus_superoperator
+from .channels import _clip_eigenvalue_rows, _cp_rows, _kraus_superoperator, _row_array
 from .errors import NotCompletelyPositiveError
 from .mub import _displacement_products, weyl_labels
 from .numerics import _is_real, _real_array, _require_integer
@@ -175,16 +175,48 @@ class RateSpec:
 
 @dataclass(frozen=True)
 class PauliTrajectory:
-    """Sampled map eigenvalues and derived quantities on a uniform time grid."""
+    """Map eigenvalues sampled on a time grid, and the capacity along them.
+
+    times is an (n,) array of finite, strictly increasing times and lambdas
+    the (n, 3) map eigenvalues there, every entry finite; times is read by
+    numerics._real_array and lambdas by channels._row_array, and any other
+    input is refused with a ValueError naming it, a non-finite eigenvalue by
+    its first time.  The verdicts are not stored: cp_everywhere and
+    p_divisible are read off lambdas on each access.  The keyword-only fields
+    hold capacity_trajectory's outputs, None until it fills them.
+    """
 
     times: np.ndarray
     lambdas: np.ndarray
-    cp_everywhere: bool
-    p_divisible: bool
+    _: KW_ONLY
     capacity: Optional[np.ndarray] = None
     cdot_fd: Optional[np.ndarray] = None
     cdot_formula: Optional[np.ndarray] = None
     cdot_formula_valid: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        times = _real_array("times", self.times)
+        lambdas = _row_array("eigenvalue", self.lambdas, 1)
+        if times.ndim != 1 or lambdas.shape != (times.size, 3):
+            raise ValueError(f"need (n,) times and (n, 3) eigenvalues, got shapes "
+                             f"{times.shape} and {lambdas.shape}")
+        if not (np.isfinite(times).all() and (times[1:] > times[:-1]).all()):
+            raise ValueError("times must be finite and strictly increasing")
+        if not np.isfinite(lambdas).all():
+            bad = int(np.argmin(np.isfinite(lambdas).all(axis=1)))
+            raise ValueError(f"map eigenvalues are not finite at t={times[bad]:.6g}")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "lambdas", lambdas)
+
+    @property
+    def cp_everywhere(self) -> bool:
+        """Whether every row passes the channel layer's one CP decision."""
+        return bool(_cp_rows(self.lambdas).all())
+
+    @property
+    def p_divisible(self) -> bool:
+        """Whether no eigenvalue grows over the grid: _p_divisible_so_far's last entry."""
+        return bool(_p_divisible_so_far(self.lambdas)[-1])
 
 
 def _p_divisible_so_far(lambdas: np.ndarray) -> np.ndarray:
@@ -218,30 +250,21 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
     """Map eigenvalues on a uniform grid via cumulative Simpson quadrature.
 
     Each grid interval contributes h/6 (g_i + 4 g_mid + g_{i+1}); exact for
-    constant and linear rates between samples.  Raises ValueError naming the
-    first grid time at which an eigenvalue overflows.
+    constant and linear rates between samples.  PauliTrajectory raises the
+    ValueError naming the first grid time at which an eigenvalue overflows.
     """
     times = _time_grid(t_max, steps)
     h = times[1] - times[0]
     g_nodes = r.evaluate(times)
     # halves first: the sum of two times near the largest float overflows
     g_mids = r.evaluate(times[:-1] / 2.0 + times[1:] / 2.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # PauliTrajectory checks
         increments = h / 6.0 * (g_nodes[:, :-1] + 4.0 * g_mids + g_nodes[:, 1:])
         gamma_cum = np.concatenate(
             [np.zeros((3, 1)), np.cumsum(increments, axis=1)], axis=1
         )
         lambdas = np.exp(gamma_cum - gamma_cum.sum(axis=0)).T
-    finite = np.isfinite(lambdas).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ValueError(f"map eigenvalues are not finite at t={times[bad]:.6g}")
-    return PauliTrajectory(
-        times=times,
-        lambdas=lambdas,
-        cp_everywhere=bool(_cp_rows(lambdas).all()),
-        p_divisible=bool(_p_divisible_so_far(lambdas)[-1]),
-    )
+    return PauliTrajectory(times, lambdas)
 
 
 def _generators(r: RateSpec, t) -> np.ndarray:
@@ -397,8 +420,9 @@ def ode_eigenvalue_oracle(r: RateSpec, t_max: float, steps: int) -> np.ndarray:
 
 
 def p_divisibility_check(traj: PauliTrajectory) -> bool:
-    """True iff every eigenvalue trace is non-increasing on the grid."""
-    return bool(_p_divisible_so_far(traj.lambdas)[-1])
+    """True iff every eigenvalue trace is non-increasing on the grid: the
+    trajectory's p_divisible."""
+    return traj.p_divisible
 
 
 def _time_derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:

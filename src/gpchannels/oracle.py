@@ -242,9 +242,13 @@ def search_output_entropy(channel, m: Optional[MubSet] = None,
     already, so polishing them would change nothing.  The polish is a batched
     conditional-gradient step on pure states (_polish), run when
     refinement_iterations > 0; a warning is logged when the returned state is
-    a polished start that is not certified stationary.
+    a polished start that is not certified stationary.  cfg None runs the
+    default SearchConfig; anything but a SearchConfig or None is a TypeError.
     """
-    cfg = cfg or SearchConfig()
+    if cfg is None:
+        cfg = SearchConfig()
+    elif not isinstance(cfg, SearchConfig):
+        raise TypeError(f"cfg must be a SearchConfig or None, got {type(cfg).__name__}")
     sup = superoperator(channel, m)
     dim = channel.dimension
 

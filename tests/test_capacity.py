@@ -406,14 +406,14 @@ _DIP = RateSpec((0.25, ((0.0, 0.8, 1.0, 1.4, 1.6, 3.0), (2.5, 2.5, -0.8, -0.8, 2
 def _negative_dominant():
     times = np.linspace(0.0, 2.0, 401)
     lams = np.stack([-0.6 + 0.15 * times, np.full(401, 0.1), np.full(401, 0.1)], axis=1)
-    return PauliTrajectory(times, lams, cp_everywhere=True, p_divisible=False)
+    return PauliTrajectory(times, lams)
 
 
 def _saturated():
     # unitary rows, |lambda| = 1 everywhere, then the identity and a plateau
     lams = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
                      [-1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.2, 0.2], [1.0, 0.0, 0.0]])
-    return PauliTrajectory(np.arange(7.0), lams, cp_everywhere=True, p_divisible=False)
+    return PauliTrajectory(np.arange(7.0), lams)
 
 
 _RATES = {"witness": non_p_divisible_capacity_witness(),

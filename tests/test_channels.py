@@ -14,6 +14,7 @@ from gpchannels.capacity import (
     capacity_from_fidelity,
     channel_fidelity_extremes_rows,
     holevo_lower_via_classical,
+    zeta_components_p_form,
     zeta_vector,
 )
 from gpchannels.channels import (
@@ -618,6 +619,21 @@ def test_kraus_terms_errors_reach_every_caller():
         with pytest.raises(TypeError, match="^basis set must be a MubSet or None, "
                                             "got ndarray$"):
             call()
+
+
+@pytest.mark.parametrize("entry", [gpc_to_weyl, kraus_probability_multiset,
+                                   eigenvalues_from_probabilities, zeta_components_p_form])
+@pytest.mark.parametrize("make", [
+    lambda: gpc_to_weyl(GeneralizedPauliChannel(3, [0.2, 0.3, 0.25, 0.15, 0.1])),
+    lambda: EigenvalueVector(3, [0.1] * 4),
+], ids=["weyl-d3", "eigenvalues"])
+def test_probability_view_entries_take_a_generalized_pauli_channel_only(entry, make):
+    # a WeylChannel has a dimension and probabilities too, but its d^2 weights
+    # are not the d+2 mixing probabilities
+    x = make()
+    with pytest.raises(TypeError, match="^expected a GeneralizedPauliChannel, "
+                                        f"got {type(x).__name__}$"):
+        entry(x)
 
 
 def test_kraus_terms_basis_route_requires_a_prime_power_set_of_mubs():

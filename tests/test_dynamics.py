@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 import time
@@ -190,8 +191,7 @@ def test_derivative_formula_follows_a_negative_dominant_eigenvalue():
     times = np.linspace(0.0, 2.0, 401)
     lams = np.stack([-0.6 + 0.15 * times, np.full(401, 0.1), np.full(401, 0.1)], axis=1)
     assert _cp_rows(lams).all()
-    traj = capacity_trajectory(PauliTrajectory(times, lams, cp_everywhere=True,
-                                               p_divisible=False))
+    traj = capacity_trajectory(PauliTrajectory(times, lams))
     inner = slice(1, -1)
     assert traj.cdot_formula_valid[inner].all()
     assert np.all(traj.cdot_formula[inner] < 0.0)
@@ -205,21 +205,26 @@ def test_derivative_formula_holds_when_the_top_two_magnitudes_nearly_tie():
     lams = np.stack([0.6 - 0.1 * times, 0.6 - 0.1 * times - 1e-6, np.full(101, 0.3)],
                     axis=1)
     assert _cp_rows(lams).all()
-    traj = capacity_trajectory(PauliTrajectory(times, lams, cp_everywhere=True,
-                                               p_divisible=True))
+    traj = capacity_trajectory(PauliTrajectory(times, lams))
     assert traj.cdot_formula_valid.all()
     inner = slice(1, -1)
     assert np.max(np.abs(traj.cdot_formula[inner] - traj.cdot_fd[inner])) <= 1e-7
 
 
 def test_capacity_trajectory_reads_the_trajectorys_cp_verdict(monkeypatch):
-    traj = eigenvalue_trajectory(non_p_divisible_capacity_witness(), 3.0, 61)
+    # CP is decided once per trajectory: the cp_everywhere that
+    # capacity_trajectory reads
+    calls = []
 
-    def no_second_verdict(lams):
-        raise AssertionError("_cp_rows called on the success path")
+    def counted(lams):
+        calls.append(lams.shape)
+        return _cp_rows(lams)
 
-    monkeypatch.setattr(dynamics, "_cp_rows", no_second_verdict)
-    assert capacity_trajectory(traj).capacity.shape == (61,)
+    monkeypatch.setattr(dynamics, "_cp_rows", counted)
+    traj = capacity_trajectory(
+        eigenvalue_trajectory(non_p_divisible_capacity_witness(), 3.0, 61))
+    assert traj.capacity.shape == (61,)
+    assert calls == [(61, 3)]
 
 
 def test_capacity_trajectory_assembles_no_upper_bound(monkeypatch):
@@ -288,7 +293,7 @@ def test_witness_breaks_p_divisibility_not_monotonicity():
 def test_capacity_trajectory_needs_two_times(times):
     # _time_grid's rule: a rate needs two times, and so does np.gradient
     lams = np.full((times.size, 3), 0.5)
-    traj = PauliTrajectory(times, lams, cp_everywhere=True, p_divisible=True)
+    traj = PauliTrajectory(times, lams)
     with pytest.raises(ValueError, match=rf"^need at least 2 times, got {times.size}$"):
         capacity_trajectory(traj)
 
@@ -306,6 +311,66 @@ def test_capacity_trajectory_names_where_it_leaves_cp():
     with pytest.raises(NotCompletelyPositiveError,
                        match=r"^trajectory leaves the CP region at t=0\.01$"):
         capacity_trajectory(traj)
+
+
+_T3 = np.array([0.0, 1.0, 2.0])
+_CP3 = [[0.5, 0.2, 0.1], [0.4, 0.2, 0.1], [0.3, 0.2, 0.1]]
+_RISING3 = [[0.2, 0.2, 0.2], [0.3, 0.2, 0.2], [0.4, 0.2, 0.2]]
+
+# each case: the call, then either the (error, message) it must raise or the
+# call that gives the value it must return
+_TRAJECTORY_DEFECTS = {
+    "not-cp": (lambda: capacity_trajectory(PauliTrajectory(
+        _T3, [[0.5, 0.2, 0.1], [0.9, 0.9, -0.5], [0.9, 0.9, -0.5]])),
+        (NotCompletelyPositiveError, r"^trajectory leaves the CP region at t=1$")),
+    "cp": (lambda: capacity_trajectory(PauliTrajectory(_T3, _CP3)).capacity.tolist(),
+           lambda: [capacity.pauli_classical_capacity(EigenvalueVector(2, row))
+                    for row in _CP3]),
+    "rising": (lambda: (PauliTrajectory(_T3, _RISING3).p_divisible,
+                        p_divisibility_check(PauliTrajectory(_T3, _RISING3))),
+               lambda: (False, False)),
+    "1-d-lambdas": (lambda: PauliTrajectory(_T3[:1], [0.5, 0.2, 0.1]),
+                    (ValueError, r"^need an \(N, d\+1\) eigenvalue array, got shape \(3,\)$")),
+    "4-lambdas": (lambda: PauliTrajectory(_T3, np.full((3, 4), 0.1)),
+                  (ValueError, r"^need \(n,\) times and \(n, 3\) eigenvalues, got shapes "
+                               r"\(3,\) and \(3, 4\)$")),
+    "mismatched-lengths": (lambda: PauliTrajectory(_T3, _CP3[:2]),
+                           (ValueError, r"^need \(n,\) times and \(n, 3\) eigenvalues, "
+                                        r"got shapes \(3,\) and \(2, 3\)$")),
+    "decreasing-times": (lambda: PauliTrajectory(_T3[::-1], _CP3),
+                         (ValueError, "^times must be finite and strictly increasing$")),
+    "nan-time": (lambda: PauliTrajectory([0.0, np.nan, 2.0], _CP3),
+                 (ValueError, "^times must be finite and strictly increasing$")),
+    "nan-eigenvalue": (lambda: PauliTrajectory(_T3, [_CP3[0], [0.4, np.nan, 0.1], _CP3[2]]),
+                       (ValueError, r"^map eigenvalues are not finite at t=1$")),
+    "old-positional-call": (lambda: PauliTrajectory(_T3, _CP3, True, True),
+                            (TypeError, "positional arguments")),
+    "nested-lists": (lambda: capacity_trajectory(
+        PauliTrajectory(_T3.tolist(), _CP3)).capacity.tobytes(),
+        lambda: capacity_trajectory(PauliTrajectory(_T3, np.array(_CP3))).capacity.tobytes()),
+}
+
+
+@pytest.mark.parametrize("call, outcome", _TRAJECTORY_DEFECTS.values(),
+                         ids=_TRAJECTORY_DEFECTS.keys())
+def test_trajectory_defects_are_refused_by_name_or_answered(call, outcome):
+    # a trajectory holds times and eigenvalues only, checks them, and reads
+    # its verdicts off them
+    if isinstance(outcome, tuple):
+        error, message = outcome
+        with pytest.raises(error, match=message):
+            call()
+    else:
+        assert call() == outcome()
+
+
+def test_trajectory_holds_no_verdict_field():
+    # the verdicts are properties; only the capacity outputs are settable,
+    # and by keyword only
+    names = [field.name for field in dataclasses.fields(PauliTrajectory)]
+    assert names == ["times", "lambdas", "capacity", "cdot_fd", "cdot_formula",
+                     "cdot_formula_valid"]
+    assert all(field.kw_only for field in dataclasses.fields(PauliTrajectory)[2:])
 
 
 def test_trajectory_is_frozen():

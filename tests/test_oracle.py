@@ -75,6 +75,15 @@ def test_search_config_requires_integers(field, value):
         SearchConfig(**{field: value})
 
 
+@pytest.mark.parametrize("cfg", [0, {}, "", 1, (64, 256, 0, 200)],
+                         ids=["zero", "dict", "str", "one", "tuple"])
+def test_search_takes_a_search_config_or_none(cfg):
+    # a falsy value does not stand for the default, nor a truthy one for a config
+    with pytest.raises(TypeError, match="^cfg must be a SearchConfig or None, "
+                                        f"got {type(cfg).__name__}$"):
+        holevo_estimate(REF, None, cfg)
+
+
 def test_search_config_accepts_numpy_integers():
     cfg = SearchConfig(grid_resolution=np.int64(16), samples=np.int32(8),
                        seed=np.uint8(3), refinement_iterations=np.int64(5))

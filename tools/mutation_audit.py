@@ -137,6 +137,16 @@ MUTATIONS = [
      "        if upto > done:", "        if True:"),
     ("public alias of a row kernel", "channels.py",
      "def _require_cp_rows(", "cp_rows = _cp_rows\n\n\ndef _require_cp_rows("),
+    ("trajectory reads every row as CP", "dynamics.py",
+     "return bool(_cp_rows(self.lambdas).all())", "return True"),
+    ("trajectory times in any order", "dynamics.py",
+     "np.isfinite(times).all() and (times[1:] > times[:-1]).all()",
+     "np.isfinite(times).all()"),
+    ("kraus_probability_multiset takes any channel", "channels.py",
+     "    d = _require_gpc(c).dimension\n    p = c.probabilities",
+     "    d = c.dimension\n    p = c.probabilities"),
+    ("a falsy search config runs the default", "oracle.py",
+     "    if cfg is None:", "    if not cfg:"),
 ]
 
 # mutants that survive today, each with the ROADMAP item that will mend it;
