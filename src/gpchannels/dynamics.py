@@ -14,16 +14,18 @@ product of a coefficient row with the state stacked above the stage rates,
 and the grid is read off the steps that cover it in one batched pass after
 the last step, so the integration keeps at most one step per grid time.
 
-Each per-step decision on a trajectory has one rule, made here once.  The
-capacity is the maximum of bounds_batch's per-basis terms, driven by lambda*,
-the eigenvalue of largest magnitude; at d = 2 that maximum is bounds_batch's
-exact capacity, so the upper bound is not built.  capacity_trajectory's rate
-formula is the chain rule on it.  A PauliTrajectory checks the times and
-eigenvalues it holds, and its two verdicts are properties read off them, not
-stored: cp_everywhere is the channel layer's CP decision on every row, which
-capacity_trajectory reads, and p_divisible is the last entry of
-_p_divisible_so_far, the running flag that the CLI prints as its
-p_divisible_so_far column and p_divisibility_check returns.
+Each per-step decision on a trajectory has one rule, made here once.  A
+PauliTrajectory is its times and eigenvalues, checked once, when it is made,
+and every output is read off those two arrays, never stored by a caller.  Its
+verdicts are properties: cp_everywhere is the channel layer's CP decision on
+every row, and p_divisible is the last entry of _p_divisible_so_far, the
+running flag that the CLI prints as its p_divisible_so_far column and
+p_divisibility_check returns.  Its capacity outputs come from one pass, run on
+their first read and kept: the capacity is the maximum of bounds_batch's
+per-basis terms, driven by lambda*, the eigenvalue of largest magnitude; at
+d = 2 that maximum is bounds_batch's exact capacity, so the upper bound is not
+built, and the rate formula is the chain rule on it.  capacity_trajectory and
+p_divisibility_check read a trajectory and refuse anything else by its type.
 
 The qubit operators are the channel layer's: the generator and the oracle's
 read-out take the displacement products of the label sets of weyl_labels(2),
@@ -44,15 +46,15 @@ on the order.
 import bisect
 import logging
 import math
-from dataclasses import KW_ONLY, dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 # pauli_classical_capacity stays importable here: perfbench traces the
 # per-step qubit closed form through this name
 from .capacity import _basis_terms, pauli_classical_capacity  # noqa: F401
-from .channels import _clip_eigenvalue_rows, _cp_rows, _kraus_superoperator, _row_array
+from .channels import _clip_eigenvalue_rows, _cp_rows, _kraus_superoperator
 from .errors import NotCompletelyPositiveError
 from .mub import _displacement_products, weyl_labels
 from .numerics import _is_real, _real_array, _require_integer
@@ -177,36 +179,45 @@ class RateSpec:
 class PauliTrajectory:
     """Map eigenvalues sampled on a time grid, and the capacity along them.
 
-    times is an (n,) array of finite, strictly increasing times and lambdas
-    the (n, 3) map eigenvalues there, every entry finite; times is read by
-    numerics._real_array and lambdas by channels._row_array, and any other
-    input is refused with a ValueError naming it, a non-finite eigenvalue by
-    its first time.  The verdicts are not stored: cp_everywhere and
-    p_divisible are read off lambdas on each access.  The keyword-only fields
-    hold capacity_trajectory's outputs, None until it fills them.
+    A trajectory is its times and eigenvalues, checked once, when it is made:
+    times is an (n,) array of 2 or more finite, strictly increasing times and
+    lambdas the (n, 3) map eigenvalues there, every entry finite; both are
+    read by numerics._real_array, and any other input is refused with a
+    ValueError naming it, a non-finite eigenvalue by its first time.  Both are
+    kept as read-only copies, so a later write to the caller's arrays changes
+    nothing here.
+
+    Nothing else is stored.  The verdicts cp_everywhere and p_divisible are
+    read off lambdas on each access.  The outputs capacity, cdot_fd,
+    cdot_formula and cdot_formula_valid are read off the checked arrays by one
+    pass, run on the first read and kept read-only (capacity_trajectory
+    documents it);
+    on a trajectory that leaves the CP region that read raises
+    NotCompletelyPositiveError naming the first grid time outside it.
     """
 
     times: np.ndarray
     lambdas: np.ndarray
-    _: KW_ONLY
-    capacity: Optional[np.ndarray] = None
-    cdot_fd: Optional[np.ndarray] = None
-    cdot_formula: Optional[np.ndarray] = None
-    cdot_formula_valid: Optional[np.ndarray] = None
 
     def __post_init__(self):
         times = _real_array("times", self.times)
-        lambdas = _row_array("eigenvalue", self.lambdas, 1)
+        lambdas = _real_array("eigenvalues", self.lambdas)
         if times.ndim != 1 or lambdas.shape != (times.size, 3):
             raise ValueError(f"need (n,) times and (n, 3) eigenvalues, got shapes "
                              f"{times.shape} and {lambdas.shape}")
+        # _time_grid's rule: a rate needs two times, and so does np.gradient
+        if times.size < 2:
+            raise ValueError(f"need at least 2 times, got {times.size}")
         if not (np.isfinite(times).all() and (times[1:] > times[:-1]).all()):
             raise ValueError("times must be finite and strictly increasing")
         if not np.isfinite(lambdas).all():
             bad = int(np.argmin(np.isfinite(lambdas).all(axis=1)))
             raise ValueError(f"map eigenvalues are not finite at t={times[bad]:.6g}")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "lambdas", lambdas)
+        # read-only copies, so no write by the caller outdates the check or the pass
+        for name, arr in (("times", times), ("lambdas", lambdas)):
+            arr = np.array(arr)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def cp_everywhere(self) -> bool:
@@ -217,6 +228,44 @@ class PauliTrajectory:
     def p_divisible(self) -> bool:
         """Whether no eigenvalue grows over the grid: _p_divisible_so_far's last entry."""
         return bool(_p_divisible_so_far(self.lambdas)[-1])
+
+    @cached_property
+    def _outputs(self) -> tuple:
+        """(capacity, cdot_fd, cdot_formula, cdot_formula_valid), one pass on
+        the first read, the rules as capacity_trajectory states them."""
+        if not self.cp_everywhere:
+            bad = int(np.argmin(_cp_rows(self.lambdas)))
+            raise NotCompletelyPositiveError(
+                f"trajectory leaves the CP region at t={self.times[bad]:.6g}"
+            )
+        # the qubit bounds meet on every CP row, so chi_low is the capacity
+        capacity = _sorted_columns(_basis_terms(_clip_eigenvalue_rows(self.lambdas)))[0]
+        mags = np.abs(self.lambdas)
+        lam_star = _lambda_star(self.lambdas, mags)
+        top, middle, bottom = _sorted_columns(mags)
+        cdot_fd, dlam_star = _time_derivative(np.stack([capacity, lam_star], axis=1),
+                                              self.times).T
+        formula = np.zeros_like(lam_star)
+        interior = top < 1.0 - 1e-12
+        formula[interior] = 0.5 * dlam_star[interior] * np.log(
+            (1.0 + lam_star[interior]) / (1.0 - lam_star[interior])
+        )
+        one_max = (top - middle > 1e-9) | (top - bottom <= 1e-12)
+        valid = one_max & (interior | (np.abs(dlam_star) <= 1e-8))
+        for arr in (capacity, cdot_fd, formula, valid):
+            arr.setflags(write=False)  # kept and shared by every reader
+        return capacity, cdot_fd, formula, valid
+
+    capacity = property(lambda self: self._outputs[0])
+    cdot_fd = property(lambda self: self._outputs[1])
+    cdot_formula = property(lambda self: self._outputs[2])
+    cdot_formula_valid = property(lambda self: self._outputs[3])
+
+
+def _require_trajectory(traj) -> PauliTrajectory:
+    if not isinstance(traj, PauliTrajectory):
+        raise TypeError(f"expected a PauliTrajectory, got {type(traj).__name__}")
+    return traj
 
 
 def _p_divisible_so_far(lambdas: np.ndarray) -> np.ndarray:
@@ -421,8 +470,9 @@ def ode_eigenvalue_oracle(r: RateSpec, t_max: float, steps: int) -> np.ndarray:
 
 def p_divisibility_check(traj: PauliTrajectory) -> bool:
     """True iff every eigenvalue trace is non-increasing on the grid: the
-    trajectory's p_divisible."""
-    return traj.p_divisible
+    trajectory's p_divisible.  Anything but a PauliTrajectory is refused with
+    a TypeError naming its type."""
+    return _require_trajectory(traj).p_divisible
 
 
 def _time_derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -454,12 +504,14 @@ def _lambda_star(rows: np.ndarray, mags: np.ndarray) -> np.ndarray:
 
 
 def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
-    """Attach the qubit capacity and its derivative diagnostics to a trajectory.
+    """The trajectory itself, once its qubit capacity and derivative
+    diagnostics are read; they are properties of the trajectory, computed in
+    one pass on the first read and kept.
 
     The capacity is the largest of bounds_batch's per-basis terms, the d = 2
     term of lambda*, the eigenvalue of largest magnitude; it is bounds_batch's
     exact capacity, since the qubit bounds always meet, and no upper bound is
-    assembled here.  That term is even in lambda, so the chain rule gives one
+    assembled.  That term is even in lambda, so the chain rule gives one
     rate for either sign of lambda*,
     dC/dt = (dlambda*/dt / 2) ln[(1 + lambda*)/(1 - lambda*)],
     reported as cdot_formula next to the finite-difference cdot_fd.  It holds
@@ -469,36 +521,11 @@ def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
 
     The CP verdict is the trajectory's cp_everywhere; when it is False, the
     NotCompletelyPositiveError names the first grid time outside the region.
-    A trajectory of fewer than 2 times has no derivative and is refused.
+    Anything but a PauliTrajectory is refused with a TypeError naming its type.
     """
-    if traj.times.size < 2:
-        raise ValueError(f"need at least 2 times, got {traj.times.size}")
-    if not traj.cp_everywhere:
-        bad = int(np.argmin(_cp_rows(traj.lambdas)))
-        raise NotCompletelyPositiveError(
-            f"trajectory leaves the CP region at t={traj.times[bad]:.6g}"
-        )
-    # the qubit bounds meet on every CP row, so chi_low is the capacity
-    capacity = _sorted_columns(_basis_terms(_clip_eigenvalue_rows(traj.lambdas)))[0]
-    mags = np.abs(traj.lambdas)
-    lam_star = _lambda_star(traj.lambdas, mags)
-    top, middle, bottom = _sorted_columns(mags)
-    cdot_fd, dlam_star = _time_derivative(np.stack([capacity, lam_star], axis=1),
-                                          traj.times).T
-    formula = np.zeros_like(lam_star)
-    interior = top < 1.0 - 1e-12
-    formula[interior] = 0.5 * dlam_star[interior] * np.log(
-        (1.0 + lam_star[interior]) / (1.0 - lam_star[interior])
-    )
-    one_max = (top - middle > 1e-9) | (top - bottom <= 1e-12)
-    valid = one_max & (interior | (np.abs(dlam_star) <= 1e-8))
-    return replace(
-        traj,
-        capacity=capacity,
-        cdot_fd=cdot_fd,
-        cdot_formula=formula,
-        cdot_formula_valid=valid,
-    )
+    # the first read runs the pass, and raises off the CP region
+    _require_trajectory(traj).capacity
+    return traj
 
 
 def non_p_divisible_capacity_witness() -> RateSpec:

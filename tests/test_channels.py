@@ -46,7 +46,7 @@ from gpchannels.channels import (
     tensor,
     weyl_kraus_terms,
 )
-from gpchannels.dynamics import RateSpec
+from gpchannels.dynamics import PauliTrajectory, RateSpec
 from gpchannels.errors import (
     InvalidDistributionError,
     NotCompletelyPositiveError,
@@ -256,6 +256,8 @@ ARRAY_ENTRY_POINTS = {
                        ValueError, "rate 1: table times"),
     "RateSpec-values": (lambda v: RateSpec((0.1, ([0.0, 1.0], v), 0.1)), [1.0, 2.0],
                         ValueError, "rate 2: table values"),
+    "PauliTrajectory": (lambda v: PauliTrajectory([0.0, 1.0], v), [EIGS, [0.25, 0.25, 0.0]],
+                        ValueError, "eigenvalues"),
 }
 
 

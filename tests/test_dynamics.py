@@ -291,11 +291,11 @@ def test_witness_breaks_p_divisibility_not_monotonicity():
 
 @pytest.mark.parametrize("times", [np.array([0.0]), np.array([])], ids=["one", "none"])
 def test_capacity_trajectory_needs_two_times(times):
-    # _time_grid's rule: a rate needs two times, and so does np.gradient
+    # _time_grid's rule: a rate needs two times, and so does np.gradient; the
+    # constructor owns it, so no trajectory lacks a capacity or a P verdict
     lams = np.full((times.size, 3), 0.5)
-    traj = PauliTrajectory(times, lams)
     with pytest.raises(ValueError, match=rf"^need at least 2 times, got {times.size}$"):
-        capacity_trajectory(traj)
+        PauliTrajectory(times, lams)
 
 
 def test_capacity_trajectory_rejects_cp_violation():
@@ -317,6 +317,11 @@ _T3 = np.array([0.0, 1.0, 2.0])
 _CP3 = [[0.5, 0.2, 0.1], [0.4, 0.2, 0.1], [0.3, 0.2, 0.1]]
 _RISING3 = [[0.2, 0.2, 0.2], [0.3, 0.2, 0.2], [0.4, 0.2, 0.2]]
 
+
+def _returns_itself(traj):
+    return capacity_trajectory(traj) is traj
+
+
 # each case: the call, then either the (error, message) it must raise or the
 # call that gives the value it must return
 _TRAJECTORY_DEFECTS = {
@@ -330,7 +335,14 @@ _TRAJECTORY_DEFECTS = {
                         p_divisibility_check(PauliTrajectory(_T3, _RISING3))),
                lambda: (False, False)),
     "1-d-lambdas": (lambda: PauliTrajectory(_T3[:1], [0.5, 0.2, 0.1]),
-                    (ValueError, r"^need an \(N, d\+1\) eigenvalue array, got shape \(3,\)$")),
+                    (ValueError, r"^need \(n,\) times and \(n, 3\) eigenvalues, got shapes "
+                                 r"\(1,\) and \(3,\)$")),
+    "2-lambdas": (lambda: PauliTrajectory(_T3, np.full((3, 2), 0.1)),
+                  (ValueError, r"^need \(n,\) times and \(n, 3\) eigenvalues, got shapes "
+                               r"\(3,\) and \(3, 2\)$")),
+    "1-lambda": (lambda: PauliTrajectory(_T3, np.full((3, 1), 0.1)),
+                 (ValueError, r"^need \(n,\) times and \(n, 3\) eigenvalues, got shapes "
+                              r"\(3,\) and \(3, 1\)$")),
     "4-lambdas": (lambda: PauliTrajectory(_T3, np.full((3, 4), 0.1)),
                   (ValueError, r"^need \(n,\) times and \(n, 3\) eigenvalues, got shapes "
                                r"\(3,\) and \(3, 4\)$")),
@@ -345,6 +357,13 @@ _TRAJECTORY_DEFECTS = {
                        (ValueError, r"^map eigenvalues are not finite at t=1$")),
     "old-positional-call": (lambda: PauliTrajectory(_T3, _CP3, True, True),
                             (TypeError, "positional arguments")),
+    "capacity-given": (lambda: PauliTrajectory(_T3, _CP3, capacity=np.array([42.0])),
+                       (TypeError, "unexpected keyword argument 'capacity'")),
+    "returns-itself": (lambda: _returns_itself(PauliTrajectory(_T3, _CP3)), lambda: True),
+    "capacity-of-an-array": (lambda: capacity_trajectory(np.array(_CP3)),
+                             (TypeError, "^expected a PauliTrajectory, got ndarray$")),
+    "p-divisibility-of-an-array": (lambda: p_divisibility_check(np.array(_CP3)),
+                                   (TypeError, "^expected a PauliTrajectory, got ndarray$")),
     "nested-lists": (lambda: capacity_trajectory(
         PauliTrajectory(_T3.tolist(), _CP3)).capacity.tobytes(),
         lambda: capacity_trajectory(PauliTrajectory(_T3, np.array(_CP3))).capacity.tobytes()),
@@ -365,12 +384,63 @@ def test_trajectory_defects_are_refused_by_name_or_answered(call, outcome):
 
 
 def test_trajectory_holds_no_verdict_field():
-    # the verdicts are properties; only the capacity outputs are settable,
-    # and by keyword only
+    # a trajectory is its times and eigenvalues: the verdicts and the capacity
+    # outputs are properties read off them
     names = [field.name for field in dataclasses.fields(PauliTrajectory)]
-    assert names == ["times", "lambdas", "capacity", "cdot_fd", "cdot_formula",
-                     "cdot_formula_valid"]
-    assert all(field.kw_only for field in dataclasses.fields(PauliTrajectory)[2:])
+    assert names == ["times", "lambdas"]
+
+
+def test_a_trajectory_keeps_read_only_copies_and_hands_out_read_only_outputs():
+    # no write by the caller, before or after the first read, outdates the
+    # check or the kept pass
+    times, lams = _T3.copy(), np.array(_CP3)
+    traj = PauliTrajectory(times, lams)
+    capacity = traj.capacity.copy()
+    times[2], lams[1] = np.nan, [0.9, 0.9, -0.5]
+    assert traj.times is not times and traj.lambdas is not lams
+    assert np.array_equal(traj.times, _T3) and np.array_equal(traj.lambdas, _CP3)
+    assert traj.cp_everywhere and np.array_equal(traj.capacity, capacity)
+    for name in ("times", "lambdas", "capacity", "cdot_fd", "cdot_formula",
+                 "cdot_formula_valid"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(traj, name)[0] = 0
+
+
+def test_a_chain_checks_its_trajectory_once_and_makes_its_outputs_in_one_pass(
+        monkeypatch):
+    # eigenvalue_trajectory -> capacity_trajectory -> p_divisibility_check, as
+    # perfbench runs it: one check of the arrays, and one pass for the four
+    # outputs, however often they are read
+    checks, passes = [], []
+    post_init, basis_terms = PauliTrajectory.__post_init__, dynamics._basis_terms
+
+    def counted_check(self):
+        checks.append(1)
+        post_init(self)
+
+    def counted_pass(lams):
+        passes.append(lams.shape)
+        return basis_terms(lams)
+
+    monkeypatch.setattr(PauliTrajectory, "__post_init__", counted_check)
+    monkeypatch.setattr(dynamics, "_basis_terms", counted_pass)
+    traj = capacity_trajectory(
+        eigenvalue_trajectory(non_p_divisible_capacity_witness(), 3.0, 61))
+    assert not p_divisibility_check(traj)
+    outputs = [(traj.capacity, traj.cdot_fd, traj.cdot_formula, traj.cdot_formula_valid)
+               for _ in range(3)]
+    assert all(a is b for later in outputs[1:] for a, b in zip(outputs[0], later))
+    assert checks == [1]
+    assert passes == [(61, 3)]
+
+
+def test_a_trajectory_off_the_cp_region_raises_on_every_read_of_an_output():
+    # an exception is not kept: each read runs the pass again and raises again
+    traj = PauliTrajectory(_T3, [[0.5, 0.2, 0.1], [0.9, 0.9, -0.5], [0.9, 0.9, -0.5]])
+    for name in ("capacity", "cdot_fd", "cdot_formula", "cdot_formula_valid"):
+        with pytest.raises(NotCompletelyPositiveError,
+                           match=r"^trajectory leaves the CP region at t=1$"):
+            getattr(traj, name)
 
 
 def test_trajectory_is_frozen():

@@ -92,9 +92,16 @@ MUTATIONS = [
      'rho = _complex_array("state", rho)', "rho = np.asarray(rho, dtype=complex)"),
     ("MubSet converts on its own", "mub.py",
      'np.array(_complex_array("bases", self.bases))', "np.array(self.bases, dtype=complex)"),
-    ("capacity_trajectory takes fewer than 2 times", "dynamics.py",
-     "    if traj.times.size < 2:\n"
-     '        raise ValueError(f"need at least 2 times, got {traj.times.size}")\n', ""),
+    ("trajectory takes fewer than 2 times", "dynamics.py",
+     "        if times.size < 2:\n"
+     '            raise ValueError(f"need at least 2 times, got {times.size}")\n', ""),
+    ("trajectory takes one time", "dynamics.py",
+     '        if times.size < 2:\n            raise ValueError(f"need at least 2 times',
+     '        if times.size < 1:\n            raise ValueError(f"need at least 2 times'),
+    ("trajectory outputs remade on every read", "dynamics.py",
+     "    @cached_property\n", "    @property\n"),
+    ("trajectory entries take any object", "dynamics.py",
+     "    if not isinstance(traj, PauliTrajectory):", "    if False:"),
     ("per-dimension table skips require_prime_power", "capacity.py",
      "    require_prime_power(d)\n    k = np.arange(", "    k = np.arange("),
     ("eigenvalue box check never fails", "channels.py",
