@@ -234,8 +234,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # OSError: an --output path that cannot be written; its message names it
-    except (ValueError, OSError) as exc:
+    # OSError: an --output path that cannot be written; its message names it.
+    # MemoryError: a --steps or --count whose arrays cannot be allocated
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,11 @@ more than ODE_MAX_STEPS steps; it is plain numpy.  Each stage input is one
 product of a coefficient row with the state stacked above the stage rates,
 and the grid is read off the steps that cover it in one batched pass after
 the last step, so the integration keeps at most one step per grid time.
+Every product of a step is an ndarray.dot, and the stage inputs, rates and
+generators are written into preallocated buffers that alias no input of
+their product, as dot's out= requires: at these 4x4 and (s,) x (s, 16) sizes
+the matmul gufunc's per-call dispatch costs two to three times dot's, more
+than the arithmetic, and an attempt makes up to 15 products.
 
 Each per-step decision on a trajectory has one rule, made here once.  A
 PauliTrajectory is its times and eigenvalues, checked once, when it is made,
@@ -322,7 +327,7 @@ def _generators(r: RateSpec, t) -> np.ndarray:
 
 
 def _rms(x: np.ndarray) -> float:
-    return math.sqrt(x @ x / x.size)
+    return math.sqrt(x.dot(x) / x.size)
 
 
 def _dp_steps(r: RateSpec, t: float, t_end: float):
@@ -336,7 +341,14 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
     coefficient row [1, h a_s0, ..., h a_s,s-1] with the buffer's first s + 1
     rows.  The buffers, the constant rates and the generators of constant
     rates are made once per integration; each attempt interpolates only the
-    rate tables.
+    rate tables.  Each product is an ndarray.dot, since the matmul gufunc's
+    dispatch costs more than these small products.  dot's out= must be a
+    C-contiguous float64 buffer that aliases no input, and each is: stage
+    input s goes to row s of inputs, which no product of stage s reads, stage
+    rate s to row s + 1 of the (8, 16) buffer, read from gens and inputs,
+    and the generators to gens, read from rates.  dot reports an overflow
+    as a RuntimeWarning, which the stage errstate ignores; the finiteness
+    check after the stages refuses the result.
 
     Local extrapolation, and step control as scipy's RK45: RMS error norm,
     safety 0.9, factors in [0.2, 10], exponent -1/5, no growth right after a
@@ -400,19 +412,19 @@ def _dp_steps(r: RateSpec, t: float, t_end: float):
             if tables:
                 for row, knot_times, values in tables:
                     row[:] = np.interp(t + _DP_C * h, knot_times, values)
-                np.matmul(rates.T, _GENERATOR_PARTS, out=gens)
+                rates.T.dot(_GENERATOR_PARTS, out=gens)
             np.multiply(_DP_A, h, out=coefs[:, 1:])
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 for coef, below, x, gen, x_mat, k_mat in plan:
-                    np.matmul(coef, below, out=x)
-                    np.matmul(gen, x_mat, out=k_mat)
+                    coef.dot(below, out=x)
+                    gen.dot(x_mat, out=k_mat)
             if not np.isfinite(stages).all():
                 raise RuntimeError(f"map integration failed: state not "
                                    f"finite at t={t:.6g}, h={h:.3g}")
             y_new = inputs[6]
             abs_new = np.abs(y_new)
             scale = ODE_ATOL + np.maximum(abs_y, abs_new) * ODE_RTOL
-            err = _rms(_DP_E @ stages * h / scale)
+            err = _rms(_DP_E.dot(stages) * h / scale)
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
                 h_abs *= min(1.0, factor) if rejected else factor
@@ -440,7 +452,7 @@ def _dormand_prince(r: RateSpec, times: np.ndarray) -> np.ndarray:
     for t, t_new, y, stages in _dp_steps(r, grid[0], grid[-1]):
         upto = bisect.bisect_right(grid, t_new)
         if upto > done:
-            kept.append((t, t_new, y.copy(), _DP_P @ stages))
+            kept.append((t, t_new, y.copy(), _DP_P.dot(stages)))
             done = upto
     starts, ends, ys, polys = (np.array(part) for part in zip(*kept))
     k = np.searchsorted(ends, times, side="left")

@@ -292,6 +292,20 @@ def test_random_sweep_rejects_negative_count(capsys):
     assert "--count" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("dynamics", "--gamma1", "0.1", "--gamma2", "0.1", "--gamma3", "0.1",
+     "--steps", "100000000000000000"),
+    ("random-sweep", "--d", "3", "--count", "100000000000000000"),
+])
+def test_sizes_beyond_any_address_space_are_refused_in_one_error_line(capsys, argv):
+    # 10**17 float64 values need 711 PiB, more than the 128 PiB that 57-bit
+    # virtual addresses, the widest that 64-bit processors map, can reach, so
+    # the first allocation fails at once and touches no memory
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+
 def test_random_sweep_zero_count_prints_header_only(capsys):
     code, out, _ = run(capsys, "random-sweep", "--d", "3", "--count", "0")
     assert code == 0

@@ -576,6 +576,20 @@ def test_dormand_prince_output_on_step_ends_and_two_steps():
     assert np.isin(witness.rates[0][1][1:-1], _step_ends(witness)).all()  # on the knots
 
 
+def test_dormand_prince_tableau_is_consistent():
+    # residuals today: 2.2e-16, 2.2e-16, 0 and 7.2e-16, each the rounding of
+    # the fractions; a wrong digit in any entry moves its row by far more
+    a, c, e, p = dynamics._DP_A, dynamics._DP_C, dynamics._DP_E, dynamics._DP_P
+    # row 6, the 5th-order weights, integrates a constant rate exactly
+    assert abs(a[6].sum() - 1.0) <= 1e-15
+    # each stage input sits at its stage time
+    assert np.max(np.abs(a.sum(axis=1) - c)) <= 1e-15
+    # the error weights are the difference of two weight rows that sum to 1
+    assert abs(e.sum()) <= 1e-15
+    # at the step end, the quartic interpolant is the 5th-order solution
+    assert np.max(np.abs(p.sum(axis=0) - [*a[6], 0.0])) <= 1e-15
+
+
 def test_dense_output_reads_many_grid_times_off_each_step():
     g = np.array([0.4, 0.2, 0.1])
     lam = ode_eigenvalue_oracle(RateSpec.constant(*g), 3.0, 2001)  # 46 steps

@@ -136,6 +136,8 @@ MUTATIONS = [
      "min_step = 10.0 * (", "min_step = 0.0 * ("),
     ("ODE stage inputs drop y from the fused row", "dynamics.py",
      "coefs = np.ones((7, 7))", "coefs = np.zeros((7, 7))"),
+    ("dense-output weight digit", "dynamics.py",
+     "-8048581381 / 2820520608", "-8048581391 / 2820520608"),
     ("dense-output step lookup off by one", "dynamics.py",
      'side="left"', 'side="right"'),
     ("dense output skips a step that covers one grid time", "dynamics.py",
