@@ -7,9 +7,14 @@ the minimal output entropy).  Both are in nats.
 
 bounds_batch is the one entry point: it checks (N, d+1) eigenvalue rows and
 evaluates both closed forms on all of them at once; the CLI, the self-checks
-and the oracle read it directly.  The qubit dynamics take the maximum of its
-per-basis terms (_basis_terms), which is its exact capacity at d = 2, where
-the bounds always meet; a test pins that equality.  The second routes, through
+and the oracle read it directly.  The qubit dynamics take its per-basis term
+(_basis_terms) of the largest |lambda| alone, equal to the maximum of the
+per-basis terms because the d = 2 term is even and grows with |lambda|; that
+maximum is the exact capacity at d = 2, where the bounds always meet, and a
+test pins the equality.  They skip the box check, since complete positivity
+implies it: a qubit row with a Fujiwara-Algoet margin >= -1e-12 has entries
+in [-1 - 1e-12, 1 + 1e-12], inside VALIDATION_TOL, so only the box's clamp
+to 1 applies, to the largest |lambda|.  The second routes, through
 the transition matrices (_transition_row_entropies) and through the sorted
 weights (zeta_vector, zeta_components_p_form), are kept apart on purpose as
 cross-checks.  _transition_row_entropies reads no eigenvalues of its own: it
@@ -160,10 +165,10 @@ def _checked_rows(lams) -> np.ndarray:
     return lams
 
 
-def _basis_arguments(lams: np.ndarray):
-    # the two x ln x arguments of the per-basis term of checked (N, d+1) rows,
-    # made one at a time, so that a long first one is freed before the second
-    d = lams.shape[1] - 1
+def _basis_arguments(lams: np.ndarray, d: int):
+    # the two x ln x arguments of the per-basis term of checked eigenvalues of
+    # dimension d, any shape, made one at a time, so that a long first one is
+    # freed before the second
     yield 1.0 + (d - 1.0) * lams
     yield 1.0 - lams
 
@@ -178,9 +183,12 @@ def _basis_combination(d: int, up: np.ndarray, down: np.ndarray) -> np.ndarray:
     return up
 
 
-def _basis_terms(lams: np.ndarray) -> np.ndarray:
-    # the per-basis terms of checked (N, d+1) rows, one _xlogx call per argument
-    return _basis_combination(lams.shape[1] - 1, *map(_xlogx, _basis_arguments(lams)))
+def _basis_terms(lams: np.ndarray, d: int) -> np.ndarray:
+    # the per-basis terms of checked eigenvalues of dimension d, any shape, one
+    # _xlogx call per argument.  At d = 2 the term is even in L, bit for bit,
+    # and grows with |L|, so the term of a row's largest |L| equals the
+    # maximum of its terms: the qubit dynamics take that one term alone
+    return _basis_combination(d, *map(_xlogx, _basis_arguments(lams, d)))
 
 
 @lru_cache(maxsize=None)
@@ -244,7 +252,7 @@ def bounds_batch(lams) -> BatchBounds:
     # one x ln x pass over both per-basis arguments and the grouped weights;
     # it is elementwise, so each entry has the bits of a call of its own
     # (the combination overwrites the first 2(d+1) columns)
-    xlx = _xlogx(np.concatenate([*_basis_arguments(lams), zeta], axis=1))
+    xlx = _xlogx(np.concatenate([*_basis_arguments(lams, d), zeta], axis=1))
     terms = _basis_combination(d, xlx[:, :d + 1], xlx[:, d + 1:2 * d + 2])
     best = np.argmax(terms, axis=1)
     chi_low = terms.max(axis=1)

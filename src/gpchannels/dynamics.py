@@ -26,11 +26,16 @@ verdicts are properties: cp_everywhere is the channel layer's CP decision on
 every row, and p_divisible is the last entry of _p_divisible_so_far, the
 running flag that the CLI prints as its p_divisible_so_far column and
 p_divisibility_check returns.  Its capacity outputs come from one pass, run on
-their first read and kept: the capacity is the maximum of bounds_batch's
-per-basis terms, driven by lambda*, the eigenvalue of largest magnitude; at
-d = 2 that maximum is bounds_batch's exact capacity, so the upper bound is not
-built, and the rate formula is the chain rule on it.  capacity_trajectory and
-p_divisibility_check read a trajectory and refuse anything else by its type.
+their first read and kept: the capacity is bounds_batch's d = 2 per-basis term
+of the largest |lambda| alone, equal to the maximum of the per-basis terms
+because the term is even and grows with |lambda|; that maximum is
+bounds_batch's exact capacity at d = 2, so the upper bound is not built, and
+the rate formula is the chain rule on it, through lambda*, the eigenvalue of
+largest magnitude.  The rows skip bounds_batch's box check, which complete
+positivity implies: a CP row lies in [-1 - 1e-12, 1 + 1e-12], inside
+VALIDATION_TOL, so only the box's clamp to 1 applies, to the largest |lambda|.
+capacity_trajectory and p_divisibility_check read a trajectory and refuse
+anything else by its type.
 
 The qubit operators are the channel layer's: the generator and the oracle's
 read-out take the displacement products of the label sets of weyl_labels(2),
@@ -59,7 +64,7 @@ import numpy as np
 # pauli_classical_capacity stays importable here: perfbench traces the
 # per-step qubit closed form through this name
 from .capacity import _basis_terms, pauli_classical_capacity  # noqa: F401
-from .channels import _clip_eigenvalue_rows, _cp_rows, _kraus_superoperator
+from .channels import _cp_rows, _kraus_superoperator
 from .errors import NotCompletelyPositiveError
 from .mub import _displacement_products, weyl_labels
 from .numerics import _is_real, _real_array, _require_integer
@@ -196,9 +201,11 @@ class PauliTrajectory:
     read off lambdas on each access.  The outputs capacity, cdot_fd,
     cdot_formula and cdot_formula_valid are read off the checked arrays by one
     pass, run on the first read and kept read-only (capacity_trajectory
-    documents it);
-    on a trajectory that leaves the CP region that read raises
-    NotCompletelyPositiveError naming the first grid time outside it.
+    documents it).  On a trajectory that leaves the CP region that read raises
+    NotCompletelyPositiveError naming the first grid time outside it, and on a
+    grid too fine or too uneven for a finite rate a ValueError naming the
+    first time whose rate is not finite.  The four outputs are finite on
+    every trajectory that is not refused, and no read warns.
     """
 
     times: np.ndarray
@@ -243,18 +250,26 @@ class PauliTrajectory:
             raise NotCompletelyPositiveError(
                 f"trajectory leaves the CP region at t={self.times[bad]:.6g}"
             )
-        # the qubit bounds meet on every CP row, so chi_low is the capacity
-        capacity = _sorted_columns(_basis_terms(_clip_eigenvalue_rows(self.lambdas)))[0]
         mags = np.abs(self.lambdas)
         lam_star = _lambda_star(self.lambdas, mags)
         top, middle, bottom = _sorted_columns(mags)
-        cdot_fd, dlam_star = _time_derivative(np.stack([capacity, lam_star], axis=1),
-                                              self.times).T
-        formula = np.zeros_like(lam_star)
+        # the term of the largest |lambda| is the row's largest term, chi_low,
+        # the capacity, since the qubit bounds meet on every CP row; a CP row
+        # lies in the box within 1e-12, so the box's clamp is all that applies
+        capacity = _basis_terms(np.minimum(top, 1.0), 2)
         interior = top < 1.0 - 1e-12
-        formula[interior] = 0.5 * dlam_star[interior] * np.log(
-            (1.0 + lam_star[interior]) / (1.0 - lam_star[interior])
-        )
+        formula = np.zeros_like(lam_star)
+        with np.errstate(all="ignore"):  # a rate that is not finite is refused below
+            rates = _time_derivative(np.stack([capacity, lam_star]), self.times)
+            cdot_fd, dlam_star = rates
+            formula[interior] = 0.5 * dlam_star[interior] * np.log(
+                (1.0 + lam_star[interior]) / (1.0 - lam_star[interior])
+            )
+        finite = np.isfinite(rates).all(axis=0) & np.isfinite(formula)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"capacity rate is not finite at t={self.times[bad]:.6g}: "
+                             f"the time grid is too fine or too uneven")
         one_max = (top - middle > 1e-9) | (top - bottom <= 1e-12)
         valid = one_max & (interior | (np.abs(dlam_star) <= 1e-8))
         for arr in (capacity, cdot_fd, formula, valid):
@@ -487,14 +502,18 @@ def p_divisibility_check(traj: PauliTrajectory) -> bool:
     return _require_trajectory(traj).p_divisible
 
 
-def _time_derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """np.gradient(values, times, axis=0), each column of values in one call,
-    taken against times / s and divided by s, s the largest power of two not
-    above the spacing: the scaling is exact, and it keeps the products of two
-    spacings in np.gradient from overflowing on huge grids and from
-    underflowing to 0 on tiny ones."""
-    s = 2.0 ** np.floor(np.log2(times[1] - times[0]))
-    return np.gradient(values, times / s, axis=0) / s
+def _time_derivative(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """np.gradient(rows, times, axis=1), each row of rows in one call, taken
+    against times / s and divided by s, s the largest power of two not above
+    the geometric mean of the smallest and largest spacing.  The scaling is
+    exact, and it keeps the products of two spacings in np.gradient finite
+    and nonzero on huge grids, on tiny ones and on uneven ones whose
+    spacings differ by less than a factor of about 1e300.  Rows, not
+    columns: numpy walks length-2 rows slowly.  On a grid too fine or too
+    uneven for the values a rate is not finite, and the caller refuses it."""
+    spacing = times[1:] - times[:-1]
+    s = 2.0 ** np.floor((np.log2(spacing.min()) + np.log2(spacing.max())) / 2.0)
+    return np.gradient(rows, times / s, axis=1) / s
 
 
 def _sorted_columns(rows: np.ndarray):
@@ -520,11 +539,14 @@ def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
     diagnostics are read; they are properties of the trajectory, computed in
     one pass on the first read and kept.
 
-    The capacity is the largest of bounds_batch's per-basis terms, the d = 2
-    term of lambda*, the eigenvalue of largest magnitude; it is bounds_batch's
-    exact capacity, since the qubit bounds always meet, and no upper bound is
-    assembled.  That term is even in lambda, so the chain rule gives one
-    rate for either sign of lambda*,
+    The capacity is bounds_batch's d = 2 per-basis term of the largest
+    |lambda| alone, equal to the maximum of the per-basis terms because the
+    term is even and grows with |lambda|; that maximum is bounds_batch's exact
+    capacity, since the qubit bounds always meet, and no upper bound is
+    assembled.  The box check is implied by complete positivity (the module
+    docstring gives the bound), so only its clamp to 1 is applied.  Since the
+    term is even, the chain rule through lambda*, the eigenvalue of largest
+    magnitude, gives one rate for either sign of lambda*,
     dC/dt = (dlambda*/dt / 2) ln[(1 + lambda*)/(1 - lambda*)],
     reported as cdot_formula next to the finite-difference cdot_fd.  It holds
     where lambda* is one function of t: rows where the largest magnitude is
@@ -533,9 +555,12 @@ def capacity_trajectory(traj: PauliTrajectory) -> PauliTrajectory:
 
     The CP verdict is the trajectory's cp_everywhere; when it is False, the
     NotCompletelyPositiveError names the first grid time outside the region.
+    cdot_fd is np.gradient of the capacity over the times, scaled as
+    _time_derivative states; a grid too fine or too uneven for it to be
+    finite is refused with a ValueError naming the first such time.
     Anything but a PauliTrajectory is refused with a TypeError naming its type.
     """
-    # the first read runs the pass, and raises off the CP region
+    # the first read runs the pass, and raises off the CP region or the grid
     _require_trajectory(traj).capacity
     return traj
 

@@ -348,7 +348,7 @@ def test_bounds_batch_rows_have_the_same_bits_alone_and_stacked(batch):
         for field in _BATCH_FIELDS:
             assert getattr(one, field).tobytes() == getattr(b, field)[i:i + 1].tobytes(), field
     # the bounds share one x ln x pass; each has the bits of a pass of its own
-    terms = capacity._basis_terms(capacity._checked_rows(lams))
+    terms = capacity._basis_terms(capacity._checked_rows(lams), d)
     assert b.chi_low.tobytes() == terms.max(axis=1).tobytes()
     assert b.maximizing_alpha.tobytes() == (np.argmax(terms, axis=1) + 1).tobytes()
     assert b.chi_up.tobytes() == (np.log(d) + _xlogx(b.zeta).sum(axis=1)).tobytes()

@@ -14,6 +14,7 @@ from gpchannels.channels import (
     EigenvalueVector,
     _cp_rows,
     probabilities_from_eigenvalues,
+    sample_cp_eigenvalues,
     superoperator,
 )
 from gpchannels.dynamics import (
@@ -238,6 +239,51 @@ def test_capacity_trajectory_assembles_no_upper_bound(monkeypatch):
     assert capacity_trajectory(traj).capacity.shape == (61,)
 
 
+# CP rows whose largest |lambda| is 1 + 5e-13, within the CP slack of 1
+_SATURATED = [[1.0 + 5e-13, 1.0, 1.0], [1.0 + 5e-13, 0.4, 0.4], [-1.0 - 5e-13, 0.4, -0.4]]
+_ROW_KINDS = ("sampled", "near-tie", "opposite-tie", "all-tie")
+
+
+def _qubit_row(kind, rng):
+    # one CP row of the kind, drawn again until it is CP
+    while True:
+        row = sample_cp_eigenvalues(2, 1, rng)[0]
+        if kind == "near-tie":
+            # another entry 1 ulp above or below the largest magnitude, either sign
+            mags = np.abs(row)
+            j = (np.argmax(mags) + rng.integers(1, 3)) % 3
+            row[j] = rng.choice([-1.0, 1.0]) * np.nextafter(mags.max(), rng.choice([0.0, 2.0]))
+        elif kind == "opposite-tie":
+            a = rng.uniform(-0.5, 0.5)
+            row = np.array([a, -a, rng.uniform(-abs(a), abs(a))])
+        elif kind == "all-tie":
+            row = rng.choice([-1.0, 1.0], 3) * rng.uniform(0.0, 1.0)
+        row = rng.permutation(row)
+        if _cp_rows(row[None, :])[0]:
+            return row
+
+
+@given(st.lists(st.sampled_from(_ROW_KINDS), max_size=12),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example(list(_ROW_KINDS), 0)
+def test_trajectory_capacity_is_the_closed_form_on_every_row(kinds, seed):
+    # the term of the largest |lambda| alone against bounds_batch's maximum of
+    # the three: the same bits on exact magnitude ties and on the saturated
+    # rows, which read ln 2, and within one ulp of ln 2 where the top two
+    # magnitudes nearly tie, since the maximum may then take the smaller
+    # magnitude's rounded term
+    rng = np.random.default_rng(seed)
+    rows = np.array([_qubit_row(kind, rng) for kind in kinds]
+                    + [rng.permutation(row) for row in _SATURATED])
+    got = PauliTrajectory(np.arange(len(rows), dtype=float), rows).capacity
+    expect = np.array([capacity.pauli_classical_capacity(EigenvalueVector(2, row))
+                       for row in rows])
+    exact = np.array([kind in ("opposite-tie", "all-tie") for kind in kinds] + [True] * 3)
+    assert got[exact].tobytes() == expect[exact].tobytes()
+    assert np.all(np.abs(got - expect) <= np.spacing(LN2))
+    assert got[-3:].tolist() == [LN2] * 3
+
+
 # magnitudes with exact ties, +-lambda pairs of equal magnitude and zeros
 _TIED = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1e-300, -1e-300])
 
@@ -418,9 +464,9 @@ def test_a_chain_checks_its_trajectory_once_and_makes_its_outputs_in_one_pass(
         checks.append(1)
         post_init(self)
 
-    def counted_pass(lams):
-        passes.append(lams.shape)
-        return basis_terms(lams)
+    def counted_pass(lams, d):
+        passes.append((lams.shape, d))
+        return basis_terms(lams, d)
 
     monkeypatch.setattr(PauliTrajectory, "__post_init__", counted_check)
     monkeypatch.setattr(dynamics, "_basis_terms", counted_pass)
@@ -431,7 +477,8 @@ def test_a_chain_checks_its_trajectory_once_and_makes_its_outputs_in_one_pass(
                for _ in range(3)]
     assert all(a is b for later in outputs[1:] for a, b in zip(outputs[0], later))
     assert checks == [1]
-    assert passes == [(61, 3)]
+    # the one x ln x pair runs on the largest-magnitude column alone
+    assert passes == [((61,), 2)]
 
 
 def test_a_trajectory_off_the_cp_region_raises_on_every_read_of_an_output():
@@ -661,6 +708,39 @@ def test_extreme_t_max_gives_finite_derivatives_without_warnings(t_max):
         assert np.isfinite(values).all()
 
 
+_UNEVEN_ROWS = [[0.5, 0.1, 0.1], [0.4, 0.1, 0.1], [0.3, 0.1, 0.1]]
+
+
+@pytest.mark.parametrize("times", [[0.0, 1e-200, 1e200], [0.0, 1.0, 1e308]])
+def test_uneven_grids_give_finite_rates_without_warnings(times):
+    # spacings 400 and 308 decades apart: the gradient, scaled to the middle of
+    # the spacings, is the one-sided slopes weighted by the opposite spacing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = PauliTrajectory(times, _UNEVEN_ROWS)
+        outputs = (traj.capacity, traj.cdot_fd, traj.cdot_formula)
+    for values in outputs:
+        assert np.isfinite(values).all()
+    c = traj.capacity.tolist()
+    t0, t1, t2 = times
+    slopes = [(c[1] - c[0]) / (t1 - t0), (c[2] - c[1]) / (t2 - t1)]
+    w = (t2 - t1) / (t2 - t0)
+    expect = [slopes[0], w * slopes[0] + (1.0 - w) * slopes[1], slopes[1]]
+    assert traj.cdot_fd == pytest.approx(expect, rel=1e-12)
+
+
+def test_a_grid_too_fine_for_a_finite_rate_is_refused_by_its_time():
+    # a step of 5e-324 under a capacity change of 0.05 is a rate past the
+    # largest float; every read of an output raises
+    traj = PauliTrajectory([0.0, 5e-324, 1.0], _UNEVEN_ROWS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("capacity", "cdot_fd", "cdot_formula", "cdot_formula_valid"):
+            with pytest.raises(ValueError, match=r"^capacity rate is not finite at t=0: "
+                                                 r"the time grid is too fine or too uneven$"):
+                getattr(traj, name)
+
+
 def test_time_derivative_is_np_gradient_on_ordinary_grids():
     for spec, t_max, steps in [(non_p_divisible_capacity_witness(), 3.0, 301),
                                (RateSpec.constant(0.3, 0.1, 0.0), 4.0, 801),
@@ -670,12 +750,13 @@ def test_time_derivative_is_np_gradient_on_ordinary_grids():
 
 
 @pytest.mark.parametrize("steps", [2, 3, 301, 15001])
-def test_time_derivative_takes_each_column_as_np_gradient(steps):
-    # capacity_trajectory differentiates the capacity and lambda* in one call
+def test_time_derivative_takes_each_row_as_np_gradient(steps):
+    # capacity_trajectory differentiates the capacity and lambda* in one call,
+    # as the two rows of a (2, n) array
     times = np.linspace(0.0, 3.0, steps)
-    columns = np.random.default_rng(steps).standard_normal((steps, 2))
-    expect = np.stack([np.gradient(c, times) for c in columns.T], axis=1)
-    assert np.array_equal(dynamics._time_derivative(columns, times), expect)
+    rows = np.random.default_rng(steps).standard_normal((2, steps))
+    expect = np.stack([np.gradient(r, times) for r in rows])
+    assert np.array_equal(dynamics._time_derivative(rows, times), expect)
 
 
 def test_ode_oracle_refuses_a_step_that_underflows():

@@ -156,6 +156,11 @@ MUTATIONS = [
      "    d = c.dimension\n    p = c.probabilities"),
     ("a falsy search config runs the default", "oracle.py",
      "    if cfg is None:", "    if not cfg:"),
+    ("trajectory capacity of the middle magnitude", "dynamics.py",
+     "capacity = _basis_terms(np.minimum(top, 1.0), 2)",
+     "capacity = _basis_terms(np.minimum(middle, 1.0), 2)"),
+    ("trajectory capacity skips the clamp to 1", "dynamics.py",
+     "_basis_terms(np.minimum(top, 1.0), 2)", "_basis_terms(top, 2)"),
 ]
 
 # mutants that survive today, each with the ROADMAP item that will mend it;
