@@ -258,13 +258,11 @@ class PauliTrajectory:
         # lies in the box within 1e-12, so the box's clamp is all that applies
         capacity = _basis_terms(np.minimum(top, 1.0), 2)
         interior = top < 1.0 - 1e-12
-        formula = np.zeros_like(lam_star)
         with np.errstate(all="ignore"):  # a rate that is not finite is refused below
             rates = _time_derivative(np.stack([capacity, lam_star]), self.times)
             cdot_fd, dlam_star = rates
-            formula[interior] = 0.5 * dlam_star[interior] * np.log(
-                (1.0 + lam_star[interior]) / (1.0 - lam_star[interior])
-            )
+            formula = np.where(interior, 0.5 * dlam_star * np.log(
+                (1.0 + lam_star) / (1.0 - lam_star)), 0.0)
         finite = np.isfinite(rates).all(axis=0) & np.isfinite(formula)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -288,6 +286,11 @@ def _require_trajectory(traj) -> PauliTrajectory:
     return traj
 
 
+def _require_rates(r) -> None:
+    if not isinstance(r, RateSpec):
+        raise TypeError(f"expected a RateSpec, got {type(r).__name__}")
+
+
 def _p_divisible_so_far(lambdas: np.ndarray) -> np.ndarray:
     """Per grid time: has no eigenvalue grown by more than P_DIVISIBILITY_TOL
     over any grid interval up to it.  True at the first time, False from the
@@ -295,7 +298,7 @@ def _p_divisible_so_far(lambdas: np.ndarray) -> np.ndarray:
 
     A qubit Pauli map is P-divisible iff no eigenvalue ever grows.
     """
-    rises = np.any(np.diff(lambdas, axis=0) > P_DIVISIBILITY_TOL, axis=1)
+    rises = (lambdas[1:] - lambdas[:-1] > P_DIVISIBILITY_TOL).any(axis=1)
     return np.logical_and.accumulate(np.concatenate([[True], ~rises]))
 
 
@@ -310,7 +313,7 @@ def _time_grid(t_max: float, steps: int) -> np.ndarray:
         raise ValueError(f"need at least 2 steps, got {steps}")
     times = np.linspace(0.0, float(t_max), steps)
     # a t_max near the smallest subnormal rounds some increments to 0
-    if not (np.diff(times) > 0.0).all():
+    if not (times[1:] > times[:-1]).all():
         raise ValueError(f"t_max={t_max}, steps={steps}: times not strictly increasing")
     return times
 
@@ -321,7 +324,10 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
     Each grid interval contributes h/6 (g_i + 4 g_mid + g_{i+1}); exact for
     constant and linear rates between samples.  PauliTrajectory raises the
     ValueError naming the first grid time at which an eigenvalue overflows.
+    Anything but a RateSpec is refused with a TypeError naming its type,
+    before the grid is checked.
     """
+    _require_rates(r)
     times = _time_grid(t_max, steps)
     h = times[1] - times[0]
     g_nodes = r.evaluate(times)
@@ -329,9 +335,8 @@ def eigenvalue_trajectory(r: RateSpec, t_max: float, steps: int) -> PauliTraject
     g_mids = r.evaluate(times[:-1] / 2.0 + times[1:] / 2.0)
     with np.errstate(over="ignore", invalid="ignore"):  # PauliTrajectory checks
         increments = h / 6.0 * (g_nodes[:, :-1] + 4.0 * g_mids + g_nodes[:, 1:])
-        gamma_cum = np.concatenate(
-            [np.zeros((3, 1)), np.cumsum(increments, axis=1)], axis=1
-        )
+        gamma_cum = np.zeros((3, times.size))
+        np.cumsum(increments, axis=1, out=gamma_cum[:, 1:])
         lambdas = np.exp(gamma_cum - gamma_cum.sum(axis=0)).T
     return PauliTrajectory(times, lambdas)
 
@@ -487,8 +492,10 @@ def ode_eigenvalue_oracle(r: RateSpec, t_max: float, steps: int) -> np.ndarray:
     ODE_ATOL; it uses neither the factorized closed form nor the quadrature.
     Logs its accepted and rejected steps against ODE_MAX_STEPS as one DEBUG
     record of the module's logger.  Raises RuntimeError when the integration
-    fails.
+    fails.  Anything but a RateSpec is refused with a TypeError naming its
+    type, before the grid is checked.
     """
+    _require_rates(r)
     times = _time_grid(t_max, steps)
     maps = _dormand_prince(r, times).reshape(-1, 4, 4)
     # lambda_a = 1/2 vec(W_a)^H M vec(W_a), the Pauli transfer diagonal
@@ -510,10 +517,32 @@ def _time_derivative(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
     and nonzero on huge grids, on tiny ones and on uneven ones whose
     spacings differ by less than a factor of about 1e300.  Rows, not
     columns: numpy walks length-2 rows slowly.  On a grid too fine or too
-    uneven for the values a rate is not finite, and the caller refuses it."""
+    uneven for the values a rate is not finite, and the caller refuses it.
+
+    The formula is np.gradient's at edge_order=1, written out to skip its
+    per-call set-up, with both of its branches and the same bits: on a grid
+    whose scaled spacings are all equal, the central difference over twice
+    the spacing; on any other, the three-point weights of the two spacings
+    around each time, in np.gradient's order of operations.  The edges are
+    one-sided over the first and the last spacing."""
     spacing = times[1:] - times[:-1]
     s = 2.0 ** np.floor((np.log2(spacing.min()) + np.log2(spacing.max())) / 2.0)
-    return np.gradient(rows, times / s, axis=1) / s
+    x = times / s
+    dx = x[1:] - x[:-1]
+    out = np.empty_like(rows)
+    if (dx == dx[0]).all():
+        out[:, 1:-1] = (rows[:, 2:] - rows[:, :-2]) / (2.0 * dx[0])
+    else:
+        dx1, dx2 = dx[:-1], dx[1:]
+        span = dx1 + dx2
+        a = -dx2 / (dx1 * span)
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * span)
+        out[:, 1:-1] = a * rows[:, :-2] + b * rows[:, 1:-1] + c * rows[:, 2:]
+    out[:, 0] = (rows[:, 1] - rows[:, 0]) / dx[0]
+    out[:, -1] = (rows[:, -1] - rows[:, -2]) / dx[-1]
+    out /= s
+    return out
 
 
 def _sorted_columns(rows: np.ndarray):

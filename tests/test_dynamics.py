@@ -749,14 +749,43 @@ def test_time_derivative_is_np_gradient_on_ordinary_grids():
         assert np.array_equal(traj.cdot_fd, np.gradient(traj.capacity, traj.times))
 
 
-@pytest.mark.parametrize("steps", [2, 3, 301, 15001])
-def test_time_derivative_takes_each_row_as_np_gradient(steps):
+def _uneven_grid(n):
+    """A seeded grid of n strictly increasing times with random spacings."""
+    rng = np.random.default_rng([n, 7])
+    return rng.uniform(-2.0, 2.0) + np.cumsum(rng.uniform(1e-3, 1.0, size=n))
+
+
+@pytest.mark.parametrize("times", [
+    *(pytest.param(np.linspace(0.0, 3.0, n), id=str(n)) for n in (2, 3, 301, 15001)),
+    # exactly uniform, np.gradient's scalar branch: at a spacing of 1.5 after
+    # the scaling its three-point weights would round differently
+    *(pytest.param(np.arange(n) * h, id=f"uniform{h}-{n}")
+      for n in (3, 301) for h in (0.25, 0.75)),
+    *(pytest.param(_uneven_grid(n), id=f"uneven-{n}") for n in (2, 3, 4, 7, 16, 31, 50)),
+])
+def test_time_derivative_takes_each_row_as_np_gradient(times):
     # capacity_trajectory differentiates the capacity and lambda* in one call,
     # as the two rows of a (2, n) array
-    times = np.linspace(0.0, 3.0, steps)
-    rows = np.random.default_rng(steps).standard_normal((2, steps))
+    rows = np.random.default_rng(times.size).standard_normal((2, times.size))
     expect = np.stack([np.gradient(r, times) for r in rows])
     assert np.array_equal(dynamics._time_derivative(rows, times), expect)
+
+
+def test_cdot_formula_is_plus_zero_where_lambda_star_saturates():
+    # at t = 0 every eigenvalue is 1, outside the formula's interior rows
+    traj = capacity_trajectory(eigenvalue_trajectory(RateSpec.constant(0.3, 0.2, 0.1), 1.0, 11))
+    assert traj.lambdas[0].tolist() == [1.0, 1.0, 1.0]
+    assert traj.cdot_formula[0] == 0.0 and not np.signbit(traj.cdot_formula[0])
+    assert np.isfinite(traj.cdot_formula).all()
+
+
+@pytest.mark.parametrize("route", [eigenvalue_trajectory, ode_eigenvalue_oracle])
+@pytest.mark.parametrize("rates", [5, None, "x", [0.1, 0.2, 0.3]],
+                         ids=["int", "none", "str", "list"])
+def test_rate_entries_refuse_anything_but_a_rate_spec(route, rates):
+    # refused by type before the grid is read: the grid here is invalid too
+    with pytest.raises(TypeError, match=rf"^expected a RateSpec, got {type(rates).__name__}$"):
+        route(rates, -1.0, 1)
 
 
 def test_ode_oracle_refuses_a_step_that_underflows():

@@ -161,6 +161,13 @@ MUTATIONS = [
      "capacity = _basis_terms(np.minimum(middle, 1.0), 2)"),
     ("trajectory capacity skips the clamp to 1", "dynamics.py",
      "_basis_terms(np.minimum(top, 1.0), 2)", "_basis_terms(top, 2)"),
+    ("time derivative always takes the uneven formula", "dynamics.py",
+     "    if (dx == dx[0]).all():", "    if False:"),
+    ("time derivative's last edge over the first spacing", "dynamics.py",
+     "(rows[:, -1] - rows[:, -2]) / dx[-1]", "(rows[:, -1] - rows[:, -2]) / dx[0]"),
+    ("eigenvalue_trajectory takes any rate object", "dynamics.py",
+     'naming its type,\n    before the grid is checked.\n    """\n    _require_rates(r)\n',
+     'naming its type,\n    before the grid is checked.\n    """\n'),
 ]
 
 # mutants that survive today, each with the ROADMAP item that will mend it;
